@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from .errors import ContractionError, SolverError, ValidationError
 from .network import RelativeLiabilityMatrix, check_nonvanishing
@@ -20,6 +21,10 @@ PICARD_TOL = 1e-9
 
 #: Agreement required between the LP and fixed-point clearing routes.
 ROUTE_AGREEMENT_TOL = 1e-6
+
+#: Largest clip or rescale applied to an LP primal before it counts as a
+#: solver failure: the HiGHS primal feasibility tolerance.
+LP_REPAIR_TOL = 1e-7
 
 LEQ, EQ, GEQ = "<=", "=", ">="
 
@@ -104,38 +109,43 @@ class LpSolution:
 _STATUS_MAP = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
+def _sparse_rows(rows: list[np.ndarray], sign: np.ndarray, n_cols: int):
+    """Dense coefficient rows, each scaled by its ``sign``, stacked into a
+    CSR matrix that stores only the nonzero coefficients."""
+    dense = np.array(rows, dtype=float).reshape(len(rows), n_cols)
+    nonzero = dense != 0.0
+    counts = nonzero.sum(axis=1)
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    flat = np.flatnonzero(nonzero)
+    data = dense.ravel()[flat] * np.repeat(sign, counts)
+    return csr_array((data, flat % n_cols, indptr), shape=(len(rows), n_cols))
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a :class:`LinearProgram` and return primal and dual values.
 
-    Numerical failure is reported through ``status='failed'``, never raised.
-    Output is deterministic for identical input.
+    The <= and >= rows (>= negated) and the = rows reach HiGHS as sparse
+    matrices that store only nonzero coefficients: the matrix scipy's dense
+    route would build, without its dense copies and checks.  Numerical
+    failure is reported through ``status='failed'``, never raised.  Output
+    is deterministic for identical input.
     """
     c = -lp.objective  # scipy minimizes
-    a_ub, b_ub, ub_idx = [], [], []
-    a_eq, b_eq, eq_idx = [], [], []
-    ub_sign = []
-    for k, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        if rel == EQ:
-            a_eq.append(coeffs)
-            b_eq.append(rhs)
-            eq_idx.append(k)
-        elif rel == LEQ:
-            a_ub.append(coeffs)
-            b_ub.append(rhs)
-            ub_idx.append(k)
-            ub_sign.append(1.0)
-        else:  # >= stored negated
-            a_ub.append(-coeffs)
-            b_ub.append(-rhs)
-            ub_idx.append(k)
-            ub_sign.append(-1.0)
+    rows = lp.constraints
+    is_eq = np.array([rel == EQ for _, rel, _ in rows], dtype=bool)
+    # a >= row is stored negated as a <= row
+    sign = np.array([-1.0 if rel == GEQ else 1.0 for _, rel, _ in rows])
+    rhs = np.array([b for _, _, b in rows], dtype=float)
+    ub_idx = np.flatnonzero(~is_eq)
+    eq_idx = np.flatnonzero(is_eq)
     kwargs = {}
-    if a_ub:
-        kwargs["A_ub"] = np.array(a_ub)
-        kwargs["b_ub"] = np.array(b_ub)
-    if a_eq:
-        kwargs["A_eq"] = np.array(a_eq)
-        kwargs["b_eq"] = np.array(b_eq)
+    for idx, a_key, b_key in ((ub_idx, "A_ub", "b_ub"), (eq_idx, "A_eq", "b_eq")):
+        if idx.size:
+            kwargs[a_key] = _sparse_rows(
+                [rows[k][0] for k in idx], sign[idx], lp.n_variables
+            )
+            kwargs[b_key] = rhs[idx] * sign[idx]
     bounds = [
         (lo if math.isfinite(lo) else None, hi if math.isfinite(hi) else None)
         for lo, hi in lp.variable_bounds
@@ -150,18 +160,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         return LpSolution(status=status, primal=None, dual=None,
                           objective_value=None)
 
-    m = len(lp.constraints)
-    dual = np.zeros(m)
+    dual = np.zeros(len(lp.constraints))
     # negating scipy's minimize-convention marginals yields maximize-convention
     # multipliers; a >= row was negated on the way in, which flips it back
-    if ub_idx:
-        marg = res.ineqlin.marginals
-        for pos, (k, sign) in enumerate(zip(ub_idx, ub_sign)):
-            dual[k] = -marg[pos] * sign
-    if eq_idx:
-        marg = res.eqlin.marginals
-        for pos, k in enumerate(eq_idx):
-            dual[k] = -marg[pos]
+    if ub_idx.size:
+        dual[ub_idx] = -res.ineqlin.marginals * sign[ub_idx]
+    if eq_idx.size:
+        dual[eq_idx] = -res.eqlin.marginals
     return LpSolution(
         status="optimal",
         primal=res.x.copy(),
@@ -169,7 +174,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         objective_value=float(-res.fun),
         bound_duals_lower=-res.lower.marginals,
         bound_duals_upper=-res.upper.marginals,
-        _rhs=np.array([rhs for _, _, rhs in lp.constraints]),
+        _rhs=rhs,
         _bounds=lp.variable_bounds,
     )
 

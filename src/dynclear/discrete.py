@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import clear_fixed_point
-from .errors import EnumerationLimitError, ValidationError
+from .clearing import _picard_cap, clear_fixed_point
+from .errors import ContractionError, EnumerationLimitError, ValidationError
 from .fractional import (
     PolicyStepResult,
     broadcast_caps,
@@ -321,21 +321,21 @@ def _batch_clear(pairwise, totals, assets_plus_z, tol=1e-12):
         a = np.where(totals[:, :, None] > 0, pairwise / totals[:, :, None], 0.0)
     beta_max = float(a.sum(axis=2).max(initial=0.0))
     if beta_max >= 1.0 - 1e-12:
-        raise ValidationError("batch contains a non-contracting instance")
-    if beta_max <= 0.0:
-        cap = 64
-    else:
-        top = float(totals.max(initial=0.0))
-        cap = 64 if top <= 1e-12 else (
-            int(math.ceil(math.log(1e-12 / top) / math.log(beta_max))) + 64
+        raise ContractionError(
+            f"batch contains a non-contracting instance "
+            f"(max connectivity {beta_max})"
         )
+    cap = _picard_cap(float(totals.max(initial=0.0)), beta_max)
     x = totals.copy()
     for _ in range(cap):
         nxt = np.minimum(totals, np.einsum("kij,ki->kj", a, x) + assets_plus_z)
         if float(np.abs(nxt - x).max(initial=0.0)) <= tol:
             return nxt
         x = nxt
-    raise ValidationError("batched clearing failed to converge")
+    raise ContractionError(
+        f"batched clearing did not converge within {cap} steps "
+        f"(max connectivity {beta_max})"
+    )
 
 
 def brute_force_discrete(

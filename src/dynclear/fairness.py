@@ -147,9 +147,11 @@ def gini_coefficient(interventions, weights: FairnessWeights) -> float:
 @dataclass(frozen=True, eq=False)
 class FairnessBlock:
     """LP rows over the stacked variables ``(Z, varpi)``: one slack per
-    weighted edge, the absolute-value sandwich rows, and one aggregate cap
-    row.  All rows are <= with the given right-hand sides; slacks are bounded
-    below by 0 and unbounded above."""
+    unordered pair ``{i, j}`` (``i < j``) with ``w_ij + w_ji > 0``, its two
+    absolute-value sandwich rows, and one aggregate cap row.  All rows are
+    <= with the given right-hand sides; slacks are bounded below by 0 and
+    unbounded above.  ``E`` below counts unordered pairs, so a symmetric
+    weight matrix gets half the slacks of its ordered edge set."""
 
     edges: tuple[tuple[int, int], ...]
     z_rows: np.ndarray      # (2E + 1, n)
@@ -163,29 +165,32 @@ class FairnessBlock:
 
 def fairness_constraint_block(weights: FairnessWeights, g: float) -> FairnessBlock:
     """Linearize ``GC(Z) <= g`` with one slack ``varpi_ij >= |Z_i - Z_j|``
-    per weighted edge and the aggregate row
-    ``sum w_ij varpi_ij <= g * sum_i s_i Z_i``."""
+    per unordered pair and the aggregate row
+    ``sum_{i<j} (w_ij + w_ji) varpi_ij <= g * sum_i s_i Z_i``.
+
+    Both ordered edges of a pair bound the same ``|Z_i - Z_j|``, so merging
+    them into one slack weighted ``w_ij + w_ji`` is exact: the block's
+    feasible set, projected onto ``Z``, is ``GC(Z) <= g`` as before."""
     if not 0.0 <= g <= 1.0:
         raise ValidationError(f"fairness cap must lie in [0, 1], got {g}")
     n = weights.n
-    edges = tuple(weights.edges)
-    e = len(edges)
+    pair_w = weights.weights + weights.weights.T
+    ii, jj = np.nonzero(np.triu(pair_w, k=1))
+    e = ii.size
+    k = np.arange(e)
     z_rows = np.zeros((2 * e + 1, n))
     slack_rows = np.zeros((2 * e + 1, e))
-    for k, (i, j) in enumerate(edges):
-        # Z_i - Z_j <= varpi_k   and   Z_j - Z_i <= varpi_k
-        z_rows[2 * k, i] = 1.0
-        z_rows[2 * k, j] = -1.0
-        slack_rows[2 * k, k] = -1.0
-        z_rows[2 * k + 1, i] = -1.0
-        z_rows[2 * k + 1, j] = 1.0
-        slack_rows[2 * k + 1, k] = -1.0
-    mass = weights.node_mass()
-    z_rows[-1] = -g * mass
-    for k, (i, j) in enumerate(edges):
-        slack_rows[-1, k] = weights.weights[i, j]
+    # Z_i - Z_j <= varpi_k   and   Z_j - Z_i <= varpi_k
+    z_rows[2 * k, ii] = 1.0
+    z_rows[2 * k, jj] = -1.0
+    z_rows[2 * k + 1, ii] = -1.0
+    z_rows[2 * k + 1, jj] = 1.0
+    slack_rows[2 * k, k] = -1.0
+    slack_rows[2 * k + 1, k] = -1.0
+    z_rows[-1] = -g * weights.node_mass()
+    slack_rows[-1] = pair_w[ii, jj]
     return FairnessBlock(
-        edges=edges,
+        edges=tuple(zip(ii.tolist(), jj.tolist())),
         z_rows=z_rows,
         slack_rows=slack_rows,
         rhs=np.zeros(2 * e + 1),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import LEQ, LinearProgram, SolverError, solve_lp
+from .clearing import LEQ, LP_REPAIR_TOL, LinearProgram, SolverError, solve_lp
 from .errors import ValidationError
 from .fairness import FairnessSpec, gini_coefficient
 from .network import (
@@ -76,6 +76,19 @@ def broadcast_caps(caps, n: int) -> np.ndarray:
     return arr
 
 
+def _repair(values: np.ndarray, lo, hi, what: str) -> np.ndarray:
+    """Clip an LP primal into its bounds, raising :class:`SolverError` when
+    the clip moves any entry by more than ``LP_REPAIR_TOL``."""
+    fixed = np.clip(values, lo, hi)
+    gap = float(np.abs(fixed - values).max(initial=0.0))
+    if not gap <= LP_REPAIR_TOL:  # NaN counts as a failure too
+        raise SolverError(
+            f"per-round allocation LP put the {what} {gap:.3g} outside its "
+            f"bounds, beyond LP_REPAIR_TOL={LP_REPAIR_TOL:g}"
+        )
+    return fixed
+
+
 def per_round_lp(
     matrix: RelativeLiabilityMatrix,
     totals,
@@ -88,11 +101,13 @@ def per_round_lp(
 ) -> PolicyStepResult:
     """Jointly maximize one round's payments over clearing and intervention.
 
-    Variables are ``(P_tilde, Z)`` plus one slack per fairness edge when a
-    fairness spec is attached.  The base problem is always feasible (zero
-    intervention plus the zero-input clearing), so a non-optimal status only
-    arises from genuinely conflicting extra rows and is raised as
-    :class:`SolverError`.
+    Variables are ``(P_tilde, Z)`` plus one slack per unordered fairness
+    pair when a fairness spec is attached.  The base problem is always
+    feasible (zero intervention plus the zero-input clearing), so a
+    non-optimal status only arises from genuinely conflicting extra rows and
+    is raised as :class:`SolverError`.  The optimal primal is clipped into
+    its bounds and the intervention rescaled onto the budget; a repair
+    larger than ``LP_REPAIR_TOL`` is raised as :class:`SolverError` too.
 
     ``reward_weights`` swaps the plain sum of payments for a weighted one;
     any strictly positive weighting selects the same optimal clearing on
@@ -124,24 +139,19 @@ def per_round_lp(
     objective = np.zeros(dim)
     objective[:n] = weights
 
-    rows = []
+    n_rows = n + 1 + (block.rhs.size if block is not None else 0)
+    lhs = np.zeros((n_rows, dim))
     # default constraint: (I - A^T) P_tilde - Z <= c
-    lhs = np.eye(n) - matrix.entries.T
-    for i in range(n):
-        row = np.zeros(dim)
-        row[:n] = lhs[i]
-        row[n + i] = -1.0
-        rows.append((row, LEQ, float(assets[i])))
+    lhs[:n, :n] = np.eye(n) - matrix.entries.T
+    lhs[:n, n : 2 * n] = -np.eye(n)
     # budget: 1^T Z <= B
-    row = np.zeros(dim)
-    row[n : 2 * n] = 1.0
-    rows.append((row, LEQ, float(budget)))
+    lhs[n, n : 2 * n] = 1.0
+    rhs = [float(a) for a in assets] + [float(budget)]
     if block is not None:
-        for z_row, s_row, rhs in zip(block.z_rows, block.slack_rows, block.rhs):
-            row = np.zeros(dim)
-            row[n : 2 * n] = z_row
-            row[2 * n :] = s_row
-            rows.append((row, LEQ, float(rhs)))
+        lhs[n + 1 :, n : 2 * n] = block.z_rows
+        lhs[n + 1 :, 2 * n :] = block.slack_rows
+        rhs += [float(b) for b in block.rhs]
+    rows = tuple((row, LEQ, b) for row, b in zip(lhs, rhs))
 
     bounds = [(0.0, float(p)) for p in totals]
     bounds += [(0.0, float(c)) for c in caps]
@@ -150,7 +160,7 @@ def per_round_lp(
     sol = solve_lp(
         LinearProgram(
             objective=objective,
-            constraints=tuple(rows),
+            constraints=rows,
             variable_bounds=tuple(bounds),
         )
     )
@@ -159,10 +169,15 @@ def per_round_lp(
             f"per-round allocation LP returned status {sol.status}",
             status=sol.status,
         )
-    clearing = np.clip(sol.primal[:n], 0.0, totals)
-    z = np.clip(sol.primal[n : 2 * n], 0.0, caps)
+    clearing = _repair(sol.primal[:n], 0.0, totals, "clearing")
+    z = _repair(sol.primal[n : 2 * n], 0.0, caps, "intervention")
     total_z = z.sum()
     if total_z > budget and total_z > 0:
+        if total_z - budget > LP_REPAIR_TOL:
+            raise SolverError(
+                f"per-round allocation LP spent {total_z - budget:.3g} "
+                f"over the budget, beyond LP_REPAIR_TOL={LP_REPAIR_TOL:g}"
+            )
         z = z * (budget / total_z)  # shave solver noise, never real mass
     gini = None
     if fair_weights is not None:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
+import dynclear.clearing
 from dynclear import (
     ContractionError,
     LinearProgram,
@@ -91,6 +93,37 @@ class TestSolveLp:
                 slack = rhs - float(coeffs @ sol.primal)
                 assert slack >= -1e-7  # primal feasibility
                 assert abs(dual * slack) <= 1e-6  # complementary slackness
+
+    def test_highs_receives_sparse_rows_without_zeros(self, monkeypatch):
+        seen = {}
+        real = dynclear.clearing.linprog
+
+        def spy(c, **kwargs):
+            seen.update(kwargs)
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(dynclear.clearing, "linprog", spy)
+        # max 2x + y + z s.t. x + y <= 1.5, y - x >= 0.2, x + z = 1
+        lp = LinearProgram(
+            objective=[2.0, 1.0, 1.0],
+            constraints=(
+                (np.array([1.0, 1.0, 0.0]), "<=", 1.5),
+                (np.array([-1.0, 1.0, 0.0]), ">=", 0.2),
+                (np.array([1.0, 0.0, 1.0]), "=", 1.0),
+            ),
+            variable_bounds=((0.0, INF), (0.0, INF), (0.0, INF)),
+        )
+        sol = solve_lp(lp)
+        a_ub, a_eq = seen["A_ub"], seen["A_eq"]
+        assert scipy.sparse.issparse(a_ub) and scipy.sparse.issparse(a_eq)
+        assert np.all(a_ub.data != 0) and np.all(a_eq.data != 0)
+        np.testing.assert_array_equal(
+            a_ub.toarray(), [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]
+        )
+        np.testing.assert_array_equal(seen["b_ub"], [1.5, -0.2])
+        np.testing.assert_array_equal(a_eq.toarray(), [[1.0, 0.0, 1.0]])
+        np.testing.assert_allclose(sol.primal, [0.65, 0.85, 0.35], atol=1e-8)
+        assert sol.dual_objective() == pytest.approx(sol.objective_value, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):

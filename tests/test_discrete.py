@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynclear import (
+    ContractionError,
     EnumerationLimitError,
     RelativeLiabilityMatrix,
     SystemState,
@@ -16,6 +17,7 @@ from dynclear import (
     simulate_discrete_policy,
     value_given_sample_path,
 )
+from dynclear.discrete import _batch_clear
 
 from conftest import (
     deep_constant_proportion_path,
@@ -304,3 +306,26 @@ class TestDiscretizePayments:
         allocation = discretize_payments([5.0, 0.0, 0.0, 0.0], matrix)
         # shares all 0.25 -> floor(1.25) = 1 each; order 1,2,3 then external
         np.testing.assert_array_equal(allocation[0], [0, 1, 1, 1, 1])
+
+
+class TestBatchClear:
+    def test_non_contracting_batch_raises_contraction_error(self):
+        # node 0 owes everything it owes to node 1: row sum 1
+        pairwise = np.array([[[0.0, 2.0], [0.0, 0.0]]])
+        totals = np.array([[2.0, 1.0]])
+        with pytest.raises(ContractionError):
+            _batch_clear(pairwise, totals, np.zeros((1, 2)))
+
+    def test_non_converging_batch_raises_contraction_error(self):
+        # a tolerance no step can meet runs the iteration into its cap
+        pairwise = np.array([[[0.0, 1.0], [0.0, 0.0]]])
+        totals = np.array([[2.0, 1.0]])
+        with pytest.raises(ContractionError):
+            _batch_clear(pairwise, totals, np.zeros((1, 2)), tol=-1.0)
+
+    def test_contracting_batch_matches_fixed_point(self):
+        pairwise = np.array([[[0.0, 1.0], [0.0, 0.0]]])
+        totals = np.array([[2.0, 1.0]])
+        # node 0 pays its 0.5 of assets, half of it to node 1
+        cleared = _batch_clear(pairwise, totals, np.array([[0.5, 0.2]]))
+        np.testing.assert_allclose(cleared, [[0.5, 0.45]], atol=1e-12)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from dynclear import (
     FairnessBudget,
@@ -109,6 +110,34 @@ class TestConstraintBlock:
         assert block.slack_rows.shape == (5, 2)
         np.testing.assert_allclose(block.rhs, 0.0)
 
+    def test_symmetric_pairs_share_one_slack(self):
+        for n in range(2, 7):
+            block = fairness_constraint_block(standard_weights(n), 0.5)
+            e = n * (n - 1) // 2
+            assert block.n_slacks == e
+            assert block.z_rows.shape == (2 * e + 1, n)
+            assert block.slack_rows.shape == (2 * e + 1, e)
+            assert all(i < j for i, j in block.edges)
+
+    def test_cap_row_weights_are_pair_sums(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            w = rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.5)
+            np.fill_diagonal(w, 0.0)
+            weights = FairnessWeights(kind="spatial", weights=w)
+            block = fairness_constraint_block(weights, 0.3)
+            pairs = {
+                (i, j) for i in range(n) for j in range(i + 1, n)
+                if w[i, j] + w[j, i] > 0
+            }
+            assert set(block.edges) == pairs
+            for k, (i, j) in enumerate(block.edges):
+                assert block.slack_rows[-1, k] == w[i, j] + w[j, i]
+            np.testing.assert_array_equal(
+                block.z_rows[-1], -0.3 * weights.node_mass()
+            )
+
     def test_unit_cap_never_binds(self):
         spec = FairnessSpec(kind="standard", budget=FairnessBudget(1.0))
         value, _ = value_given_sample_path(
@@ -204,3 +233,74 @@ class TestPriceOfFairness:
             spec = FairnessSpec(kind="standard", budget=FairnessBudget(0.4))
             v_fair, _ = value_given_sample_path(start, path, 2.0, 2.0, fairness=spec)
             assert price_of_fairness(v_free, v_fair) >= 1.0 - 1e-9
+
+
+def ordered_edge_reference(matrix, totals, assets, budget, caps, weights, g):
+    """Optimal payments of the per-round LP with one slack per ordered edge
+    and weight ``w_ij`` in the cap row, solved through scipy's dense route."""
+    n = matrix.n
+    edges = weights.edges
+    e = len(edges)
+    dim = 2 * n + e
+    rows = [np.concatenate([np.eye(n) - matrix.entries.T, -np.eye(n),
+                            np.zeros((n, e))], axis=1)]
+    rhs = [assets]
+    budget_row = np.zeros((1, dim))
+    budget_row[0, n : 2 * n] = 1.0
+    rows.append(budget_row)
+    rhs.append([budget])
+    sandwich = np.zeros((2 * e + 1, dim))
+    for k, (i, j) in enumerate(edges):
+        sandwich[2 * k, [n + i, n + j, 2 * n + k]] = [1.0, -1.0, -1.0]
+        sandwich[2 * k + 1, [n + i, n + j, 2 * n + k]] = [-1.0, 1.0, -1.0]
+        sandwich[-1, 2 * n + k] = weights.weights[i, j]
+    sandwich[-1, n : 2 * n] = -g * weights.node_mass()
+    rows.append(sandwich)
+    rhs.append(np.zeros(2 * e + 1))
+    c = np.zeros(dim)
+    c[:n] = -1.0
+    bounds = (
+        [(0.0, float(p)) for p in totals]
+        + [(0.0, float(cap)) for cap in caps]
+        + [(0.0, None)] * e
+    )
+    res = linprog(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                  bounds=bounds, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+class TestMergedBlockEquivalence:
+    def random_round(self, rng, n):
+        shock = random_general_path(rng, n, 1).shocks[0]
+        state = advance_state(SystemState.empty(n), np.zeros(n), shock)
+        return relative_matrix(state), state.totals, shock.external_assets
+
+    @pytest.mark.parametrize("g", [0.0, 0.3, 0.5, 1.0])
+    def test_per_round_lp_matches_ordered_edge_lp(self, g):
+        rng = np.random.default_rng(int(g * 10) + 100)
+        specs = (
+            ("standard", None, True),
+            ("spatial", None, True),
+            ("property", "q", True),
+            ("property", "q", False),
+        )
+        for _ in range(6):
+            for kind, q, masked in specs:
+                n = int(rng.integers(2, 7))
+                matrix, totals, assets = self.random_round(rng, n)
+                budget = float(rng.uniform(0.5, 3.0))
+                caps = rng.uniform(0.2, 2.0, n)
+                spec = FairnessSpec(
+                    kind=kind, budget=FairnessBudget(g),
+                    q=None if q is None else rng.uniform(0, 1, n),
+                    masked=masked,
+                )
+                step = per_round_lp(matrix, totals, assets, budget, caps,
+                                    fairness=spec)
+                expected = ordered_edge_reference(
+                    matrix, totals, assets, budget, caps,
+                    spec.weights_for(matrix), g,
+                )
+                assert step.reward == pytest.approx(expected, abs=1e-7)
+                assert step.gini <= g + 1e-7

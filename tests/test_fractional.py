@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import dynclear.fractional
 from dynclear import (
     SamplePath,
     ShockRealization,
+    SolverError,
     SystemState,
     ValidationError,
     advance_state,
@@ -66,6 +70,49 @@ class TestPerRoundLp:
                 matrix, totals, assets, budget=1.0, caps=1.0,
                 reward_weights=[1.0, 0.0, 1.0],
             )
+
+
+class TestRepairBound:
+    """The clip of P and Z into their bounds and the budget rescale are
+    solver-noise repairs, bounded by ``LP_REPAIR_TOL``."""
+
+    def perturbed(self, monkeypatch, edit):
+        real = dynclear.fractional.solve_lp
+
+        def fake(lp):
+            sol = real(lp)
+            primal = sol.primal.copy()
+            edit(primal)
+            return dataclasses.replace(sol, primal=primal)
+
+        monkeypatch.setattr(dynclear.fractional, "solve_lp", fake)
+        matrix, totals, assets = hub_round_one()
+        return per_round_lp(matrix, totals, assets, budget=2.0, caps=2.0)
+
+    def test_clearing_above_totals_raises(self, monkeypatch):
+        with pytest.raises(SolverError):
+            self.perturbed(monkeypatch, lambda x: x.__setitem__(0, x[0] + 1e-3))
+
+    def test_negative_intervention_raises(self, monkeypatch):
+        with pytest.raises(SolverError):
+            self.perturbed(monkeypatch, lambda x: x.__setitem__(4, -1e-3))
+
+    def test_budget_overrun_raises(self, monkeypatch):
+        with pytest.raises(SolverError):
+            self.perturbed(monkeypatch, lambda x: x.__setitem__(4, 1e-3))
+
+    def test_nan_primal_raises(self, monkeypatch):
+        with pytest.raises(SolverError):
+            self.perturbed(monkeypatch, lambda x: x.__setitem__(1, np.nan))
+
+    def test_noise_within_tolerance_is_repaired(self, monkeypatch):
+        def edit(x):
+            x[0] += 1e-9  # clearing of node 0 sits at its total of 3
+            x[4] = 1e-9   # budget already spent on node 0
+
+        step = self.perturbed(monkeypatch, edit)
+        np.testing.assert_array_equal(step.clearing, [3.0, 1.0, 1.0])
+        assert step.intervention.amounts.sum() <= 2.0
 
 
 class TestValueGivenSamplePath:
