@@ -16,6 +16,7 @@ from .errors import ContractionError, EnumerationLimitError, ValidationError
 from .fractional import (
     PolicyStepResult,
     broadcast_caps,
+    once_per_distinct_path,
     substream,
     value_given_sample_path,
 )
@@ -135,17 +136,12 @@ def simulate_discrete_policy(
     start: SystemState,
     path: SamplePath,
     actions: list[DiscreteAction] | list[np.ndarray],
-    start_clearing=None,
 ) -> tuple[float, list[PolicyStepResult]]:
     """Realized value of a fixed action schedule under maximal clearing."""
     if len(actions) != len(path):
         raise ValidationError("one action per round required")
     state = start
-    clearing = (
-        np.zeros(start.n)
-        if start_clearing is None
-        else np.asarray(start_clearing, dtype=float)
-    )
+    clearing = np.zeros(start.n)
     steps: list[PolicyStepResult] = []
     for shock, action in zip(path, actions):
         z = action.amounts if isinstance(action, DiscreteAction) else action
@@ -186,18 +182,27 @@ def discrete_runs(
 ) -> list[tuple[SamplePath, RoundingReport, list[PolicyStepResult]]]:
     """Per-sample rounding pipeline, returning the realized trajectory along
     with each report.  Results are ordered by sample index regardless of the
-    worker count."""
+    worker count.
+
+    Sample ``i`` draws its path and then its rounding on ``substream(seed,
+    i)``; the fractional trajectory in between is solved once per distinct
+    path, so replayed copies share it.
+    """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     n = start.n
     caps_arr = broadcast_caps(caps, n)
     _integer_caps(caps_arr)
     last = env.horizon if horizon is None else horizon
+    rngs = [substream(seed, i) for i in range(n_samples)]
+    paths = [env.sample_path(1, last, rng) for rng in rngs]
+    relaxed = once_per_distinct_path(
+        paths, lambda p: value_given_sample_path(start, p, budget, caps_arr), threads
+    )
 
     def run(index: int):
-        rng = substream(seed, index)
-        path = env.sample_path(1, last, rng)
-        v_rel, frac_steps = value_given_sample_path(start, path, budget, caps_arr)
+        rng, path = rngs[index], paths[index]
+        v_rel, frac_steps = relaxed[index]
         z_star = [s.intervention.amounts for s in frac_steps]
         gamma_hat = max(float(s.beta.max(initial=0.0)) for s in frac_steps)
         attempts_total = 0
@@ -344,7 +349,6 @@ def brute_force_discrete(
     budget: float,
     caps,
     max_combinations: int = 10**6,
-    start_clearing=None,
 ) -> tuple[float, tuple[np.ndarray, ...]]:
     """Exact optimum over integral action schedules by exhaustive search.
 
@@ -367,11 +371,7 @@ def brute_force_discrete(
     pairwise = start.pairwise[None, :, :].copy()
     external = start.external[None, :].copy()
     totals = start.totals[None, :].copy()
-    clearing = (
-        np.zeros((1, n))
-        if start_clearing is None
-        else np.asarray(start_clearing, dtype=float)[None, :]
-    )
+    clearing = np.zeros((1, n))
     value = np.zeros(1)
     choice = np.zeros((1, 0), dtype=int)
 
@@ -425,7 +425,6 @@ def simulate_action_batch(
     start: SystemState,
     path: SamplePath,
     action_sequences: np.ndarray,
-    start_clearing=None,
 ) -> np.ndarray:
     """Realized values for a stack of action schedules, shape
     ``(k, rounds, n)`` in, ``(k,)`` out.  Same dynamics as
@@ -437,13 +436,7 @@ def simulate_action_batch(
     pairwise = np.broadcast_to(start.pairwise, (k, start.n, start.n)).copy()
     external = np.broadcast_to(start.external, (k, start.n)).copy()
     totals = np.broadcast_to(start.totals, (k, start.n)).copy()
-    clearing = (
-        np.zeros((k, start.n))
-        if start_clearing is None
-        else np.broadcast_to(
-            np.asarray(start_clearing, dtype=float), (k, start.n)
-        ).copy()
-    )
+    clearing = np.zeros((k, start.n))
     value = np.zeros(k)
     for t, shock in enumerate(path):
         pairwise, external, totals = _batch_advance(

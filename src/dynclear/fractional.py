@@ -76,17 +76,32 @@ def broadcast_caps(caps, n: int) -> np.ndarray:
     return arr
 
 
-def _repair(values: np.ndarray, lo, hi, what: str) -> np.ndarray:
+def _repair(values: np.ndarray, lo, hi, what: str, source: str) -> np.ndarray:
     """Clip an LP primal into its bounds, raising :class:`SolverError` when
     the clip moves any entry by more than ``LP_REPAIR_TOL``."""
     fixed = np.clip(values, lo, hi)
     gap = float(np.abs(fixed - values).max(initial=0.0))
     if not gap <= LP_REPAIR_TOL:  # NaN counts as a failure too
         raise SolverError(
-            f"per-round allocation LP put the {what} {gap:.3g} outside its "
+            f"{source} put the {what} {gap:.3g} outside its "
             f"bounds, beyond LP_REPAIR_TOL={LP_REPAIR_TOL:g}"
         )
     return fixed
+
+
+def _onto_budget(z: np.ndarray, budget: float, source: str) -> np.ndarray:
+    """Rescale an intervention that overspends ``budget`` (zero included)
+    onto it, raising :class:`SolverError` when the excess is larger than
+    ``LP_REPAIR_TOL``."""
+    total = float(z.sum())
+    if total > budget:
+        if total - budget > LP_REPAIR_TOL:
+            raise SolverError(
+                f"{source} spent {total - budget:.3g} over the budget, "
+                f"beyond LP_REPAIR_TOL={LP_REPAIR_TOL:g}"
+            )
+        z = z * (budget / total)  # shave solver noise, never real mass
+    return z
 
 
 def per_round_lp(
@@ -169,16 +184,10 @@ def per_round_lp(
             f"per-round allocation LP returned status {sol.status}",
             status=sol.status,
         )
-    clearing = _repair(sol.primal[:n], 0.0, totals, "clearing")
-    z = _repair(sol.primal[n : 2 * n], 0.0, caps, "intervention")
-    total_z = z.sum()
-    if total_z > budget and total_z > 0:
-        if total_z - budget > LP_REPAIR_TOL:
-            raise SolverError(
-                f"per-round allocation LP spent {total_z - budget:.3g} "
-                f"over the budget, beyond LP_REPAIR_TOL={LP_REPAIR_TOL:g}"
-            )
-        z = z * (budget / total_z)  # shave solver noise, never real mass
+    source = "per-round allocation LP"
+    clearing = _repair(sol.primal[:n], 0.0, totals, "clearing", source)
+    z = _repair(sol.primal[n : 2 * n], 0.0, caps, "intervention", source)
+    z = _onto_budget(z, budget, source)
     gini = None
     if fair_weights is not None:
         gini = gini_coefficient(z, fair_weights)
@@ -199,23 +208,17 @@ def value_given_sample_path(
     budget: float,
     caps,
     fairness: FairnessSpec | None = None,
-    start_clearing=None,
 ) -> tuple[float, list[PolicyStepResult]]:
     """Sequentially solve the per-round LPs along one shock realization.
 
-    ``start`` is the state of the round before the path begins;
-    ``start_clearing`` is the clearing executed against it (defaults to
-    zero, the exact choice for the canonical debt-free start).  Each round's
-    optimal clearing feeds the next round's state.
+    ``start`` is the state of the round before the path begins, with no
+    clearing executed against it (the canonical debt-free start).  Each
+    round's optimal clearing feeds the next round's state.
     """
     if start.n != path.n:
         raise ValidationError("start state and path disagree on node count")
     state = start
-    clearing = (
-        np.zeros(start.n)
-        if start_clearing is None
-        else np.asarray(start_clearing, dtype=float)
-    )
+    clearing = np.zeros(start.n)
     steps: list[PolicyStepResult] = []
     for shock in path:
         state = advance_state(state, clearing, shock)
@@ -248,6 +251,24 @@ def _path_key(path: SamplePath) -> bytes:
     return h.digest()
 
 
+def once_per_distinct_path(paths: list[SamplePath], solve, threads: int = 1):
+    """``[solve(path) for path in paths]`` with ``solve`` called once per
+    distinct path (identical shocks, as a replay draws), in order of first
+    appearance and on ``threads`` workers; results keep the order of
+    ``paths`` whatever the worker count."""
+    keys = [_path_key(p) for p in paths]
+    first: dict[bytes, SamplePath] = {}
+    for key, path in zip(keys, paths):
+        first.setdefault(key, path)
+    if threads <= 1:
+        solved = [solve(p) for p in first.values()]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            solved = list(pool.map(solve, first.values()))
+    by_key = dict(zip(first, solved))
+    return [by_key[key] for key in keys]
+
+
 def sampled_runs(
     env,
     start: SystemState,
@@ -271,21 +292,10 @@ def sampled_runs(
     paths = [
         env.sample_path(1, last, substream(seed, i)) for i in range(n_samples)
     ]
-    memo: dict[bytes, tuple[float, list[PolicyStepResult]]] = {}
-
-    def solve(path: SamplePath) -> tuple[float, list[PolicyStepResult]]:
-        key = _path_key(path)
-        hit = memo.get(key)
-        if hit is None:
-            hit = value_given_sample_path(start, path, budget, caps, fairness)
-            memo[key] = hit
-        return hit
-
-    if threads <= 1:
-        solved = [solve(p) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, paths))
+    solved = once_per_distinct_path(
+        paths, lambda p: value_given_sample_path(start, p, budget, caps, fairness),
+        threads,
+    )
     return [(p, v, s) for p, (v, s) in zip(paths, solved)]
 
 

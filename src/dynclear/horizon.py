@@ -1,6 +1,6 @@
 """Horizon-wide formulations available when liability proportions are
 time-constant: the constant-proportion certificate, the whole-horizon primal
-and dual LPs, the prefix-payment one-shot reformulation, and the
+LP with its verified dual, the prefix-payment one-shot reformulation, and the
 sequential-equals-horizon consistency check."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import LEQ, LinearProgram, solve_lp
+from .clearing import LEQ, LP_REPAIR_TOL, LinearProgram, solve_lp
 from .errors import CertificateError, MyopicGapError, SolverError
 from .fractional import broadcast_caps, value_given_sample_path
 from .network import SamplePath, SystemState, _freeze
@@ -50,20 +50,29 @@ class PrefixFormulation:
 
 
 @dataclass(frozen=True, eq=False)
-class HorizonSolution:
-    value: float
-    clearing: np.ndarray       # (T, n)
-    interventions: np.ndarray  # (T, n)
-    rewards: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class DualSolution:
+    """Multipliers of the horizon primal, read from the HiGHS marginals and
+    verified dual feasible to ``LP_REPAIR_TOL``.
+
+    ``value`` is the dual objective ``h.lam + c.mu + B sum(nu) + caps.sum(xi)``,
+    so by weak duality ``value - primal value`` bounds how far the primal is
+    from the optimum.
+    """
+
     value: float
     lam: np.ndarray  # (T, n) prefix-solvency multipliers
     mu: np.ndarray   # (T, n) default-row multipliers
     nu: np.ndarray   # (T,)   budget multipliers
     xi: np.ndarray   # (T, n) cap multipliers
+
+
+@dataclass(frozen=True, eq=False)
+class HorizonSolution:
+    value: float
+    clearing: np.ndarray       # (T, n)
+    interventions: np.ndarray  # (T, n)
+    rewards: tuple[float, ...]
+    dual: DualSolution
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,50 +124,71 @@ def _prefix_data(path: SamplePath):
     return c, h, f
 
 
+def _verified_dual(sol, h, c, budget, caps, zeta) -> DualSolution:
+    """The dual of the horizon primal, read off its HiGHS marginals.
+
+    Dual feasibility is checked explicitly: every multiplier is
+    nonnegative, ``(I - zeta) mu(t) + sum_{t' >= t} lam(t') >= 1`` for the
+    payment columns and ``xi(t) + nu(t) - mu(t) >= 0`` for the intervention
+    columns, each to ``LP_REPAIR_TOL``; a breach raises :class:`SolverError`.
+    """
+    rounds, n = h.shape
+    tn = rounds * n
+    lam = sol.dual[:tn].reshape(rounds, n)
+    mu = sol.dual[tn : 2 * tn].reshape(rounds, n)
+    nu = sol.dual[2 * tn :].copy()
+    xi = sol.bound_duals_upper[tn:].reshape(rounds, n)
+    suffix_lam = np.cumsum(lam[::-1], axis=0)[::-1]
+    shortfalls = np.concatenate([
+        -lam.ravel(), -mu.ravel(), -nu, -xi.ravel(),
+        (1.0 - (mu - mu @ zeta.T) - suffix_lam).ravel(),
+        (mu - xi - nu[:, None]).ravel(),
+    ])
+    breach = float(shortfalls.max(initial=0.0))
+    if not breach <= LP_REPAIR_TOL:  # NaN counts as a failure too
+        raise SolverError(
+            f"horizon LP marginals violate dual feasibility by {breach:.3g}, "
+            f"beyond LP_REPAIR_TOL={LP_REPAIR_TOL:g}"
+        )
+    value = (h * lam).sum() + (c * mu).sum() + budget * nu.sum() + xi.sum(0) @ caps
+    return DualSolution(value=float(value), lam=lam, mu=mu, nu=nu, xi=xi)
+
+
 def _solve_horizon(
     path: SamplePath, budget: float, caps: np.ndarray, zeta: np.ndarray
 ) -> HorizonSolution:
     rounds, n = len(path), path.n
     c, h, _ = _prefix_data(path)
-    dim = 2 * rounds * n  # [P_tilde(1..T) | Z(1..T)]
-    objective = np.zeros(dim)
-    objective[: rounds * n] = 1.0
-    rows = []
-    eye = np.eye(n)
-    lhs_default = eye - zeta.T
-    for t in range(rounds):
-        for i in range(n):
-            # prefix solvency: sum_{t' <= t} P_tilde(t') <= h(t)
-            row = np.zeros(dim)
-            for tp in range(t + 1):
-                row[tp * n + i] = 1.0
-            rows.append((row, LEQ, float(h[t, i])))
-    for t in range(rounds):
-        for i in range(n):
-            row = np.zeros(dim)
-            row[t * n : (t + 1) * n] = lhs_default[i]
-            row[rounds * n + t * n + i] = -1.0
-            rows.append((row, LEQ, float(c[t, i])))
-    for t in range(rounds):
-        row = np.zeros(dim)
-        row[rounds * n + t * n : rounds * n + (t + 1) * n] = 1.0
-        rows.append((row, LEQ, float(budget)))
-    bounds = [(0.0, float("inf"))] * (rounds * n)
+    tn = rounds * n  # variables: [P_tilde(1..T) | Z(1..T)]
+    objective = np.zeros(2 * tn)
+    objective[:tn] = 1.0
+    lhs = np.zeros((2 * tn + rounds, 2 * tn))
+    # prefix solvency: sum_{t' <= t} P_tilde(t') <= h(t)
+    lhs[:tn, :tn] = np.kron(np.tril(np.ones((rounds, rounds))), np.eye(n))
+    # default: (I - zeta^T) P_tilde(t) - Z(t) <= c(t)
+    lhs[tn : 2 * tn, :tn] = np.kron(np.eye(rounds), np.eye(n) - zeta.T)
+    lhs[tn : 2 * tn, tn:] = -np.eye(tn)
+    # budget: 1^T Z(t) <= B
+    lhs[2 * tn :, tn:] = np.kron(np.eye(rounds), np.ones((1, n)))
+    rhs = np.concatenate([h.ravel(), c.ravel(), np.full(rounds, float(budget))])
+    bounds = [(0.0, float("inf"))] * tn
     bounds += [(0.0, float(caps[i])) for _ in range(rounds) for i in range(n)]
     sol = solve_lp(
-        LinearProgram(objective=objective, constraints=tuple(rows),
+        LinearProgram(objective=objective,
+                      constraints=tuple((row, LEQ, b) for row, b in zip(lhs, rhs)),
                       variable_bounds=tuple(bounds))
     )
     if sol.status != "optimal":
         raise SolverError(f"horizon LP returned status {sol.status}",
                           status=sol.status)
-    clearing = sol.primal[: rounds * n].reshape(rounds, n)
-    interventions = sol.primal[rounds * n :].reshape(rounds, n)
+    clearing = sol.primal[:tn].reshape(rounds, n)
+    interventions = sol.primal[tn:].reshape(rounds, n)
     return HorizonSolution(
         value=float(sol.objective_value),
         clearing=clearing,
         interventions=interventions,
         rewards=tuple(float(r.sum()) for r in clearing),
+        dual=_verified_dual(sol, h, c, budget, caps, zeta),
     )
 
 
@@ -169,7 +199,8 @@ def solve_horizon_primal(
     certificate: ConstantProportionCertificate,
 ) -> HorizonSolution:
     """One LP over all rounds with the certified constant proportion matrix
-    in place of the per-round relative liabilities."""
+    in place of the per-round relative liabilities.  The solution carries
+    the verified dual read from the same solve."""
     _require_valid(certificate)
     caps = broadcast_caps(caps, path.n)
     return _solve_horizon(path, budget, caps, certificate.zeta)
@@ -181,64 +212,14 @@ def solve_horizon_dual(
     caps,
     certificate: ConstantProportionCertificate,
 ) -> DualSolution:
-    """The dual of the horizon primal, solved as its own LP.
+    """The dual of the horizon primal: ``lam`` on the prefix-solvency rows,
+    ``mu`` on the default rows, ``nu`` on the budgets, ``xi`` on the caps.
 
-    Multipliers: ``lam`` on the prefix-solvency rows, ``mu`` on the default
-    rows, ``nu`` on the budgets, ``xi`` on the caps.  Strong duality against
-    :func:`solve_horizon_primal` holds to solver precision.
+    Read from the HiGHS marginals of :func:`solve_horizon_primal` and
+    verified dual feasible, so no second LP is solved; strong duality holds
+    to solver precision.
     """
-    _require_valid(certificate)
-    caps = broadcast_caps(caps, path.n)
-    rounds, n = len(path), path.n
-    c, h, _ = _prefix_data(path)
-    zeta = certificate.zeta
-    # variable layout: [lam (T*n) | mu (T*n) | nu (T) | xi (T*n)], all >= 0
-    base_mu = rounds * n
-    base_nu = 2 * rounds * n
-    base_xi = base_nu + rounds
-    dim = base_xi + rounds * n
-    cost = np.zeros(dim)
-    for t in range(rounds):
-        cost[t * n : (t + 1) * n] = h[t]
-        cost[base_mu + t * n : base_mu + (t + 1) * n] = c[t]
-        cost[base_nu + t] = budget
-        cost[base_xi + t * n : base_xi + (t + 1) * n] = caps
-    rows = []
-    eye = np.eye(n)
-    # (I - zeta) mu(t) + sum_{t' >= t} lam(t') >= 1
-    lhs_mu = eye - zeta
-    for t in range(rounds):
-        for i in range(n):
-            row = np.zeros(dim)
-            row[base_mu + t * n : base_mu + (t + 1) * n] = lhs_mu[i]
-            for tp in range(t, rounds):
-                row[tp * n + i] = 1.0
-            rows.append((row, ">=", 1.0))
-    # xi(t) + nu(t) 1 - mu(t) >= 0
-    for t in range(rounds):
-        for i in range(n):
-            row = np.zeros(dim)
-            row[base_xi + t * n + i] = 1.0
-            row[base_nu + t] = 1.0
-            row[base_mu + t * n + i] = -1.0
-            rows.append((row, ">=", 0.0))
-    bounds = [(0.0, float("inf"))] * dim
-    # minimize cost == maximize -cost
-    sol = solve_lp(
-        LinearProgram(objective=-cost, constraints=tuple(rows),
-                      variable_bounds=tuple(bounds))
-    )
-    if sol.status != "optimal":
-        raise SolverError(f"horizon dual LP returned status {sol.status}",
-                          status=sol.status)
-    x = sol.primal
-    return DualSolution(
-        value=float(-sol.objective_value),
-        lam=x[:base_mu].reshape(rounds, n),
-        mu=x[base_mu:base_nu].reshape(rounds, n),
-        nu=x[base_nu:base_xi].copy(),
-        xi=x[base_xi:].reshape(rounds, n),
-    )
+    return solve_horizon_primal(path, budget, caps, certificate).dual
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,13 +14,16 @@ import numpy as np
 
 from .config import ExperimentConfig, build_environment, effective_horizon
 from .discrete import RoundingReport, discrete_runs
-from .errors import ValidationError
+from .errors import CertificateError, ValidationError
 from .fractional import (
     PolicyStepResult,
+    _onto_budget,
+    _repair,
+    once_per_distinct_path,
     sampled_runs,
     substream,
 )
-from .horizon import check_constant_proportions, solve_horizon_dual, solve_horizon_primal
+from .horizon import check_constant_proportions, solve_horizon_primal
 from .network import (
     InterventionVector,
     SystemState,
@@ -332,55 +335,64 @@ def emit_plot_data(
 
 
 def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
-    """Whole-horizon LP per sampled path, with the realized trajectory
-    replayed under the LP's clearing schedule for trace output."""
-    from .errors import CertificateError
+    """One whole-horizon LP per distinct sampled path (a replay is solved
+    once), its schedule replayed along the path for trace output, and the
+    duality gap taken against the dual read from the same solve.  Replaying
+    clips payments to the replayed totals and interventions to the caps and
+    rescales them onto the budget; a repair beyond ``LP_REPAIR_TOL`` raises
+    :class:`SolverError`."""
+    paths = [
+        env.sample_path(1, horizon, substream(seed, i)) for i in range(n_samples)
+    ]
+    # np.clip against this broadcast view keeps the LP's signed zeros in
+    # trace.csv; against a contiguous array it can turn -0.0 into 0.0
+    caps_vec = np.broadcast_to(np.asarray(caps, dtype=float), (env.n,))
+    source = "horizon LP replay"
 
-    runs = []
-    worst_gap = 0.0
-    worst_violation = 0.0
-    for i in range(n_samples):
-        path = env.sample_path(1, horizon, substream(seed, i))
+    def solve(path):
         certificate = check_constant_proportions(path)
-        worst_violation = max(worst_violation, certificate.max_violation)
         if not certificate.valid:
             raise CertificateError(
                 "horizon_lp mode needs constant liability proportions; "
-                f"sample {i} deviates by {certificate.max_violation}"
+                f"sample {paths.index(path)} deviates by "
+                f"{certificate.max_violation}"
             )
         primal = solve_horizon_primal(path, budget, caps, certificate)
-        dual = solve_horizon_dual(path, budget, caps, certificate)
-        worst_gap = max(worst_gap, abs(primal.value - dual.value))
         state = SystemState.empty(path.n)
         clearing = np.zeros(path.n)
-        caps_vec = np.broadcast_to(np.asarray(caps, dtype=float), (path.n,))
         steps = []
         for t, shock in enumerate(path):
             state = advance_state(state, clearing, shock)
             matrix = relative_matrix(state)
-            # shave LP feasibility noise before replaying the schedule
-            clearing = np.clip(primal.clearing[t], 0.0, state.totals)
-            z = np.clip(primal.interventions[t], 0.0, caps_vec)
-            if z.sum() > budget > 0:
-                z = z * (budget / z.sum())
+            clearing = _repair(primal.clearing[t], 0.0, state.totals, "clearing",
+                               source)
+            z = _repair(primal.interventions[t], 0.0, caps_vec, "intervention",
+                        source)
+            z = _onto_budget(z, budget, source)
             steps.append(
                 PolicyStepResult(
                     round=shock.round,
                     totals=state.totals.copy(),
                     clearing=clearing,
                     intervention=InterventionVector(
-                        amounts=z, budget=budget, caps=np.asarray(caps_vec)
+                        amounts=z, budget=budget, caps=caps_vec
                     ),
                     reward=float(clearing.sum()),
                     beta=matrix.row_sums.copy(),
                 )
             )
-        value = float(sum(s.reward for s in steps))
-        runs.append((path, value, steps))
+        gap = abs(primal.value - primal.dual.value)
+        return steps, certificate.max_violation, gap
+
+    solved = once_per_distinct_path(paths, solve)
+    runs = [
+        (path, float(sum(s.reward for s in steps)), steps)
+        for path, (steps, _, _) in zip(paths, solved)
+    ]
     info = {
         "valid": True,
-        "max_violation": worst_violation,
-        "max_duality_gap": worst_gap,
+        "max_violation": max(v for _, v, _ in solved),
+        "max_duality_gap": max(g for _, _, g in solved),
     }
     return runs, info
 

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from dynclear import (
     simulate_discrete_policy,
     value_given_sample_path,
 )
+from dynclear import discrete, load_config, run_experiment
 from dynclear.discrete import _batch_clear
 
 from conftest import (
@@ -329,3 +334,43 @@ class TestBatchClear:
         # node 0 pays its 0.5 of assets, half of it to node 1
         cleared = _batch_clear(pairwise, totals, np.array([[0.5, 0.2]]))
         np.testing.assert_allclose(cleared, [[0.5, 0.45]], atol=1e-12)
+
+
+#: sha256 of every file ``configs/three_node/discrete.json`` writes, recorded
+#: when each of its five replayed samples still solved its own fractional
+#: trajectory.
+THREE_NODE_DISCRETE_DIGESTS = {
+    "PLOTS_README.md": "7f98fed61f8e21f1410c1d0ea1f032362c1a45fbc1dc5c3af9803e623693c313",
+    "interventions.csv": "305be44d2c2ad58b073dc2988c4ee1f7c18a8cf8857c8c8eedaa564a48d92aef",
+    "rewards.csv": "c4475c159b96405cd08e058431a43fd53007f84592cfac31c05a40f241088561",
+    "rounding.csv": "564e7ec071b67cf2e7654e723badbfe17195292c77f0a71938734bbf5daf7a8f",
+    "scatter.csv": "2d21c357684f00e14aa0d688771d3e3aaa0e17a848428ecd674e292c8e268019",
+    "summary.json": "a3661eb0f3b7861bf6f590bb5bfa8e7b6d3f754dbb4e325f3f314d6d3aec4b86",
+    "trace.csv": "2734f1eb8742ab448dd91f849022703295c6670529b162f716f7841d6dbf799e",
+}
+
+
+def test_replayed_discrete_run_solves_its_fractional_trajectory_once(
+    tmp_path, monkeypatch
+):
+    calls = []
+    solve = discrete.value_given_sample_path
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(discrete, "value_given_sample_path", counting)
+    config_path = os.path.join(
+        os.path.dirname(__file__), "..", "configs", "three_node", "discrete.json"
+    )
+    config = dataclasses.replace(
+        load_config(config_path), out_dir=str(tmp_path / "out")
+    )
+    _, files = run_experiment(config)
+    assert config.samples == 5 and len(calls) == 1
+    digests = {
+        os.path.basename(path): hashlib.sha256(open(path, "rb").read()).hexdigest()
+        for path in files.values()
+    }
+    assert digests == THREE_NODE_DISCRETE_DIGESTS

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynclear import (
     CertificateError,
+    LinearProgram,
     SamplePath,
     ShockRealization,
+    SolverError,
     SystemState,
     advance_state,
     check_constant_proportions,
@@ -13,8 +16,12 @@ from dynclear import (
     solve_horizon_dual,
     solve_horizon_primal,
     solve_prefix_oneshot,
+    value_given_sample_path,
     verify_myopic_optimality,
 )
+from dynclear import horizon
+from dynclear.clearing import LP_REPAIR_TOL, solve_lp
+from dynclear.horizon import _prefix_data
 
 from conftest import deep_constant_proportion_path, hub_path, hub_shock
 
@@ -133,6 +140,156 @@ class TestHorizonDual:
             assert abs(primal.value - dual.value) <= 1e-6
             assert dual.lam.min() >= -1e-9 and dual.mu.min() >= -1e-9
             assert dual.nu.min() >= -1e-9 and dual.xi.min() >= -1e-9
+
+
+def reference_primal_rows(path, budget, zeta):
+    """The horizon primal's constraint rows built one row at a time."""
+    rounds, n = len(path), path.n
+    c, h, _ = _prefix_data(path)
+    dim = 2 * rounds * n
+    rows = []
+    for t in range(rounds):
+        for i in range(n):
+            row = np.zeros(dim)
+            for tp in range(t + 1):
+                row[tp * n + i] = 1.0
+            rows.append((row, "<=", float(h[t, i])))
+    for t in range(rounds):
+        for i in range(n):
+            row = np.zeros(dim)
+            row[t * n : (t + 1) * n] = (np.eye(n) - zeta.T)[i]
+            row[rounds * n + t * n + i] = -1.0
+            rows.append((row, "<=", float(c[t, i])))
+    for t in range(rounds):
+        row = np.zeros(dim)
+        row[rounds * n + t * n : rounds * n + (t + 1) * n] = 1.0
+        rows.append((row, "<=", float(budget)))
+    return rows
+
+
+def reference_dual_value(path, budget, caps, zeta) -> float:
+    """The dual of the horizon primal built and solved as its own LP:
+    minimize ``h.lam + c.mu + B sum(nu) + caps.sum(xi)`` over nonnegative
+    multipliers subject to ``(I - zeta) mu(t) + sum_{t' >= t} lam(t') >= 1``
+    and ``xi(t) + nu(t) - mu(t) >= 0``."""
+    rounds, n = len(path), path.n
+    c, h, _ = _prefix_data(path)
+    # variable layout: [lam (T*n) | mu (T*n) | nu (T) | xi (T*n)], all >= 0
+    base_mu, base_nu = rounds * n, 2 * rounds * n
+    base_xi = base_nu + rounds
+    dim = base_xi + rounds * n
+    cost = np.concatenate(
+        [h.ravel(), c.ravel(), np.full(rounds, budget), np.tile(caps, rounds)]
+    )
+    rows = []
+    for t in range(rounds):
+        for i in range(n):
+            row = np.zeros(dim)
+            row[base_mu + t * n : base_mu + (t + 1) * n] = np.eye(n)[i] - zeta[i]
+            row[[tp * n + i for tp in range(t, rounds)]] = 1.0
+            rows.append((row, ">=", 1.0))
+    for t in range(rounds):
+        for i in range(n):
+            row = np.zeros(dim)
+            row[base_xi + t * n + i] = 1.0
+            row[base_nu + t] = 1.0
+            row[base_mu + t * n + i] = -1.0
+            rows.append((row, ">=", 0.0))
+    sol = solve_lp(
+        LinearProgram(objective=-cost, constraints=tuple(rows),
+                      variable_bounds=((0.0, float("inf")),) * dim)
+    )
+    assert sol.status == "optimal"
+    return -sol.objective_value
+
+
+def random_instance(rng):
+    n = int(rng.integers(2, 6))
+    path = deep_constant_proportion_path(rng, n, int(rng.integers(2, 5)))
+    budget = float(rng.integers(0, 4))
+    caps = rng.integers(1, 3, n).astype(float)
+    return path, budget, caps
+
+
+class TestDualCertificate:
+    def test_marginal_dual_matches_the_dual_lp(self):
+        rng = np.random.default_rng(53)
+        for _ in range(15):
+            path, budget, caps = random_instance(rng)
+            cert = check_constant_proportions(path)
+            dual = solve_horizon_dual(path, budget, caps, cert)
+            reference = reference_dual_value(path, budget, caps, cert.zeta)
+            assert dual.value == pytest.approx(reference, abs=1e-7)
+
+    def test_primal_rows_match_the_row_by_row_build(self, monkeypatch):
+        lps = []
+        solve = horizon.solve_lp
+        monkeypatch.setattr(horizon, "solve_lp", lambda lp: lps.append(lp) or solve(lp))
+        rng = np.random.default_rng(55)
+        for _ in range(5):
+            path, budget, caps = random_instance(rng)
+            cert = check_constant_proportions(path)
+            solve_horizon_primal(path, budget, caps, cert)
+            expected = reference_primal_rows(path, budget, cert.zeta)
+            rows = lps[-1].constraints
+            assert len(rows) == len(expected)
+            for (row, rel, rhs), (ref_row, ref_rel, ref_rhs) in zip(rows, expected):
+                assert np.array_equal(row, ref_row)
+                assert (rel, rhs) == (ref_rel, ref_rhs)
+
+    @pytest.mark.parametrize("corrupt", [-1.0, 0.0, np.nan])
+    def test_a_corrupted_row_marginal_is_refused(self, monkeypatch, corrupt):
+        # with zero budget on a deep-default path every default-row
+        # multiplier mu_i(t) is at least 1 and its payment column needs it:
+        # negating, dropping or blanking the largest one breaks feasibility
+        path = deep_constant_proportion_path(np.random.default_rng(54), 3, 2)
+        cert = check_constant_proportions(path)
+        solve = horizon.solve_lp
+
+        def corrupted(lp):
+            sol = solve(lp)
+            k = int(np.argmax(sol.dual))
+            assert sol.dual[k] >= 1.0 - 1e-9
+            sol.dual[k] *= corrupt
+            return sol
+
+        solve_horizon_dual(path, 0.0, 1.0, cert)
+        monkeypatch.setattr(horizon, "solve_lp", corrupted)
+        with pytest.raises(SolverError, match="dual feasibility"):
+            solve_horizon_dual(path, 0.0, 1.0, cert)
+
+
+@st.composite
+def horizon_instances(draw):
+    n = draw(st.integers(1, 5))
+    rounds = draw(st.integers(1, 4))
+    path = deep_constant_proportion_path(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, rounds
+    )
+    amounts = st.floats(0.0, 4.0, allow_subnormal=False)
+    budget = draw(amounts)
+    caps = np.array(draw(st.lists(amounts, min_size=n, max_size=n)))
+    return path, budget, caps
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(horizon_instances())
+def test_horizon_duality_and_myopic_optimality_hold(instance):
+    path, budget, caps = instance
+    cert = check_constant_proportions(path)
+    primal = solve_horizon_primal(path, budget, caps, cert)
+    dual = primal.dual
+    for multipliers in (dual.lam, dual.mu, dual.nu, dual.xi):
+        assert multipliers.min() >= -LP_REPAIR_TOL
+    zeta = cert.zeta
+    suffix_lam = np.cumsum(dual.lam[::-1], axis=0)[::-1]
+    assert np.all(dual.mu - dual.mu @ zeta.T + suffix_lam >= 1.0 - LP_REPAIR_TOL)
+    assert np.all(dual.xi + dual.nu[:, None] - dual.mu >= -LP_REPAIR_TOL)
+    assert abs(primal.value - dual.value) <= 1e-6
+    sequential, _ = value_given_sample_path(
+        SystemState.empty(path.n), path, budget, caps
+    )
+    assert sequential == pytest.approx(primal.value, abs=1e-6)
 
 
 class TestPrefixOneShot:

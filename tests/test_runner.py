@@ -1,10 +1,20 @@
+import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from dynclear import ConfigError, load_config, run_experiment, summarize_scatter
+from dynclear import (
+    ConfigError,
+    SolverError,
+    horizon,
+    load_config,
+    run_experiment,
+    runner,
+    summarize_scatter,
+)
 from dynclear.runner import TraceRow, _ols
 
 from conftest import write_config
@@ -129,6 +139,68 @@ class TestRunExperiment:
         assert report.certificate_info["max_duality_gap"] <= 1e-6
         summary = json.load(open(files["summary"], encoding="utf-8"))
         assert summary["certificate"]["valid"] is True
+
+
+class TestHorizonLpMode:
+    def test_replayed_path_is_solved_once(self, tmp_path, monkeypatch):
+        lps = []
+        solve = horizon.solve_lp
+
+        def counting(lp):
+            lps.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(horizon, "solve_lp", counting)
+        config = load_config(
+            write_config(tmp_path, mode="horizon_lp", budget=2.0, samples=3)
+        )
+        _, files = run_experiment(config)
+        assert len(lps) == 1
+        by_sample = {}
+        with open(files["trace"], encoding="utf-8", newline="") as handle:
+            for row in list(csv.reader(handle))[1:]:
+                by_sample.setdefault(row[0], []).append(row[1:])
+        assert sorted(by_sample) == ["0", "1", "2"]
+        assert by_sample["0"] and by_sample["0"] == by_sample["1"] == by_sample["2"]
+
+    @pytest.mark.parametrize(
+        "budget, caps, nudge, match",
+        [
+            (2.0, 2.0, "clearing", "clearing"),  # every node pays its totals
+            (3.0, 2.0, "intervention", "intervention"),  # node 0 at its cap
+            (2.0, 3.0, "intervention", "budget"),  # budget spent, cap slack
+            (0.0, 1.0, "intervention", "budget"),  # zero budget
+        ],
+    )
+    def test_replay_repairs_are_bounded(
+        self, tmp_path, monkeypatch, budget, caps, nudge, match
+    ):
+        # on the hub replay the LP pays every total when the budget reaches
+        # 2 and gives node 0 min(2, B, L_0): node 0 is the one nudged
+        solve = runner.solve_horizon_primal
+
+        def nudged(path, budget, caps, certificate, excess):
+            sol = solve(path, budget, caps, certificate)
+            if nudge == "clearing":
+                return dataclasses.replace(sol, clearing=sol.clearing + excess)
+            interventions = sol.interventions.copy()
+            interventions[:, 0] += excess
+            return dataclasses.replace(sol, interventions=interventions)
+
+        config = load_config(
+            write_config(tmp_path, mode="horizon_lp", budget=budget, caps=caps)
+        )
+        monkeypatch.setattr(
+            runner, "solve_horizon_primal",
+            lambda *args: nudged(*args, excess=1e-9),
+        )
+        run_experiment(config)  # noise within LP_REPAIR_TOL is shaved
+        monkeypatch.setattr(
+            runner, "solve_horizon_primal",
+            lambda *args: nudged(*args, excess=1e-6),
+        )
+        with pytest.raises(SolverError, match=match):
+            run_experiment(config)
 
 
 class TestConfigValidation:
