@@ -127,7 +127,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     The <= and >= rows (>= negated) and the = rows reach HiGHS as sparse
     matrices that store only nonzero coefficients: the matrix scipy's dense
-    route would build, without its dense copies and checks.  Numerical
+    route would build, without its dense copies and checks.  HiGHS runs
+    without presolve (see README, "Numerical conventions").  Numerical
     failure is reported through ``status='failed'``, never raised.  Output
     is deterministic for identical input.
     """
@@ -151,7 +152,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         for lo, hi in lp.variable_bounds
     ]
     try:
-        res = linprog(c, bounds=bounds, method="highs", **kwargs)
+        # presolve finds little to remove in these LPs and costs ~1/5 of HiGHS time
+        res = linprog(c, bounds=bounds, method="highs",
+                      options={"presolve": False}, **kwargs)
     except Exception:  # defensive: backend bugs become a status
         return LpSolution(status="failed", primal=None, dual=None,
                           objective_value=None)

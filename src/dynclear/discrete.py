@@ -176,7 +176,6 @@ def discrete_runs(
     caps,
     tau: int = DEFAULT_RETRIES,
     seed: int = 0,
-    recheck_ratio: bool = False,
     threads: int = 1,
     horizon: int | None = None,
 ) -> list[tuple[SamplePath, RoundingReport, list[PolicyStepResult]]]:
@@ -205,21 +204,14 @@ def discrete_runs(
         v_rel, frac_steps = relaxed[index]
         z_star = [s.intervention.amounts for s in frac_steps]
         gamma_hat = max(float(s.beta.max(initial=0.0)) for s in frac_steps)
-        attempts_total = 0
-        while True:
-            actions, used = sample_interventions(
-                z_star, caps_arr, budget, tau=max(1, tau - attempts_total), rng=rng
-            )
-            attempts_total += used
-            v_sol, steps = simulate_discrete_policy(start, path, actions)
-            if not recheck_ratio or attempts_total >= tau:
-                break
-            if v_sol >= (1.0 - gamma_hat) * v_rel - 1e-9:
-                break
+        actions, attempts = sample_interventions(
+            z_star, caps_arr, budget, tau=tau, rng=rng
+        )
+        v_sol, steps = simulate_discrete_policy(start, path, actions)
         ratio = v_sol / v_rel if v_rel > 0 else 1.0
         report = RoundingReport(
             sample_index=index,
-            attempts=attempts_total,
+            attempts=attempts,
             actions=tuple(actions),
             value_sol=v_sol,
             value_rel=v_rel,
@@ -244,21 +236,17 @@ def aggregate_discrete(
     caps,
     tau: int = DEFAULT_RETRIES,
     seed: int = 0,
-    recheck_ratio: bool = False,
     threads: int = 1,
 ) -> tuple[float, list[RoundingReport]]:
     """Round the fractional optimum on every sampled path and average the
     realized values.
 
     Each sample runs on its own substream covering the path draw, the
-    fractional solve and the rounding draws.  With ``recheck_ratio=True`` a
-    draw is also resampled (within the same ``tau`` attempts) when its
-    realized value falls below the connectivity bound times the fractional
-    reference.
+    fractional solve and the rounding draws.
     """
     results = discrete_runs(
         env, start, n_samples, budget, caps,
-        tau=tau, seed=seed, recheck_ratio=recheck_ratio, threads=threads,
+        tau=tau, seed=seed, threads=threads,
     )
     reports = [r for _, r, _ in results]
     mean = float(np.mean([r.value_sol for r in reports]))

@@ -251,35 +251,30 @@ def solve_prefix_oneshot(
     rounds, n = len(path), path.n
     c, h, f = _prefix_data(path)
     zeta = certificate.zeta
-    dim = 2 * rounds * n  # [Q(1..T) | W(1..T)]
-    objective = np.zeros(dim)
-    objective[: rounds * n] = 1.0
-    rows = []
-    eye = np.eye(n)
-    lhs_default = eye - zeta.T
-    for t in range(rounds):
-        for i in range(n):
-            row = np.zeros(dim)
-            row[t * n : (t + 1) * n] = lhs_default[i]
-            row[rounds * n + t * n + i] = -1.0
-            rows.append((row, LEQ, float(f[t, i])))
-    for t in range(rounds):
-        row = np.zeros(dim)
-        row[rounds * n + t * n : rounds * n + (t + 1) * n] = 1.0
-        rows.append((row, LEQ, float(budget) * (t + 1)))
+    tn = rounds * n  # variables: [Q(1..T) | W(1..T)]
+    objective = np.zeros(2 * tn)
+    objective[:tn] = 1.0
+    lhs = np.zeros((tn + rounds, 2 * tn))
+    # default: (I - zeta^T) Q(t) - W(t) <= f(t)
+    lhs[:tn, :tn] = np.kron(np.eye(rounds), np.eye(n) - zeta.T)
+    lhs[:tn, tn:] = -np.eye(tn)
+    # staircase budget: 1^T W(t) <= t B
+    lhs[tn:, tn:] = np.kron(np.eye(rounds), np.ones((1, n)))
+    rhs = np.concatenate([f.ravel(), float(budget) * np.arange(1, rounds + 1)])
+    rows = tuple((row, LEQ, b) for row, b in zip(lhs, rhs))
     bounds = [(0.0, float(h[t, i])) for t in range(rounds) for i in range(n)]
     bounds += [
         (0.0, float(caps[i]) * (t + 1)) for t in range(rounds) for i in range(n)
     ]
     sol = solve_lp(
-        LinearProgram(objective=objective, constraints=tuple(rows),
+        LinearProgram(objective=objective, constraints=rows,
                       variable_bounds=tuple(bounds))
     )
     if sol.status != "optimal":
         raise SolverError(f"prefix LP returned status {sol.status}",
                           status=sol.status)
-    q = sol.primal[: rounds * n].reshape(rounds, n)
-    w = sol.primal[rounds * n :].reshape(rounds, n)
+    q = sol.primal[:tn].reshape(rounds, n)
+    w = sol.primal[tn:].reshape(rounds, n)
     clearing = np.diff(q, axis=0, prepend=np.zeros((1, n)))
     if clearing.min(initial=0.0) < -1e-9:
         raise SolverError(

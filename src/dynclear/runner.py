@@ -19,6 +19,7 @@ from .fractional import (
     PolicyStepResult,
     _onto_budget,
     _repair,
+    broadcast_caps,
     once_per_distinct_path,
     sampled_runs,
     substream,
@@ -344,9 +345,7 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
     paths = [
         env.sample_path(1, horizon, substream(seed, i)) for i in range(n_samples)
     ]
-    # np.clip against this broadcast view keeps the LP's signed zeros in
-    # trace.csv; against a contiguous array it can turn -0.0 into 0.0
-    caps_vec = np.broadcast_to(np.asarray(caps, dtype=float), (env.n,))
+    caps_vec = broadcast_caps(caps, env.n)
     source = "horizon LP replay"
 
     def solve(path):
@@ -366,8 +365,9 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
             matrix = relative_matrix(state)
             clearing = _repair(primal.clearing[t], 0.0, state.totals, "clearing",
                                source)
+            # + 0.0 turns the LP's -0.0 into 0.0, as per_round_lp writes it
             z = _repair(primal.interventions[t], 0.0, caps_vec, "intervention",
-                        source)
+                        source) + 0.0
             z = _onto_budget(z, budget, source)
             steps.append(
                 PolicyStepResult(

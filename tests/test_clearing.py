@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.optimize import linprog
 
 import dynclear.clearing
+import dynclear.fractional
 from dynclear import (
     ContractionError,
+    FairnessSpec,
     LinearProgram,
     RelativeLiabilityMatrix,
+    SbmParams,
     SystemState,
     ValidationError,
     advance_state,
     clear_fixed_point,
     clear_lp,
     clearing_lp_model,
+    per_round_lp,
     relative_matrix,
+    sample_sbm_round,
     solve_lp,
 )
 
@@ -122,8 +128,54 @@ class TestSolveLp:
         )
         np.testing.assert_array_equal(seen["b_ub"], [1.5, -0.2])
         np.testing.assert_array_equal(a_eq.toarray(), [[1.0, 0.0, 1.0]])
+        assert seen["options"] == {"presolve": False}
         np.testing.assert_allclose(sol.primal, [0.65, 0.85, 0.35], atol=1e-8)
         assert sol.dual_objective() == pytest.approx(sol.objective_value, abs=1e-9)
+
+    def test_per_round_lp_matches_a_presolved_reference(self, monkeypatch):
+        # HiGHS runs without presolve; the same dense rows handed to linprog
+        # with its default presolve must reach the same optimum
+        solved = []
+        solve = dynclear.fractional.solve_lp
+        monkeypatch.setattr(
+            dynclear.fractional, "solve_lp",
+            lambda lp: solved.append((lp, solve(lp))) or solved[-1][1],
+        )
+        rng = np.random.default_rng(61)
+        for _ in range(6):
+            n = int(rng.integers(3, 13))
+            n_core = int(rng.integers(1, n))
+            params = SbmParams(
+                n_core=n_core, n_periphery=n - n_core,
+                block_probs=[[0.8, 0.4], [0.4, 0.1]], asset_level=0.3,
+            )
+            shock = sample_sbm_round(params, rng)
+            state = advance_state(SystemState.empty(n), np.zeros(n), shock)
+            matrix = relative_matrix(state)
+            budget = float(rng.uniform(0.5, 3.0))
+            caps = rng.uniform(0.2, 1.5, n)
+            g = float(rng.uniform(0.1, 0.6))
+            specs = [
+                None,
+                FairnessSpec(kind="standard", budget=g),
+                FairnessSpec(kind="spatial", budget=g),
+                FairnessSpec(kind="property", budget=g, q=rng.random(n)),
+            ]
+            for spec in specs:
+                per_round_lp(matrix, state.totals, shock.external_assets,
+                             budget, caps, fairness=spec)
+                lp, sol = solved[-1]
+                assert all(rel == "<=" for _, rel, _ in lp.constraints)
+                reference = linprog(
+                    -lp.objective,
+                    A_ub=np.array([row for row, _, _ in lp.constraints]),
+                    b_ub=[rhs for _, _, rhs in lp.constraints],
+                    bounds=lp.variable_bounds,
+                    method="highs",
+                )
+                assert reference.status == 0
+                assert sol.objective_value == pytest.approx(-reference.fun, abs=1e-9)
+        assert len(solved) == 24
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):

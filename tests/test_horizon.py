@@ -167,6 +167,25 @@ def reference_primal_rows(path, budget, zeta):
     return rows
 
 
+def reference_prefix_rows(path, budget, zeta):
+    """The prefix one-shot LP's constraint rows built one row at a time."""
+    rounds, n = len(path), path.n
+    _, _, f = _prefix_data(path)
+    dim = 2 * rounds * n
+    rows = []
+    for t in range(rounds):
+        for i in range(n):
+            row = np.zeros(dim)
+            row[t * n : (t + 1) * n] = (np.eye(n) - zeta.T)[i]
+            row[rounds * n + t * n + i] = -1.0
+            rows.append((row, "<=", float(f[t, i])))
+    for t in range(rounds):
+        row = np.zeros(dim)
+        row[rounds * n + t * n : rounds * n + (t + 1) * n] = 1.0
+        rows.append((row, "<=", float(budget) * (t + 1)))
+    return rows
+
+
 def reference_dual_value(path, budget, caps, zeta) -> float:
     """The dual of the horizon primal built and solved as its own LP:
     minimize ``h.lam + c.mu + B sum(nu) + caps.sum(xi)`` over nonnegative
@@ -322,6 +341,22 @@ class TestPrefixOneShot:
         primal = solve_horizon_primal(path, 2.0, 2.0, cert)
         prefix = solve_prefix_oneshot(path, 2.0, 2.0, cert)
         np.testing.assert_allclose(prefix.clearing, primal.clearing, atol=1e-6)
+
+    def test_rows_match_the_row_by_row_build(self, monkeypatch):
+        lps = []
+        solve = horizon.solve_lp
+        monkeypatch.setattr(horizon, "solve_lp", lambda lp: lps.append(lp) or solve(lp))
+        rng = np.random.default_rng(56)
+        for _ in range(5):
+            path, budget, caps = random_instance(rng)
+            cert = check_constant_proportions(path)
+            solve_prefix_oneshot(path, budget, caps, cert)
+            expected = reference_prefix_rows(path, budget, cert.zeta)
+            rows = lps[-1].constraints
+            assert len(rows) == len(expected)
+            for (row, rel, rhs), (ref_row, ref_rel, ref_rhs) in zip(rows, expected):
+                assert np.array_equal(row, ref_row)
+                assert (rel, rhs) == (ref_rel, ref_rhs)
 
     def test_prefix_quantities_are_cumulative(self):
         rng = np.random.default_rng(51)

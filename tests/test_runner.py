@@ -163,6 +163,26 @@ class TestHorizonLpMode:
         assert sorted(by_sample) == ["0", "1", "2"]
         assert by_sample["0"] and by_sample["0"] == by_sample["1"] == by_sample["2"]
 
+    @pytest.mark.parametrize("budget", [0.0, 1.0])
+    def test_trace_writes_no_negative_zero(self, tmp_path, monkeypatch, budget):
+        # HiGHS may return -0.0 for a zero intervention: make every zero one
+        solve = runner.solve_horizon_primal
+
+        def signed_zeros(*args):
+            sol = solve(*args)
+            z = np.where(sol.interventions == 0.0, -0.0, sol.interventions)
+            return dataclasses.replace(sol, interventions=z)
+
+        monkeypatch.setattr(runner, "solve_horizon_primal", signed_zeros)
+        config = load_config(
+            write_config(tmp_path, mode="horizon_lp", budget=budget, caps=1.0)
+        )
+        _, files = run_experiment(config)
+        with open(files["trace"], encoding="utf-8", newline="") as handle:
+            z_column = [row[5] for row in list(csv.reader(handle))[1:]]
+        assert "0.0" in z_column
+        assert "-0.0" not in z_column
+
     @pytest.mark.parametrize(
         "budget, caps, nudge, match",
         [
