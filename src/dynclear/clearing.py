@@ -1,6 +1,6 @@
-"""Round clearing for a fixed intervention, by contraction iteration and by
-linear program, plus the generic LP contract both routes (and every other LP
-in the package) run through."""
+"""Round clearing for a fixed intervention, by the fictitious-default
+algorithm and by linear program, plus the generic LP contract both routes
+(and every other LP in the package) run through."""
 
 from __future__ import annotations
 
@@ -12,12 +12,9 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
 from .errors import ContractionError, SolverError, ValidationError
-from .network import RelativeLiabilityMatrix, check_nonvanishing
+from .network import RelativeLiabilityMatrix
 
 INF = float("inf")
-
-#: Sup-norm residual at which the Picard iteration stops.
-PICARD_TOL = 1e-9
 
 #: Agreement required between the LP and fixed-point clearing routes.
 ROUTE_AGREEMENT_TOL = 1e-6
@@ -86,6 +83,7 @@ class LpSolution:
     primal: np.ndarray | None
     dual: np.ndarray | None
     objective_value: float | None
+    message: str | None = None  # the solver's account of a non-optimal status
     bound_duals_lower: np.ndarray | None = None
     bound_duals_upper: np.ndarray | None = None
     _rhs: np.ndarray | None = None
@@ -129,8 +127,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     matrices that store only nonzero coefficients: the matrix scipy's dense
     route would build, without its dense copies and checks.  HiGHS runs
     without presolve (see README, "Numerical conventions").  Numerical
-    failure is reported through ``status='failed'``, never raised.  Output
-    is deterministic for identical input.
+    failure is reported through ``status='failed'``, never raised; a
+    non-optimal solution carries the backend's account in ``message``.
+    Output is deterministic for identical input.
     """
     c = -lp.objective  # scipy minimizes
     rows = lp.constraints
@@ -152,16 +151,21 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         for lo, hi in lp.variable_bounds
     ]
     try:
-        # presolve finds little to remove in these LPs and costs ~1/5 of HiGHS time
+        # presolve finds little to remove in these LPs and costs ~1/5 of HiGHS
+        # time; without it, HiGHS's default dual feasibility tolerance (1e-7)
+        # leaves marginals that the horizon dual check can refuse
         res = linprog(c, bounds=bounds, method="highs",
-                      options={"presolve": False}, **kwargs)
-    except Exception:  # defensive: backend bugs become a status
+                      options={"presolve": False,
+                               "dual_feasibility_tolerance": 1e-9},
+                      **kwargs)
+    except Exception as exc:  # defensive: backend bugs become a status
         return LpSolution(status="failed", primal=None, dual=None,
-                          objective_value=None)
+                          objective_value=None,
+                          message=f"{type(exc).__name__}: {exc}")
     status = _STATUS_MAP.get(res.status, "failed")
     if status != "optimal":
         return LpSolution(status=status, primal=None, dual=None,
-                          objective_value=None)
+                          objective_value=None, message=res.message)
 
     dual = np.zeros(len(lp.constraints))
     # negating scipy's minimize-convention marginals yields maximize-convention
@@ -182,43 +186,45 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     )
 
 
-def _picard_cap(p_norm: float, beta_max: float) -> int:
-    # iterations for the geometric tail ||P||_inf * beta^k to fall below 1e-12
-    if beta_max <= 0.0 or p_norm <= 1e-12:
-        return 64
-    return int(math.ceil(math.log(1e-12 / p_norm) / math.log(beta_max))) + 64
+def clear_stack(entries, totals, assets) -> np.ndarray:
+    """Greatest clearing vectors of a stack of instances, shapes ``(k, n, n)``
+    / ``(k, n)`` in and ``(k, n)`` out, by the fictitious-default algorithm
+    (Eisenberg & Noe 2001).
 
-
-def _picard(
-    a_entries: np.ndarray,
-    totals: np.ndarray,
-    assets: np.ndarray,
-    beta_max: float,
-    tol: float = PICARD_TOL,
-    track_residuals: bool = False,
-):
-    """Iterate ``x -> min(P, A^T x + assets)`` from ``x = P`` downwards.
-
-    Stops on the sup norm of a step; the tracked residuals are l1 step
-    sizes, the norm in which the map contracts at rate ``beta_max`` along
-    the monotone trajectory.
+    From ``x = P`` the default set ``D`` takes every node whose inflow
+    ``A^T x + assets`` falls short of its total; ``x`` then solves
+    ``(I - diag(d) A^T) x = d * assets + (1 - d) * P`` for the whole stack
+    in one batched solve, until ``D`` stops growing (at most ``n`` rounds).
+    The result is exact up to the linear solves.  Raises
+    :class:`ContractionError` when a row sum reaches ``1 - 1e-12`` (the
+    :func:`check_nonvanishing` margin) or a block is singular.
     """
-    cap = _picard_cap(float(totals.max(initial=0.0)), beta_max)
-    at = a_entries.T
-    x = totals.copy()
-    residuals = []
-    for _ in range(cap):
-        nxt = np.minimum(totals, at @ x + assets)
-        step = np.abs(nxt - x)
-        if track_residuals:
-            residuals.append(float(step.sum()))
-        x = nxt
-        if float(step.max(initial=0.0)) <= tol:
-            return (x, residuals) if track_residuals else x
-    raise ContractionError(
-        f"fixed-point iteration did not converge within {cap} steps "
-        f"(max connectivity {beta_max})"
+    entries, totals, assets = (
+        np.asarray(a, dtype=float) for a in (entries, totals, assets)
     )
+    beta_max = float(entries.sum(axis=-1).max(initial=0.0))
+    if beta_max >= 1.0 - 1e-12:
+        raise ContractionError(
+            f"max connectivity {beta_max} is not < 1; "
+            "the clearing map is not a contraction"
+        )
+    at = np.swapaxes(entries, -1, -2)
+    eye = np.eye(totals.shape[-1])
+    x = totals.copy()
+    default = np.zeros(totals.shape, dtype=bool)
+    while True:
+        short = (at @ x[..., None])[..., 0] + assets < totals
+        if not (short & ~default).any():
+            return x
+        default |= short
+        d = default.astype(float)
+        try:
+            x = np.linalg.solve(
+                eye - d[..., :, None] * at,
+                (d * assets + (1.0 - d) * totals)[..., None],
+            )[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise ContractionError(f"singular default block: {exc}") from exc
 
 
 def clear_fixed_point(
@@ -226,18 +232,12 @@ def clear_fixed_point(
     totals,
     assets,
     interventions=None,
-    tol: float = PICARD_TOL,
-    track_residuals: bool = False,
-):
-    """Maximal clearing vector as the unique fixed point of
-    ``x = P ^ (A^T x + c + Z)``, found by Picard iteration started at ``P``.
+) -> np.ndarray:
+    """Maximal clearing vector: the greatest fixed point of
+    ``x = P ^ (A^T x + c + Z)``, computed exactly by :func:`clear_stack`.
 
-    Starting from the totals selects the greatest fixed point, i.e. the
-    maximal-clearing equilibrium.  Requires strictly substochastic rows
-    (raises :class:`ContractionError` otherwise).
-
-    With ``track_residuals=True`` returns ``(clearing, residuals)`` where
-    ``residuals`` lists the sup-norm step sizes, one per iteration.
+    Requires strictly substochastic rows (raises :class:`ContractionError`
+    otherwise).
     """
     totals = np.asarray(totals, dtype=float)
     assets = np.asarray(assets, dtype=float)
@@ -249,15 +249,7 @@ def clear_fixed_point(
         raise ValidationError("interventions dimension mismatch with matrix")
     if np.any(totals < 0) or np.any(assets < 0) or np.any(z < 0):
         raise ValidationError("totals, assets and interventions must be >= 0")
-    if not check_nonvanishing(matrix):
-        raise ContractionError(
-            f"max connectivity {matrix.max_connectivity} is not < 1; "
-            "the clearing map is not a contraction"
-        )
-    return _picard(
-        matrix.entries, totals, assets + z, matrix.max_connectivity,
-        tol=tol, track_residuals=track_residuals,
-    )
+    return clear_stack(matrix.entries[None], totals[None], (assets + z)[None])[0]
 
 
 def clearing_lp_model(
@@ -270,15 +262,11 @@ def clearing_lp_model(
     assets = np.asarray(assets, dtype=float)
     n = matrix.n
     z = np.zeros(n) if interventions is None else np.asarray(interventions, float)
-    rows = []
-    eye = np.eye(n)
-    lhs = eye - matrix.entries.T
-    rhs = assets + z
-    for i in range(n):
-        rows.append((lhs[i], LEQ, float(rhs[i])))
+    lhs = np.eye(n) - matrix.entries.T
+    rows = tuple((row, LEQ, float(b)) for row, b in zip(lhs, assets + z))
     bounds = tuple((0.0, float(p)) for p in totals)
     return LinearProgram(
-        objective=np.ones(n), constraints=tuple(rows), variable_bounds=bounds
+        objective=np.ones(n), constraints=rows, variable_bounds=bounds
     )
 
 
@@ -294,6 +282,7 @@ def clear_lp(
     sol = solve_lp(clearing_lp_model(matrix, totals, assets, interventions))
     if sol.status != "optimal":
         raise SolverError(
-            f"clearing LP returned status {sol.status}", status=sol.status
+            f"clearing LP returned status {sol.status}: {sol.message}",
+            status=sol.status,
         )
     return sol.primal

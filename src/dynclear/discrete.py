@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import _picard_cap, clear_fixed_point
-from .errors import ContractionError, EnumerationLimitError, ValidationError
+from .clearing import clear_fixed_point, clear_stack
+from .errors import EnumerationLimitError, ValidationError
 from .fractional import (
     PolicyStepResult,
     broadcast_caps,
     once_per_distinct_path,
+    rollout,
     substream,
     value_given_sample_path,
 )
@@ -25,8 +26,8 @@ from .network import (
     RelativeLiabilityMatrix,
     SamplePath,
     SystemState,
-    advance_state,
-    relative_matrix,
+    carry_forward,
+    relative_entries,
 )
 
 DEFAULT_RETRIES = 64
@@ -140,32 +141,25 @@ def simulate_discrete_policy(
     """Realized value of a fixed action schedule under maximal clearing."""
     if len(actions) != len(path):
         raise ValidationError("one action per round required")
-    state = start
-    clearing = np.zeros(start.n)
-    steps: list[PolicyStepResult] = []
-    for shock, action in zip(path, actions):
-        z = action.amounts if isinstance(action, DiscreteAction) else action
-        z = np.asarray(z, dtype=float)
-        state = advance_state(state, clearing, shock)
-        matrix = relative_matrix(state)
-        clearing = clear_fixed_point(
-            matrix, state.totals, shock.external_assets, z
+
+    def step(t, shock, state, matrix):
+        z = actions[t]
+        z = np.asarray(z.amounts if isinstance(z, DiscreteAction) else z, float)
+        clearing = clear_fixed_point(matrix, state.totals, shock.external_assets, z)
+        return PolicyStepResult(
+            round=shock.round,
+            totals=state.totals.copy(),
+            clearing=clearing,
+            intervention=InterventionVector(
+                amounts=z,
+                budget=max(float(z.sum()), 0.0),  # may exceed B when flagged
+                caps=np.maximum(z, 0.0),
+            ),
+            reward=float(clearing.sum()),
+            beta=matrix.row_sums.copy(),
         )
-        steps.append(
-            PolicyStepResult(
-                round=shock.round,
-                totals=state.totals.copy(),
-                clearing=clearing,
-                intervention=InterventionVector(
-                    amounts=z,
-                    budget=max(float(z.sum()), 0.0),  # may exceed B when flagged
-                    caps=np.maximum(z, 0.0),
-                ),
-                reward=float(clearing.sum()),
-                beta=matrix.row_sums.copy(),
-            )
-        )
-    return float(sum(s.reward for s in steps)), steps
+
+    return rollout(start, path, step)
 
 
 def discrete_runs(
@@ -295,42 +289,6 @@ def enumerate_actions(caps, budget: float) -> np.ndarray:
     return np.array(combos, dtype=int).reshape(len(combos), len(caps))
 
 
-def _batch_advance(pairwise, external, clearing, totals, shock):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        carry = np.where(totals > 0, 1.0 - clearing / totals, 0.0)
-    carry = np.clip(carry, 0.0, 1.0)
-    pairwise = shock.internal_liabilities[None, :, :] + pairwise * carry[:, :, None]
-    external = shock.external_liabilities[None, :] + external * carry
-    totals = external + pairwise.sum(axis=2)
-    return pairwise, external, totals
-
-
-def _batch_clear(pairwise, totals, assets_plus_z, tol=1e-12):
-    """Picard iteration over a stack of instances simultaneously.
-
-    Converges from above, so the tolerance is tight enough that the oracle
-    never overstates an optimum by more than ~1e-11."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(totals[:, :, None] > 0, pairwise / totals[:, :, None], 0.0)
-    beta_max = float(a.sum(axis=2).max(initial=0.0))
-    if beta_max >= 1.0 - 1e-12:
-        raise ContractionError(
-            f"batch contains a non-contracting instance "
-            f"(max connectivity {beta_max})"
-        )
-    cap = _picard_cap(float(totals.max(initial=0.0)), beta_max)
-    x = totals.copy()
-    for _ in range(cap):
-        nxt = np.minimum(totals, np.einsum("kij,ki->kj", a, x) + assets_plus_z)
-        if float(np.abs(nxt - x).max(initial=0.0)) <= tol:
-            return nxt
-        x = nxt
-    raise ContractionError(
-        f"batched clearing did not converge within {cap} steps "
-        f"(max connectivity {beta_max})"
-    )
-
-
 def brute_force_discrete(
     start: SystemState,
     path: SamplePath,
@@ -364,31 +322,22 @@ def brute_force_discrete(
     choice = np.zeros((1, 0), dtype=int)
 
     for t, shock in enumerate(path):
-        pairwise, external, totals = _batch_advance(
-            pairwise, external, clearing, totals, shock
+        pairwise, external, totals = carry_forward(
+            pairwise, external, totals, clearing, shock
         )
         k = totals.shape[0]
-        last_round = t == rounds - 1
-        if last_round:
+        if t == rounds - 1:
             # evaluate per action; no further state needed
-            best_val = -np.inf
-            best_branch = -1
-            best_action = -1
-            for a_idx in range(m):
-                z = actions[a_idx].astype(float)
-                cleared = _batch_clear(
-                    pairwise, totals,
-                    shock.external_assets[None, :] + z[None, :],
-                )
-                cand = value + cleared.sum(axis=1)
-                j = int(np.argmax(cand))
-                if cand[j] > best_val:
-                    best_val = float(cand[j])
-                    best_branch = j
-                    best_action = a_idx
+            entries = relative_entries(pairwise, totals)
+            cand = np.stack([
+                value + clear_stack(entries, totals, assets).sum(axis=1)
+                for assets in shock.external_assets + actions.astype(float)
+            ])
+            # the first maximum in (action, branch) order
+            best_action, best_branch = np.unravel_index(np.argmax(cand), cand.shape)
             seq_idx = list(choice[best_branch]) + [best_action]
             best_actions = tuple(actions[i].copy() for i in seq_idx)
-            return best_val, best_actions
+            return float(cand[best_action, best_branch]), best_actions
         # expand every branch by every action
         pairwise = np.repeat(pairwise, m, axis=0)
         external = np.repeat(external, m, axis=0)
@@ -402,8 +351,9 @@ def brute_force_discrete(
             axis=1,
         )
         z = np.tile(actions.astype(float), (k, 1))
-        clearing = _batch_clear(
-            pairwise, totals, shock.external_assets[None, :] + z
+        clearing = clear_stack(
+            relative_entries(pairwise, totals), totals,
+            shock.external_assets[None, :] + z,
         )
         value = value + clearing.sum(axis=1)
     raise AssertionError("unreachable: path is nonempty")
@@ -427,11 +377,12 @@ def simulate_action_batch(
     clearing = np.zeros((k, start.n))
     value = np.zeros(k)
     for t, shock in enumerate(path):
-        pairwise, external, totals = _batch_advance(
-            pairwise, external, clearing, totals, shock
+        pairwise, external, totals = carry_forward(
+            pairwise, external, totals, clearing, shock
         )
-        clearing = _batch_clear(
-            pairwise, totals, shock.external_assets[None, :] + seqs[:, t, :]
+        clearing = clear_stack(
+            relative_entries(pairwise, totals), totals,
+            shock.external_assets[None, :] + seqs[:, t, :],
         )
         value += clearing.sum(axis=1)
     return value

@@ -10,8 +10,8 @@ class ValidationError(DynclearError, ValueError):
 
 
 class ContractionError(DynclearError):
-    """Fixed-point input violates the non-vanishing-liabilities condition,
-    or the iteration failed to converge within its cap."""
+    """Clearing input violates the non-vanishing-liabilities condition, or
+    a default block of the clearing system is singular."""
 
 
 class SolverError(DynclearError):

@@ -111,7 +111,6 @@ def per_round_lp(
     budget: float,
     caps,
     fairness: FairnessSpec | None = None,
-    reward_weights=None,
     round_index: int = 0,
 ) -> PolicyStepResult:
     """Jointly maximize one round's payments over clearing and intervention.
@@ -123,10 +122,6 @@ def per_round_lp(
     is raised as :class:`SolverError`.  The optimal primal is clipped into
     its bounds and the intervention rescaled onto the budget; a repair
     larger than ``LP_REPAIR_TOL`` is raised as :class:`SolverError` too.
-
-    ``reward_weights`` swaps the plain sum of payments for a weighted one;
-    any strictly positive weighting selects the same optimal clearing on
-    unique-optimum instances.
     """
     totals = np.asarray(totals, dtype=float)
     assets = np.asarray(assets, dtype=float)
@@ -134,12 +129,6 @@ def per_round_lp(
     caps = broadcast_caps(caps, n)
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
-    if reward_weights is None:
-        weights = np.ones(n)
-    else:
-        weights = np.asarray(reward_weights, dtype=float)
-        if weights.shape != (n,) or np.any(weights <= 0):
-            raise ValidationError("reward weights must be strictly positive")
 
     block = None
     fair_weights = None
@@ -152,7 +141,7 @@ def per_round_lp(
     n_slack = block.n_slacks if block is not None else 0
     dim = 2 * n + n_slack
     objective = np.zeros(dim)
-    objective[:n] = weights
+    objective[:n] = 1.0
 
     n_rows = n + 1 + (block.rhs.size if block is not None else 0)
     lhs = np.zeros((n_rows, dim))
@@ -181,7 +170,8 @@ def per_round_lp(
     )
     if sol.status != "optimal":
         raise SolverError(
-            f"per-round allocation LP returned status {sol.status}",
+            f"per-round allocation LP returned status {sol.status}: "
+            f"{sol.message}",
             status=sol.status,
         )
     source = "per-round allocation LP"
@@ -202,6 +192,27 @@ def per_round_lp(
     )
 
 
+def rollout(start: SystemState, path: SamplePath, step):
+    """Carry a policy forward along one shock realization.
+
+    Each round folds the shock and the previous round's clearing into the
+    state (:func:`advance_state`, from ``start`` with nothing cleared), then
+    calls ``step(t, shock, state, matrix)`` for that round's
+    :class:`PolicyStepResult`, whose clearing feeds the next round.  Returns
+    the total reward and the per-round results.
+    """
+    if start.n != path.n:
+        raise ValidationError("start state and path disagree on node count")
+    state = start
+    clearing = np.zeros(start.n)
+    steps: list[PolicyStepResult] = []
+    for t, shock in enumerate(path):
+        state = advance_state(state, clearing, shock)
+        steps.append(step(t, shock, state, relative_matrix(state)))
+        clearing = steps[-1].clearing
+    return float(sum(s.reward for s in steps)), steps
+
+
 def value_given_sample_path(
     start: SystemState,
     path: SamplePath,
@@ -215,26 +226,13 @@ def value_given_sample_path(
     clearing executed against it (the canonical debt-free start).  Each
     round's optimal clearing feeds the next round's state.
     """
-    if start.n != path.n:
-        raise ValidationError("start state and path disagree on node count")
-    state = start
-    clearing = np.zeros(start.n)
-    steps: list[PolicyStepResult] = []
-    for shock in path:
-        state = advance_state(state, clearing, shock)
-        matrix = relative_matrix(state)
-        step = per_round_lp(
-            matrix,
-            state.totals,
-            shock.external_assets,
-            budget,
-            caps,
-            fairness=fairness,
-            round_index=shock.round,
-        )
-        clearing = step.clearing
-        steps.append(step)
-    return float(sum(s.reward for s in steps)), steps
+    return rollout(
+        start, path,
+        lambda t, shock, state, matrix: per_round_lp(
+            matrix, state.totals, shock.external_assets, budget, caps,
+            fairness=fairness, round_index=shock.round,
+        ),
+    )
 
 
 def substream(seed: int, index: int) -> np.random.Generator:

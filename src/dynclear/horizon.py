@@ -179,8 +179,8 @@ def _solve_horizon(
                       variable_bounds=tuple(bounds))
     )
     if sol.status != "optimal":
-        raise SolverError(f"horizon LP returned status {sol.status}",
-                          status=sol.status)
+        raise SolverError(f"horizon LP returned status {sol.status}: "
+                          f"{sol.message}", status=sol.status)
     clearing = sol.primal[:tn].reshape(rounds, n)
     interventions = sol.primal[tn:].reshape(rounds, n)
     return HorizonSolution(
@@ -271,8 +271,8 @@ def solve_prefix_oneshot(
                       variable_bounds=tuple(bounds))
     )
     if sol.status != "optimal":
-        raise SolverError(f"prefix LP returned status {sol.status}",
-                          status=sol.status)
+        raise SolverError(f"prefix LP returned status {sol.status}: "
+                          f"{sol.message}", status=sol.status)
     q = sol.primal[:tn].reshape(rounds, n)
     w = sol.primal[tn:].reshape(rounds, n)
     clearing = np.diff(q, axis=0, prepend=np.zeros((1, n)))

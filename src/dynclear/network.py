@@ -282,28 +282,43 @@ def advance_state(
             f"clearing[{bad}] = {clearing[bad]} exceeds outstanding total "
             f"{state.totals[bad]}"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        carry = np.where(state.totals > 0, 1.0 - clearing / state.totals, 0.0)
-    carry = np.clip(carry, 0.0, 1.0)
-    pairwise = shock.internal_liabilities + state.pairwise * carry[:, None]
-    external = shock.external_liabilities + state.external * carry
+    pairwise, external, totals = carry_forward(
+        state.pairwise, state.external, state.totals, clearing, shock
+    )
     return SystemState(
         pairwise=pairwise,
-        totals=external + pairwise.sum(axis=1),
+        totals=totals,
         external=external,
         last_clearing=np.clip(clearing, 0.0, None),
     )
 
 
+def carry_forward(pairwise, external, totals, clearing, shock):
+    """The carry arithmetic of :func:`advance_state` on bare arrays, for one
+    state (``(n, n)`` / ``(n,)``) or a stack of them (``(k, n, n)`` /
+    ``(k, n)``): returns the next ``(pairwise, external, totals)``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        carry = np.where(totals > 0, 1.0 - clearing / totals, 0.0)
+    carry = np.clip(carry, 0.0, 1.0)
+    pairwise = shock.internal_liabilities + pairwise * carry[..., :, None]
+    external = shock.external_liabilities + external * carry
+    return pairwise, external, external + pairwise.sum(axis=-1)
+
+
+def relative_entries(pairwise, totals) -> np.ndarray:
+    """Row-normalized pairwise liabilities, for one state or a stack;
+    zero-total rows map to all-zero rows."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            totals[..., :, None] > 0, pairwise / totals[..., :, None], 0.0
+        )
+
+
 def relative_matrix(state: SystemState) -> RelativeLiabilityMatrix:
     """Row-normalize the state's pairwise liabilities; zero-total rows map
     to all-zero rows."""
-    totals = state.totals
-    with np.errstate(divide="ignore", invalid="ignore"):
-        entries = np.where(
-            totals[:, None] > 0, state.pairwise / totals[:, None], 0.0
-        )
-    return RelativeLiabilityMatrix(entries=entries, row_sums=entries.sum(axis=1))
+    entries = relative_entries(state.pairwise, state.totals)
+    return RelativeLiabilityMatrix(entries=entries, row_sums=entries.sum(axis=-1))
 
 
 def check_nonvanishing(

@@ -21,16 +21,12 @@ from .fractional import (
     _repair,
     broadcast_caps,
     once_per_distinct_path,
+    rollout,
     sampled_runs,
     substream,
 )
 from .horizon import check_constant_proportions, solve_horizon_primal
-from .network import (
-    InterventionVector,
-    SystemState,
-    advance_state,
-    relative_matrix,
-)
+from .network import InterventionVector, SystemState
 
 
 class TraceRow(NamedTuple):
@@ -357,42 +353,35 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
                 f"{certificate.max_violation}"
             )
         primal = solve_horizon_primal(path, budget, caps, certificate)
-        state = SystemState.empty(path.n)
-        clearing = np.zeros(path.n)
-        steps = []
-        for t, shock in enumerate(path):
-            state = advance_state(state, clearing, shock)
-            matrix = relative_matrix(state)
+
+        def step(t, shock, state, matrix):
             clearing = _repair(primal.clearing[t], 0.0, state.totals, "clearing",
                                source)
             # + 0.0 turns the LP's -0.0 into 0.0, as per_round_lp writes it
             z = _repair(primal.interventions[t], 0.0, caps_vec, "intervention",
                         source) + 0.0
             z = _onto_budget(z, budget, source)
-            steps.append(
-                PolicyStepResult(
-                    round=shock.round,
-                    totals=state.totals.copy(),
-                    clearing=clearing,
-                    intervention=InterventionVector(
-                        amounts=z, budget=budget, caps=caps_vec
-                    ),
-                    reward=float(clearing.sum()),
-                    beta=matrix.row_sums.copy(),
-                )
+            return PolicyStepResult(
+                round=shock.round,
+                totals=state.totals.copy(),
+                clearing=clearing,
+                intervention=InterventionVector(
+                    amounts=z, budget=budget, caps=caps_vec
+                ),
+                reward=float(clearing.sum()),
+                beta=matrix.row_sums.copy(),
             )
+
+        value, steps = rollout(SystemState.empty(path.n), path, step)
         gap = abs(primal.value - primal.dual.value)
-        return steps, certificate.max_violation, gap
+        return value, steps, certificate.max_violation, gap
 
     solved = once_per_distinct_path(paths, solve)
-    runs = [
-        (path, float(sum(s.reward for s in steps)), steps)
-        for path, (steps, _, _) in zip(paths, solved)
-    ]
+    runs = [(path, value, steps) for path, (value, steps, _, _) in zip(paths, solved)]
     info = {
         "valid": True,
-        "max_violation": max(v for _, v, _ in solved),
-        "max_duality_gap": max(g for _, _, g in solved),
+        "max_violation": max(v for _, _, v, _ in solved),
+        "max_duality_gap": max(g for _, _, _, g in solved),
     }
     return runs, info
 

