@@ -252,21 +252,40 @@ def clear_fixed_point(
     return clear_stack(matrix.entries[None], totals[None], (assets + z)[None])[0]
 
 
+def leq_program(objective, lhs, rhs, upper) -> LinearProgram:
+    """``max objective @ x`` subject to ``lhs @ x <= rhs`` and
+    ``0 <= x <= upper`` (``inf`` allowed): the form of every LP the package
+    builds, and the one place that writes it as constraint rows."""
+    return LinearProgram(
+        objective=objective,
+        constraints=tuple((row, LEQ, b) for row, b in zip(lhs, rhs)),
+        variable_bounds=tuple((0.0, hi) for hi in upper),
+    )
+
+
+def solve_optimal(lp: LinearProgram, what: str) -> LpSolution:
+    """:func:`solve_lp`, raising :class:`SolverError` with the backend's
+    message when the status is not optimal; ``what`` names the LP."""
+    sol = solve_lp(lp)
+    if sol.status != "optimal":
+        raise SolverError(
+            f"{what} returned status {sol.status}: {sol.message}",
+            status=sol.status,
+        )
+    return sol
+
+
 def clearing_lp_model(
     matrix: RelativeLiabilityMatrix, totals, assets, interventions=None
 ) -> LinearProgram:
     """The clearing problem as a :class:`LinearProgram` over the payment
     vector: maximize total payments subject to the default constraint, with
     the solvency constraint expressed through the variable upper bounds."""
-    totals = np.asarray(totals, dtype=float)
-    assets = np.asarray(assets, dtype=float)
     n = matrix.n
     z = np.zeros(n) if interventions is None else np.asarray(interventions, float)
-    lhs = np.eye(n) - matrix.entries.T
-    rows = tuple((row, LEQ, float(b)) for row, b in zip(lhs, assets + z))
-    bounds = tuple((0.0, float(p)) for p in totals)
-    return LinearProgram(
-        objective=np.ones(n), constraints=rows, variable_bounds=bounds
+    return leq_program(
+        np.ones(n), np.eye(n) - matrix.entries.T,
+        np.asarray(assets, dtype=float) + z, np.asarray(totals, dtype=float),
     )
 
 
@@ -279,10 +298,5 @@ def clear_lp(
     assets = np.asarray(assets, dtype=float)
     if np.any(totals < 0) or np.any(assets < 0):
         raise ValidationError("totals and assets must be >= 0")
-    sol = solve_lp(clearing_lp_model(matrix, totals, assets, interventions))
-    if sol.status != "optimal":
-        raise SolverError(
-            f"clearing LP returned status {sol.status}: {sol.message}",
-            status=sol.status,
-        )
-    return sol.primal
+    model = clearing_lp_model(matrix, totals, assets, interventions)
+    return solve_optimal(model, "clearing LP").primal

@@ -71,6 +71,7 @@ def _cmd_validate(args) -> int:
             path = os.path.join(config.base_dir, config.environment[key])
             if not os.path.exists(path):
                 raise ConfigError(f"environment.{key}: no such file {path}")
+    build_environment(config)
     print(f"{args.config}: OK ({config.mode}, {config.samples} samples)")
     return 0
 

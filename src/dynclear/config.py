@@ -5,11 +5,13 @@ config points at the offending key."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .discrete import DEFAULT_RETRIES
 from .environments import (
     EnvironmentModel,
     GammaEnvironment,
@@ -36,7 +38,7 @@ class ExperimentConfig:
     out_dir: str
     caps: float | list = None  # defaults to the budget, broadcast per node
     horizon: int | None = None
-    retries: int = 64
+    retries: int = DEFAULT_RETRIES
     fairness: FairnessSpec | None = None
     paired_pof: bool = False
     threads: int = 1
@@ -47,14 +49,26 @@ def _require(data: dict, key: str, types, path: str):
     if key not in data:
         raise ConfigError(f"{path}{key}: required field is missing")
     value = data[key]
-    if not isinstance(value, types):
-        names = (
-            types.__name__
-            if isinstance(types, type)
-            else "/".join(t.__name__ for t in types)
-        )
+    types = types if isinstance(types, tuple) else (types,)
+    # a JSON true/false is a Python int too: accept it only as a bool
+    if not isinstance(value, types) or (
+        isinstance(value, bool) and bool not in types
+    ):
+        names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}{key}: expected {names}, got {type(value).__name__}")
     return value
+
+
+def _check_numbers(value, path: str, lo: float, hi: float) -> None:
+    """``value``, or every entry of it when it is a list, is a number (not
+    a bool) in ``[lo, hi]``."""
+    entries = enumerate(value) if isinstance(value, list) else [(None, value)]
+    for k, v in entries:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not lo <= v <= hi:
+            where = path if k is None else f"{path}[{k}]"
+            raise ConfigError(
+                f"{where}: expected a number in [{lo:g}, {hi:g}], got {v!r}"
+            )
 
 
 def _optional(data: dict, key: str, types, path: str, default=None):
@@ -81,6 +95,8 @@ def _validate_environment(env: dict) -> None:
             or any(not isinstance(r, list) or len(r) != 2 for r in probs)
         ):
             raise ConfigError("environment.block_probs: expected a 2x2 matrix")
+        for row in probs:
+            _check_numbers(row, "environment.block_probs", 0.0, 1.0)
         _optional(env, "liability_rate", (int, float), "environment.")
         _optional(env, "asset_level", (int, float), "environment.")
     else:
@@ -101,8 +117,7 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     if mode not in MODES:
         raise ConfigError(f"mode: {mode!r} is not one of {MODES}")
     budget = float(_require(data, "budget", (int, float), ""))
-    if budget < 0:
-        raise ConfigError("budget: must be nonnegative")
+    _check_numbers(budget, "budget", 0.0, math.inf)
     if mode == "zero_input" and budget != 0:
         raise ConfigError("budget: zero_input mode requires budget 0")
     samples = _require(data, "samples", int, "")
@@ -113,6 +128,7 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     caps = _optional(data, "caps", (int, float, list), "", default=None)
     if caps is None:
         caps = budget
+    _check_numbers(caps, "caps", 0.0, math.inf)
     horizon = _optional(data, "horizon", int, "")
     if horizon is not None and horizon < 1:
         raise ConfigError("horizon: must be >= 1")
@@ -122,7 +138,7 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     if retries is not None and mode != "discrete":
         raise ConfigError("retries: only meaningful in discrete mode")
     if retries is None:
-        retries = 64
+        retries = DEFAULT_RETRIES
     if retries < 1:
         raise ConfigError("retries: must be >= 1")
     threads = _optional(data, "threads", int, "", default=1)
@@ -147,6 +163,8 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
         q = _optional(fair_data, "q", list, "fairness.")
         if kind == "property" and q is None:
             raise ConfigError("fairness.q: required for property weights")
+        if q is not None:
+            _check_numbers(q, "fairness.q", 0.0, 1.0)
         masked = _optional(fair_data, "masked", bool, "fairness.", default=True)
         fairness = FairnessSpec(
             kind=kind,
@@ -191,7 +209,20 @@ def load_config(path: str) -> ExperimentConfig:
 
 def build_environment(config: ExperimentConfig) -> EnvironmentModel:
     """Instantiate the configured environment; replay paths resolve relative
-    to the config file's directory."""
+    to the config file's directory.  Per-node caps and attributes must list
+    one entry per node of the environment."""
+    model = _environment(config)
+    q = None if config.fairness is None else config.fairness.q
+    for path, value in (("caps", config.caps), ("fairness.q", q)):
+        if np.ndim(value) == 1 and len(value) != model.n:
+            raise ConfigError(
+                f"{path}: expected {model.n} entries, one per node, "
+                f"got {len(value)}"
+            )
+    return model
+
+
+def _environment(config: ExperimentConfig) -> EnvironmentModel:
     env = config.environment
     kind = env["kind"]
     if kind == "replay":

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import LEQ, LP_REPAIR_TOL, LinearProgram, SolverError, solve_lp
+from .clearing import LP_REPAIR_TOL, SolverError, leq_program, solve_optimal
 from .errors import ValidationError
-from .fairness import FairnessSpec, gini_coefficient
+from .fairness import FairnessSpec, fairness_constraint_block, gini_coefficient
 from .network import (
     InterventionVector,
     RelativeLiabilityMatrix,
@@ -134,47 +134,26 @@ def per_round_lp(
     fair_weights = None
     if fairness is not None:
         fair_weights = fairness.weights_for(matrix)
-        from .fairness import fairness_constraint_block
-
         block = fairness_constraint_block(fair_weights, fairness.g)
 
     n_slack = block.n_slacks if block is not None else 0
-    dim = 2 * n + n_slack
-    objective = np.zeros(dim)
-    objective[:n] = 1.0
-
+    objective = np.concatenate([np.ones(n), np.zeros(n + n_slack)])
     n_rows = n + 1 + (block.rhs.size if block is not None else 0)
-    lhs = np.zeros((n_rows, dim))
+    lhs = np.zeros((n_rows, objective.size))
     # default constraint: (I - A^T) P_tilde - Z <= c
     lhs[:n, :n] = np.eye(n) - matrix.entries.T
     lhs[:n, n : 2 * n] = -np.eye(n)
     # budget: 1^T Z <= B
     lhs[n, n : 2 * n] = 1.0
-    rhs = [float(a) for a in assets] + [float(budget)]
+    rhs = np.append(assets, float(budget))
     if block is not None:
         lhs[n + 1 :, n : 2 * n] = block.z_rows
         lhs[n + 1 :, 2 * n :] = block.slack_rows
-        rhs += [float(b) for b in block.rhs]
-    rows = tuple((row, LEQ, b) for row, b in zip(lhs, rhs))
+        rhs = np.concatenate([rhs, block.rhs])
+    upper = np.concatenate([totals, caps, np.full(n_slack, np.inf)])
 
-    bounds = [(0.0, float(p)) for p in totals]
-    bounds += [(0.0, float(c)) for c in caps]
-    bounds += [(0.0, float("inf"))] * n_slack
-
-    sol = solve_lp(
-        LinearProgram(
-            objective=objective,
-            constraints=rows,
-            variable_bounds=tuple(bounds),
-        )
-    )
-    if sol.status != "optimal":
-        raise SolverError(
-            f"per-round allocation LP returned status {sol.status}: "
-            f"{sol.message}",
-            status=sol.status,
-        )
     source = "per-round allocation LP"
+    sol = solve_optimal(leq_program(objective, lhs, rhs, upper), source)
     clearing = _repair(sol.primal[:n], 0.0, totals, "clearing", source)
     z = _repair(sol.primal[n : 2 * n], 0.0, caps, "intervention", source)
     z = _onto_budget(z, budget, source)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import LEQ, LP_REPAIR_TOL, LinearProgram, solve_lp
+from .clearing import LP_REPAIR_TOL, leq_program, solve_optimal
 from .errors import CertificateError, MyopicGapError, SolverError
 from .fractional import broadcast_caps, value_given_sample_path
 from .network import SamplePath, SystemState, _freeze
@@ -160,8 +160,7 @@ def _solve_horizon(
     rounds, n = len(path), path.n
     c, h, _ = _prefix_data(path)
     tn = rounds * n  # variables: [P_tilde(1..T) | Z(1..T)]
-    objective = np.zeros(2 * tn)
-    objective[:tn] = 1.0
+    objective = np.repeat([1.0, 0.0], tn)
     lhs = np.zeros((2 * tn + rounds, 2 * tn))
     # prefix solvency: sum_{t' <= t} P_tilde(t') <= h(t)
     lhs[:tn, :tn] = np.kron(np.tril(np.ones((rounds, rounds))), np.eye(n))
@@ -171,16 +170,8 @@ def _solve_horizon(
     # budget: 1^T Z(t) <= B
     lhs[2 * tn :, tn:] = np.kron(np.eye(rounds), np.ones((1, n)))
     rhs = np.concatenate([h.ravel(), c.ravel(), np.full(rounds, float(budget))])
-    bounds = [(0.0, float("inf"))] * tn
-    bounds += [(0.0, float(caps[i])) for _ in range(rounds) for i in range(n)]
-    sol = solve_lp(
-        LinearProgram(objective=objective,
-                      constraints=tuple((row, LEQ, b) for row, b in zip(lhs, rhs)),
-                      variable_bounds=tuple(bounds))
-    )
-    if sol.status != "optimal":
-        raise SolverError(f"horizon LP returned status {sol.status}: "
-                          f"{sol.message}", status=sol.status)
+    upper = np.concatenate([np.full(tn, np.inf), np.tile(caps, rounds)])
+    sol = solve_optimal(leq_program(objective, lhs, rhs, upper), "horizon LP")
     clearing = sol.primal[:tn].reshape(rounds, n)
     interventions = sol.primal[tn:].reshape(rounds, n)
     return HorizonSolution(
@@ -252,27 +243,17 @@ def solve_prefix_oneshot(
     c, h, f = _prefix_data(path)
     zeta = certificate.zeta
     tn = rounds * n  # variables: [Q(1..T) | W(1..T)]
-    objective = np.zeros(2 * tn)
-    objective[:tn] = 1.0
+    objective = np.repeat([1.0, 0.0], tn)
     lhs = np.zeros((tn + rounds, 2 * tn))
     # default: (I - zeta^T) Q(t) - W(t) <= f(t)
     lhs[:tn, :tn] = np.kron(np.eye(rounds), np.eye(n) - zeta.T)
     lhs[:tn, tn:] = -np.eye(tn)
     # staircase budget: 1^T W(t) <= t B
     lhs[tn:, tn:] = np.kron(np.eye(rounds), np.ones((1, n)))
-    rhs = np.concatenate([f.ravel(), float(budget) * np.arange(1, rounds + 1)])
-    rows = tuple((row, LEQ, b) for row, b in zip(lhs, rhs))
-    bounds = [(0.0, float(h[t, i])) for t in range(rounds) for i in range(n)]
-    bounds += [
-        (0.0, float(caps[i]) * (t + 1)) for t in range(rounds) for i in range(n)
-    ]
-    sol = solve_lp(
-        LinearProgram(objective=objective, constraints=rows,
-                      variable_bounds=tuple(bounds))
-    )
-    if sol.status != "optimal":
-        raise SolverError(f"prefix LP returned status {sol.status}: "
-                          f"{sol.message}", status=sol.status)
+    steps = np.arange(1, rounds + 1)
+    rhs = np.concatenate([f.ravel(), float(budget) * steps])
+    upper = np.concatenate([h.ravel(), np.outer(steps, caps).ravel()])
+    sol = solve_optimal(leq_program(objective, lhs, rhs, upper), "prefix LP")
     q = sol.primal[:tn].reshape(rounds, n)
     w = sol.primal[tn:].reshape(rounds, n)
     clearing = np.diff(q, axis=0, prepend=np.zeros((1, n)))

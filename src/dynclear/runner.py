@@ -15,6 +15,7 @@ import numpy as np
 from .config import ExperimentConfig, build_environment, effective_horizon
 from .discrete import RoundingReport, discrete_runs
 from .errors import CertificateError, ValidationError
+from .fairness import price_of_fairness
 from .fractional import (
     PolicyStepResult,
     _onto_budget,
@@ -29,15 +30,17 @@ from .horizon import check_constant_proportions, solve_horizon_primal
 from .network import InterventionVector, SystemState
 
 
-class TraceRow(NamedTuple):
-    sample: int
-    round: int
-    node: int
-    totals: float
-    cleared: float
-    intervention: float
-    reward: float  # round reward, repeated on each node row of the round
-    beta: float
+class Trace(NamedTuple):
+    """Every sample's steps stacked along (samples, rounds, n): round
+    numbers ``rounds``, per-node ``totals``, ``cleared``, ``interventions``
+    and ``beta``, and the round ``rewards`` of shape (samples, rounds)."""
+
+    rounds: np.ndarray
+    totals: np.ndarray
+    cleared: np.ndarray
+    interventions: np.ndarray
+    beta: np.ndarray
+    rewards: np.ndarray
 
 
 class OlsFit(NamedTuple):
@@ -130,24 +133,24 @@ def _stderr(values) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def _steps_to_rows(all_steps: list[list[PolicyStepResult]]) -> list[TraceRow]:
-    rows = []
-    for sample, steps in enumerate(all_steps):
-        for step in steps:
-            for node in range(step.totals.shape[0]):
-                rows.append(
-                    TraceRow(
-                        sample=sample,
-                        round=step.round,
-                        node=node,
-                        totals=float(step.totals[node]),
-                        cleared=float(step.clearing[node]),
-                        intervention=float(step.intervention.amounts[node]),
-                        reward=step.reward,
-                        beta=float(step.beta[node]),
-                    )
-                )
-    return rows
+def _stack(all_steps: list[list[PolicyStepResult]]) -> Trace:
+    def field(get):
+        return np.array([[get(s) for s in steps] for steps in all_steps], float)
+
+    return Trace(
+        rounds=np.array([s.round for s in all_steps[0]]),
+        totals=field(lambda s: s.totals),
+        cleared=field(lambda s: s.clearing),
+        interventions=field(lambda s: s.intervention.amounts),
+        beta=field(lambda s: s.beta),
+        rewards=field(lambda s: s.reward),
+    )
+
+
+def _per_round(values: np.ndarray) -> np.ndarray:
+    """(samples, rounds) values with one contiguous row per round, so each
+    round reduces over its samples like a 1-D array."""
+    return np.ascontiguousarray(values.T)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
@@ -166,39 +169,23 @@ def _ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
                   r_squared=1.0 - ssr / sst, degenerate=False)
 
 
-def summarize_scatter(rows: list[TraceRow]) -> ScatterSummary:
+def summarize_scatter(trace: Trace) -> ScatterSummary:
     """Average per-node totals over samples and fit interventions against
     payments and against mean connectivity.  Zero-variance regressors are
     flagged degenerate with slope and R^2 reported as 0."""
-    if not rows:
+    if trace.cleared.size == 0:
         raise ValidationError("no trace rows to summarize")
-    samples = sorted({r.sample for r in rows})
-    nodes = sorted({r.node for r in rows})
-    n_rounds = len({r.round for r in rows})
-    payments = np.zeros((len(samples), len(nodes)))
-    interventions = np.zeros_like(payments)
-    betas = np.zeros_like(payments)
-    for r in rows:
-        payments[r.sample, r.node] += r.cleared
-        interventions[r.sample, r.node] += r.intervention
-        betas[r.sample, r.node] += r.beta
-    total_payments = payments.mean(axis=0)
-    total_interventions = interventions.mean(axis=0)
-    mean_beta = betas.mean(axis=0) / n_rounds
+    total_payments = trace.cleared.sum(axis=1).mean(axis=0)
+    total_interventions = trace.interventions.sum(axis=1).mean(axis=0)
+    mean_beta = trace.beta.sum(axis=1).mean(axis=0) / len(trace.rounds)
     return ScatterSummary(
-        nodes=np.array(nodes),
+        nodes=np.arange(trace.cleared.shape[2]),
         total_payments=total_payments,
         total_interventions=total_interventions,
         mean_beta=mean_beta,
         payments_fit=_ols(total_payments, total_interventions),
         connectivity_fit=_ols(mean_beta, total_interventions),
     )
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -217,7 +204,7 @@ def write_atomic(path: str, text: str) -> None:
 def _write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(str, row)))  # str(float) is its repr
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -244,86 +231,50 @@ summary.json       run-level aggregates, OLS fits, certificate/duality info
 
 def emit_plot_data(
     report: SummaryReport,
-    rows: list[TraceRow],
+    trace: Trace,
     out_dir: str,
-    reward_stderr_by_round: dict[int, float],
+    reward_stderr: list[float],
 ) -> dict[str, str]:
-    """Write the per-figure CSV families and the column-reference README."""
+    """Write ``trace.csv``, the per-figure CSV families reduced from it and
+    the column-reference README; ``reward_stderr`` gives the reward's
+    standard error per round."""
     files: dict[str, str] = {}
-    rounds = sorted({r.round for r in rows})
-    n_samples = report.samples
 
-    rewards_rows = []
-    interventions_rows = []
-    for t in rounds:
-        per_sample_rewards = {}
-        per_sample_z = {}
-        for r in rows:
-            if r.round == t:
-                per_sample_rewards[r.sample] = r.reward
-                per_sample_z[r.sample] = per_sample_z.get(r.sample, 0.0) + (
-                    r.intervention
-                )
-        mean_reward = float(np.mean(list(per_sample_rewards.values())))
-        rewards_rows.append((t, mean_reward, reward_stderr_by_round[t]))
-        interventions_rows.append(
-            (t, float(np.mean(list(per_sample_z.values()))))
-        )
-    path = os.path.join(out_dir, "rewards.csv")
-    _write_csv(path, ["t", "mean_reward", "stderr"], rewards_rows)
-    files["rewards"] = path
-    path = os.path.join(out_dir, "interventions.csv")
-    _write_csv(path, ["t", "mean_total_interventions"], interventions_rows)
-    files["interventions"] = path
+    def table(name: str, header: list[str], rows) -> None:
+        files[name] = os.path.join(out_dir, f"{name}.csv")
+        _write_csv(files[name], header, rows)
 
+    sample, t, node = np.indices(trace.cleared.shape)
+    columns = (sample, trace.rounds[t], node, trace.totals, trace.cleared,
+               trace.interventions,
+               np.broadcast_to(trace.rewards[..., None], trace.cleared.shape))
+    table("trace", ["sample", "t", "node", "P", "p_tilde", "z", "reward"],
+          zip(*(column.ravel().tolist() for column in columns)))
+    rounds = trace.rounds.tolist()
+    table("rewards", ["t", "mean_reward", "stderr"],
+          zip(rounds, report.per_round_rewards, reward_stderr))
+    mean_z = _per_round(trace.interventions.sum(axis=2)).mean(axis=1)
+    table("interventions", ["t", "mean_total_interventions"],
+          zip(rounds, mean_z.tolist()))
     scatter = report.scatter
-    path = os.path.join(out_dir, "scatter.csv")
-    _write_csv(
-        path,
-        ["node", "total_payments", "total_interventions", "mean_beta"],
-        zip(
-            scatter.nodes.tolist(),
-            scatter.total_payments.tolist(),
-            scatter.total_interventions.tolist(),
-            scatter.mean_beta.tolist(),
-        ),
-    )
-    files["scatter"] = path
-
+    table("scatter",
+          ["node", "total_payments", "total_interventions", "mean_beta"],
+          zip(scatter.nodes.tolist(), scatter.total_payments.tolist(),
+              scatter.total_interventions.tolist(), scatter.mean_beta.tolist()))
     if report.gini_per_round is not None:
-        path = os.path.join(out_dir, "gini.csv")
-        _write_csv(
-            path,
-            ["t", "kind", "g", "gc_realized"],
-            [
-                (t, report.fairness_kind, report.fairness_cap, g)
-                for t, g in zip(rounds, report.gini_per_round)
-            ],
-        )
-        files["gini"] = path
-
+        table("gini", ["t", "kind", "g", "gc_realized"],
+              [(t, report.fairness_kind, report.fairness_cap, g)
+               for t, g in zip(rounds, report.gini_per_round)])
     if report.rounding is not None:
-        path = os.path.join(out_dir, "rounding.csv")
-        _write_csv(
-            path,
-            ["sample", "attempts", "feasible", "value_sol", "value_rel",
-             "ratio", "bound"],
-            [
-                (r.sample_index, r.attempts, int(r.feasible), r.value_sol,
-                 r.value_rel, r.ratio, 1.0 - r.gamma_hat)
-                for r in report.rounding
-            ],
-        )
-        files["rounding"] = path
-
+        table("rounding",
+              ["sample", "attempts", "feasible", "value_sol", "value_rel",
+               "ratio", "bound"],
+              [(r.sample_index, r.attempts, int(r.feasible), r.value_sol,
+                r.value_rel, r.ratio, 1.0 - r.gamma_hat)
+               for r in report.rounding])
     if report.pof is not None:
-        path = os.path.join(out_dir, "pof.csv")
-        _write_csv(
-            path,
-            ["value_unconstrained", "value_constrained", "pof"],
-            [(report.pof_unconstrained, report.pof_constrained, report.pof)],
-        )
-        files["pof"] = path
+        table("pof", ["value_unconstrained", "value_constrained", "pof"],
+              [(report.pof_unconstrained, report.pof_constrained, report.pof)])
 
     path = os.path.join(out_dir, "PLOTS_README.md")
     write_atomic(path, PLOTS_README)
@@ -415,8 +366,6 @@ def run_experiment(
                 fairness=None, seed=config.seed,
                 threads=config.threads, horizon=horizon,
             )
-            from .fairness import price_of_fairness
-
             pof_unc = float(np.mean([v for _, v, _ in baseline]))
             pof_con = float(np.mean([v for _, v, _ in runs]))
             pof = price_of_fairness(pof_unc, pof_con)
@@ -437,27 +386,16 @@ def run_experiment(
 
     values = [v for _, v, _ in runs]
     all_steps = [s for _, _, s in runs]
-    rows = _steps_to_rows(all_steps)
-    rounds = sorted({r.round for r in rows})
-
-    per_round = {t: [] for t in rounds}
-    for steps in all_steps:
-        for step in steps:
-            per_round[step.round].append(step.reward)
-    per_round_rewards = tuple(float(np.mean(per_round[t])) for t in rounds)
-    reward_stderr = {t: _stderr(per_round[t]) for t in rounds}
+    trace = _stack(all_steps)
+    by_round = _per_round(trace.rewards)
+    reward_stderr = [_stderr(r) for r in by_round]
 
     gini_per_round = None
     if config.fairness is not None:
-        gini_per_round = tuple(
-            float(np.mean([
-                s.gini for steps in all_steps for s in steps
-                if s.round == t and s.gini is not None
-            ]))
-            for t in rounds
-        )
+        gini = np.array([[s.gini for s in steps] for steps in all_steps], float)
+        gini_per_round = tuple(_per_round(gini).mean(axis=1).tolist())
 
-    scatter = summarize_scatter(rows)
+    scatter = summarize_scatter(trace)
     report = SummaryReport(
         mode=config.mode,
         samples=config.samples,
@@ -466,7 +404,7 @@ def run_experiment(
         horizon=horizon,
         total_value_mean=float(np.mean(values)),
         total_value_stderr=_stderr(values),
-        per_round_rewards=per_round_rewards,
+        per_round_rewards=tuple(by_round.mean(axis=1).tolist()),
         scatter=scatter,
         gini_per_round=gini_per_round,
         fairness_kind=None if config.fairness is None else config.fairness.kind,
@@ -479,19 +417,7 @@ def run_experiment(
     )
 
     os.makedirs(config.out_dir, exist_ok=True)
-    files: dict[str, str] = {}
-    path = os.path.join(config.out_dir, "trace.csv")
-    _write_csv(
-        path,
-        ["sample", "t", "node", "P", "p_tilde", "z", "reward"],
-        [
-            (r.sample, r.round, r.node, r.totals, r.cleared, r.intervention,
-             r.reward)
-            for r in rows
-        ],
-    )
-    files["trace"] = path
-    files.update(emit_plot_data(report, rows, config.out_dir, reward_stderr))
+    files = emit_plot_data(report, trace, config.out_dir, reward_stderr)
     path = os.path.join(config.out_dir, "summary.json")
     write_atomic(
         path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -16,17 +16,20 @@ from dynclear import (
     SystemState,
     ValidationError,
     advance_state,
+    check_constant_proportions,
     clear_fixed_point,
     clear_lp,
     clearing_lp_model,
     per_round_lp,
     relative_matrix,
     sample_sbm_round,
+    solve_horizon_primal,
     solve_lp,
+    solve_prefix_oneshot,
 )
 from dynclear.clearing import clear_stack
 
-from conftest import hub_shock, picard, random_clearing_instance
+from conftest import hub_path, hub_shock, picard, random_clearing_instance
 
 INF = float("inf")
 
@@ -34,6 +37,20 @@ INF = float("inf")
 def hub_round_one():
     state = advance_state(SystemState.empty(3), np.zeros(3), hub_shock(1))
     return relative_matrix(state), state.totals, hub_shock(1).external_assets
+
+
+def _hub_horizon(solve):
+    path = hub_path(2)
+    return solve(path, 1.0, 1.0, check_constant_proportions(path))
+
+
+#: Every LP builder of the package, called on the hub instance.
+BUILDERS = {
+    "per_round_lp": lambda: per_round_lp(*hub_round_one(), budget=1.0, caps=1.0),
+    "clear_lp": lambda: clear_lp(*hub_round_one()),
+    "solve_horizon_primal": lambda: _hub_horizon(solve_horizon_primal),
+    "solve_prefix_oneshot": lambda: _hub_horizon(solve_prefix_oneshot),
+}
 
 
 class TestSolveLp:
@@ -141,9 +158,9 @@ class TestSolveLp:
         # HiGHS runs without presolve; the same dense rows handed to linprog
         # with its default presolve must reach the same optimum
         solved = []
-        solve = dynclear.fractional.solve_lp
+        solve = dynclear.clearing.solve_lp
         monkeypatch.setattr(
-            dynclear.fractional, "solve_lp",
+            dynclear.clearing, "solve_lp",
             lambda lp: solved.append((lp, solve(lp))) or solved[-1][1],
         )
         rng = np.random.default_rng(61)
@@ -192,6 +209,15 @@ class TestSolveLp:
         assert sol.status == "failed" and "boom" in sol.message
         with pytest.raises(SolverError, match="boom"):
             per_round_lp(matrix, totals, assets, budget=1.0, caps=1.0)
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_every_builder_quotes_the_backend_message(self, monkeypatch, builder):
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(dynclear.clearing, "linprog", broken)
+        with pytest.raises(SolverError, match="status failed: ValueError: boom"):
+            BUILDERS[builder]()
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):

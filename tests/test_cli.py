@@ -82,3 +82,33 @@ def test_oracle_reports_exact_optimum(tmp_path, capsys):
     payload = json.loads((tmp_path / "out" / "oracle.json").read_text())
     assert payload["mean_value"] == pytest.approx(20 / 3, abs=1e-9)
     assert payload["per_sample"][0]["actions"] == [[1, 0, 0], [1, 0, 0]]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("caps", {"caps": -1.0}),
+        ("caps", {"caps": [1, 2]}),
+        ("caps", {"caps": [1, -1, 1]}),
+        ("caps", {"caps": ["a", 1, 1]}),
+        ("fairness.q", {"fairness": {"kind": "property", "g": 0.5,
+                                     "q": ["a", 0, 1]}}),
+        ("fairness.q", {"fairness": {"kind": "property", "g": 0.5,
+                                     "q": [0.5, 1]}}),
+        ("fairness.q", {"fairness": {"kind": "property", "g": 0.5,
+                                     "q": [0.5, 1, 2]}}),
+        ("environment.block_probs", {
+            "environment": {"kind": "sbm_core_periphery", "n_core": 1,
+                            "n_periphery": 2, "block_probs": [["a", 1], [1, 1]]},
+            "horizon": 2,
+        }),
+        ("samples", {"samples": True}),
+        ("budget", {"budget": True}),
+    ],
+)
+def test_bad_values_are_config_errors(tmp_path, capsys, command, field, overrides):
+    config = write_config(tmp_path, **overrides)
+    assert main([command, config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}")

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import dynclear.fractional
+import dynclear.clearing
 from dynclear import (
     SamplePath,
     ShockRealization,
@@ -60,7 +60,7 @@ class TestRepairBound:
     solver-noise repairs, bounded by ``LP_REPAIR_TOL``."""
 
     def perturbed(self, monkeypatch, edit):
-        real = dynclear.fractional.solve_lp
+        real = dynclear.clearing.solve_lp
 
         def fake(lp):
             sol = real(lp)
@@ -68,7 +68,7 @@ class TestRepairBound:
             edit(primal)
             return dataclasses.replace(sol, primal=primal)
 
-        monkeypatch.setattr(dynclear.fractional, "solve_lp", fake)
+        monkeypatch.setattr(dynclear.clearing, "solve_lp", fake)
         matrix, totals, assets = hub_round_one()
         return per_round_lp(matrix, totals, assets, budget=2.0, caps=2.0)
 

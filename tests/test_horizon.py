@@ -19,7 +19,7 @@ from dynclear import (
     value_given_sample_path,
     verify_myopic_optimality,
 )
-from dynclear import horizon
+from dynclear import clearing
 from dynclear.clearing import LP_REPAIR_TOL, solve_lp
 from dynclear.horizon import _prefix_data
 
@@ -242,8 +242,8 @@ class TestDualCertificate:
 
     def test_primal_rows_match_the_row_by_row_build(self, monkeypatch):
         lps = []
-        solve = horizon.solve_lp
-        monkeypatch.setattr(horizon, "solve_lp", lambda lp: lps.append(lp) or solve(lp))
+        solve = clearing.solve_lp
+        monkeypatch.setattr(clearing, "solve_lp", lambda lp: lps.append(lp) or solve(lp))
         rng = np.random.default_rng(55)
         for _ in range(5):
             path, budget, caps = random_instance(rng)
@@ -272,7 +272,7 @@ class TestDualCertificate:
         # negating, dropping or blanking the largest one breaks feasibility
         path = deep_constant_proportion_path(np.random.default_rng(54), 3, 2)
         cert = check_constant_proportions(path)
-        solve = horizon.solve_lp
+        solve = clearing.solve_lp
 
         def corrupted(lp):
             sol = solve(lp)
@@ -282,7 +282,7 @@ class TestDualCertificate:
             return sol
 
         solve_horizon_dual(path, 0.0, 1.0, cert)
-        monkeypatch.setattr(horizon, "solve_lp", corrupted)
+        monkeypatch.setattr(clearing, "solve_lp", corrupted)
         with pytest.raises(SolverError, match="dual feasibility"):
             solve_horizon_dual(path, 0.0, 1.0, cert)
 
@@ -353,8 +353,8 @@ class TestPrefixOneShot:
 
     def test_rows_match_the_row_by_row_build(self, monkeypatch):
         lps = []
-        solve = horizon.solve_lp
-        monkeypatch.setattr(horizon, "solve_lp", lambda lp: lps.append(lp) or solve(lp))
+        solve = clearing.solve_lp
+        monkeypatch.setattr(clearing, "solve_lp", lambda lp: lps.append(lp) or solve(lp))
         rng = np.random.default_rng(56)
         for _ in range(5):
             path, budget, caps = random_instance(rng)

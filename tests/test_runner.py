@@ -9,26 +9,32 @@ import pytest
 from dynclear import (
     ConfigError,
     SolverError,
-    horizon,
+    clearing,
     load_config,
     run_experiment,
     runner,
     summarize_scatter,
 )
-from dynclear.runner import TraceRow, _ols
+from dynclear.cli import main as cli_main
+from dynclear.runner import Trace, _ols
 
 from conftest import write_config
 
 
+def _one_round_trace(samples):
+    """One round; ``samples`` lists each sample's per-node
+    (payment, intervention, beta) triples."""
+    values = np.array(samples, dtype=float)[:, None]  # (samples, 1, n, 3)
+    return Trace(
+        rounds=np.array([1]), totals=np.full(values.shape[:3], 10.0),
+        cleared=values[..., 0], interventions=values[..., 1],
+        beta=values[..., 2], rewards=np.zeros(values.shape[:2]),
+    )
+
+
 def _rows_from_xy(points):
     """One sample, one round, one node per (payment, intervention) pair."""
-    return [
-        TraceRow(
-            sample=0, round=1, node=i, totals=10.0, cleared=float(x),
-            intervention=float(y), reward=0.0, beta=0.1 * i,
-        )
-        for i, (x, y) in enumerate(points)
-    ]
+    return _one_round_trace([[(x, y, 0.1 * i) for i, (x, y) in enumerate(points)]])
 
 
 class TestSummarizeScatter:
@@ -51,13 +57,8 @@ class TestSummarizeScatter:
         assert fit.slope == 0.0 and fit.r_squared == 0.0
 
     def test_node_averages_over_samples(self):
-        rows = _rows_from_xy([(1, 1), (3, 3)])
-        rows += [
-            TraceRow(sample=1, round=1, node=0, totals=10.0, cleared=3.0,
-                     intervention=3.0, reward=0.0, beta=0.0),
-            TraceRow(sample=1, round=1, node=1, totals=10.0, cleared=5.0,
-                     intervention=5.0, reward=0.0, beta=0.1),
-        ]
+        rows = _one_round_trace([[(1, 1, 0.0), (3, 3, 0.1)],
+                                 [(3, 3, 0.0), (5, 5, 0.1)]])
         scatter = summarize_scatter(rows)
         np.testing.assert_allclose(scatter.total_payments, [2.0, 4.0])
 
@@ -141,16 +142,113 @@ class TestRunExperiment:
         assert summary["certificate"]["valid"] is True
 
 
+def _read_table(path):
+    """A numeric CSV table without its header row."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return np.array([[float(v) for v in row]
+                         for row in list(csv.reader(handle))[1:]])
+
+
+class TestOutputTables:
+    """rewards.csv, interventions.csv, scatter.csv and gini.csv are
+    reductions of trace.csv and summary.json."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"fairness": {"kind": "spatial", "g": 0.5}, "paired_pof": True},
+            {"mode": "discrete", "budget": 1.0, "caps": 1.0, "retries": 8},
+            {"mode": "horizon_lp"},
+        ],
+        ids=["fractional", "discrete", "horizon_lp"],
+    )
+    def test_tables_agree_with_the_trace(self, tmp_path, overrides):
+        _, files = run_experiment(
+            load_config(write_config(tmp_path, samples=3, **overrides))
+        )
+        trace = _read_table(files["trace"])
+        samples, rounds = 3, 2
+        n = len(trace) // (samples * rounds)
+        # rows run in (sample, round, node) order
+        trace = trace.reshape(samples, rounds, n, 7)
+        rewards = trace[:, :, 0, 6]
+        z_totals = trace[:, :, :, 5].sum(axis=2)
+        close = dict(rel=1e-12, abs=1e-12)
+
+        table = _read_table(files["rewards"])
+        assert table[:, 0].tolist() == [1.0, 2.0]
+        assert table[:, 1] == pytest.approx(rewards.mean(axis=0), **close)
+        stderr = rewards.std(axis=0, ddof=1) / np.sqrt(samples)
+        assert table[:, 2] == pytest.approx(stderr, **close)
+
+        table = _read_table(files["interventions"])
+        assert table[:, 1] == pytest.approx(z_totals.mean(axis=0), **close)
+
+        table = _read_table(files["scatter"])
+        assert table[:, 0].tolist() == list(range(n))
+        for column, k in ((1, 4), (2, 5)):
+            per_node = trace[:, :, :, k].sum(axis=1).mean(axis=0)
+            assert table[:, column] == pytest.approx(per_node, **close)
+
+        summary = json.load(open(files["summary"], encoding="utf-8"))
+        if "fairness" in overrides:
+            with open(files["gini"], encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(handle))[1:]
+            fairness = summary["fairness"]
+            assert rows == [
+                [str(t), fairness["kind"], repr(fairness["g"]), repr(g)]
+                for t, g in zip((1, 2), fairness["gini_per_round"])
+            ]
+        else:
+            assert "gini" not in files
+
+    def test_discrete_outputs_are_byte_identical_across_threads(self, tmp_path):
+        # distinct SBM paths, so both the relaxed solves and the rounding
+        # run on the worker pool
+        config = str(tmp_path / "config.json")
+        with open(config, "w", encoding="utf-8") as handle:
+            json.dump(
+                {
+                    "environment": {
+                        "kind": "sbm_core_periphery",
+                        "n_core": 3,
+                        "n_periphery": 7,
+                        "block_probs": [[0.6, 0.35], [0.35, 0.1]],
+                        "asset_level": 0.1,
+                    },
+                    "horizon": 3,
+                    "budget": 2.0,
+                    "caps": 1.0,
+                    "mode": "discrete",
+                    "samples": 6,
+                    "seed": 99,
+                    "out_dir": "unused",
+                },
+                handle,
+            )
+        dirs = [str(tmp_path / d) for d in ("serial", "parallel")]
+        for out_dir, threads in zip(dirs, ("1", "3")):
+            assert cli_main(
+                ["run", config, "--out-dir", out_dir, "--threads", threads]
+            ) == 0
+        names = sorted(os.listdir(dirs[0]))
+        assert names == sorted(os.listdir(dirs[1]))
+        for name in names:
+            first = open(os.path.join(dirs[0], name), "rb").read()
+            second = open(os.path.join(dirs[1], name), "rb").read()
+            assert first == second, f"{name} differs across thread counts"
+
+
 class TestHorizonLpMode:
     def test_replayed_path_is_solved_once(self, tmp_path, monkeypatch):
         lps = []
-        solve = horizon.solve_lp
+        solve = clearing.solve_lp
 
         def counting(lp):
             lps.append(lp)
             return solve(lp)
 
-        monkeypatch.setattr(horizon, "solve_lp", counting)
+        monkeypatch.setattr(clearing, "solve_lp", counting)
         config = load_config(
             write_config(tmp_path, mode="horizon_lp", budget=2.0, samples=3)
         )
