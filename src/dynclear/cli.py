@@ -10,10 +10,10 @@ import json
 import os
 import sys
 
-from .config import build_environment, effective_horizon, load_config
+from .config import build_environment, load_config
 from .discrete import brute_force_discrete
 from .errors import ConfigError, DynclearError, ReplayFormatError
-from .fractional import substream
+from .fractional import sample_paths
 from .network import SystemState
 from .runner import run_experiment, write_atomic
 
@@ -79,20 +79,13 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     env = build_environment(config)
-    horizon = effective_horizon(config, env)
+    _, paths = sample_paths(env, config.samples, config.seed, config.horizon)
     start = SystemState.empty(env.n)
     results = []
-    for i in range(config.samples):
-        path = env.sample_path(1, horizon, substream(config.seed, i))
-        value, actions = brute_force_discrete(
-            start, path, config.budget, config.caps
-        )
+    for i, path in enumerate(paths):
+        value, actions = brute_force_discrete(start, path, config.budget, config.caps)
         results.append(
-            {
-                "sample": i,
-                "value": value,
-                "actions": [a.tolist() for a in actions],
-            }
+            {"sample": i, "value": value, "actions": [a.tolist() for a in actions]}
         )
     payload = {
         "budget": config.budget,

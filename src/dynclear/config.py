@@ -245,14 +245,10 @@ def _environment(config: ExperimentConfig) -> EnvironmentModel:
             )
             return SbmEnvironment(params=params, horizon=config.horizon)
         return GammaEnvironment(
-            counts=np.asarray(env["counts"]),
-            out_counts=np.asarray(env["out_counts"]),
-            in_counts=np.asarray(env["in_counts"]),
+            counts=env["counts"],
+            out_counts=env["out_counts"],
+            in_counts=env["in_counts"],
             horizon=config.horizon,
         )
     except DynclearError as exc:
         raise ConfigError(f"environment: {exc}") from exc
-
-
-def effective_horizon(config: ExperimentConfig, env: EnvironmentModel) -> int:
-    return config.horizon if config.horizon is not None else env.horizon

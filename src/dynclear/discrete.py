@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,9 @@ from .fractional import (
     PolicyStepResult,
     broadcast_caps,
     once_per_distinct_path,
+    ordered_map,
     rollout,
-    substream,
+    sample_paths,
     value_given_sample_path,
 )
 from .network import (
@@ -103,34 +103,30 @@ def sample_interventions(
         raise ValidationError("tau must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
-    frac = [np.asarray(z, dtype=float) for z in fractional]
-    if not frac:
+    shapes = {np.shape(z) for z in fractional}
+    if not shapes:
         raise ValidationError("empty fractional schedule")
-    n = frac[0].shape[0]
-    caps = _integer_caps(broadcast_caps(caps, n))
-    probs = []
-    for z in frac:
-        if z.shape != (n,):
-            raise ValidationError("inconsistent schedule dimensions")
-        if np.any((caps == 0) & (z > 1e-9)):
-            raise ValidationError("cap of 0 with a positive fractional amount")
-        if np.any(z < -1e-9) or np.any(z > caps + 1e-9):
-            raise ValidationError("fractional amounts must lie in [0, caps]")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(caps > 0, z / caps, 0.0)
-        probs.append(np.clip(p, 0.0, 1.0))
+    if len(shapes) != 1 or len(shapes.pop()) != 1:
+        raise ValidationError("inconsistent schedule dimensions")
+    frac = np.asarray(fractional, dtype=float)  # (rounds, n)
+    caps = _integer_caps(broadcast_caps(caps, frac.shape[1]))
+    if np.any((caps == 0) & (frac > 1e-9)):
+        raise ValidationError("cap of 0 with a positive fractional amount")
+    if np.any(frac < -1e-9) or np.any(frac > caps + 1e-9):
+        raise ValidationError("fractional amounts must lie in [0, caps]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = np.clip(np.where(caps > 0, frac / caps, 0.0), 0.0, 1.0)
 
-    actions: list[DiscreteAction] = []
     for attempt in range(1, tau + 1):
-        draws = [rng.binomial(caps, p) for p in probs]
-        feas = [float(d.sum()) <= budget + BUDGET_TOL for d in draws]
-        actions = [
-            DiscreteAction(amounts=d.astype(int), feasible=f)
-            for d, f in zip(draws, feas)
-        ]
-        if all(feas):
-            return actions, attempt
-    return actions, tau
+        # one draw per (round, node) in row-major order, as a per-round loop
+        draws = rng.binomial(caps, probs)
+        feasible = draws.sum(axis=1) <= budget + BUDGET_TOL
+        if feasible.all():
+            break
+    actions = [
+        DiscreteAction(amounts=d, feasible=bool(f)) for d, f in zip(draws, feasible)
+    ]
+    return actions, attempt
 
 
 def simulate_discrete_policy(
@@ -181,14 +177,9 @@ def discrete_runs(
     i)``; the fractional trajectory in between is solved once per distinct
     path, so replayed copies share it.
     """
-    if n_samples < 1:
-        raise ValidationError("need at least one sample")
-    n = start.n
-    caps_arr = broadcast_caps(caps, n)
+    caps_arr = broadcast_caps(caps, start.n)
     _integer_caps(caps_arr)
-    last = env.horizon if horizon is None else horizon
-    rngs = [substream(seed, i) for i in range(n_samples)]
-    paths = [env.sample_path(1, last, rng) for rng in rngs]
+    rngs, paths = sample_paths(env, n_samples, seed, horizon)
     relaxed = once_per_distinct_path(
         paths, lambda p: value_given_sample_path(start, p, budget, caps_arr), threads
     )
@@ -214,12 +205,7 @@ def discrete_runs(
         )
         return path, report, steps
 
-    if threads <= 1:
-        results = [run(i) for i in range(n_samples)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(n_samples)))
-    return results
+    return ordered_map(run, range(n_samples), threads)
 
 
 def aggregate_discrete(

@@ -131,10 +131,30 @@ class SbmEnvironment(EnvironmentModel):
         return sample_sbm_round(self.params, rng, round_index=t, b_floor=self.b_floor)
 
 
-def _gamma_or_zero(rng, shape):
-    shape = np.asarray(shape, dtype=float)
-    draws = np.where(shape > 0, rng.gamma(np.maximum(shape, 1e-300)), 0.0)
-    return draws
+def _gamma_or_zero(rng, shape: np.ndarray) -> np.ndarray:
+    return np.where(shape > 0, rng.gamma(np.maximum(shape, 1e-300)), 0.0)
+
+
+def _gamma_counts(counts, out_counts, in_counts):
+    """The transaction counts as float arrays, checked to be an ``n x n``
+    matrix and two length-``n`` vectors of nonnegative integers."""
+    arrays = []
+    for name, value in (("counts", counts), ("out_counts", out_counts),
+                        ("in_counts", in_counts)):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:  # text, or ragged rows
+            raise ValidationError(f"{name} must be a numeric array: {exc}") from None
+        if not np.all(np.isfinite(arr) & (arr >= 0) & (arr == np.floor(arr))):
+            raise ValidationError(f"{name} must be nonnegative integers")
+        arrays.append(arr)
+    counts, out_counts, in_counts = arrays
+    n = counts.shape[0] if counts.ndim else 0
+    if counts.shape != (n, n):
+        raise ValidationError("counts must be square")
+    if out_counts.shape != (n,) or in_counts.shape != (n,):
+        raise ValidationError("external counts must have length n")
+    return counts, out_counts, in_counts
 
 
 def sample_gamma_round(
@@ -149,18 +169,7 @@ def sample_gamma_round(
     exactly zero.  External-out counts are raised to at least one and the
     resulting liability floored at 1, keeping every node strictly exposed to
     the outside."""
-    counts = np.asarray(counts)
-    out_counts = np.asarray(out_counts)
-    in_counts = np.asarray(in_counts)
-    n = counts.shape[0]
-    if counts.shape != (n, n):
-        raise ValidationError("counts must be square")
-    if out_counts.shape != (n,) or in_counts.shape != (n,):
-        raise ValidationError("external counts must have length n")
-    for name, arr in (("counts", counts), ("out_counts", out_counts),
-                      ("in_counts", in_counts)):
-        if np.any(arr < 0) or np.any(arr != np.floor(arr)):
-            raise ValidationError(f"{name} must be nonnegative integers")
+    counts, out_counts, in_counts = _gamma_counts(counts, out_counts, in_counts)
     internal = _gamma_or_zero(rng, counts)
     np.fill_diagonal(internal, 0.0)
     b = np.maximum(1.0, _gamma_or_zero(rng, np.maximum(out_counts, 1)))
@@ -184,9 +193,9 @@ class GammaEnvironment(EnvironmentModel):
     def __post_init__(self):
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
-        object.__setattr__(self, "counts", np.asarray(self.counts))
-        object.__setattr__(self, "out_counts", np.asarray(self.out_counts))
-        object.__setattr__(self, "in_counts", np.asarray(self.in_counts))
+        arrays = _gamma_counts(self.counts, self.out_counts, self.in_counts)
+        for name, arr in zip(("counts", "out_counts", "in_counts"), arrays):
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -320,26 +329,27 @@ def load_replay(internal_csv: str, external_csv: str) -> ReplayEnvironment:
     if max_round == 0:
         raise ReplayFormatError(external_csv, 1, "no rounds found")
     n = max_node + 1
-    shocks = []
-    for t in range(1, max_round + 1):
-        l = np.zeros((n, n))
-        for (tt, i, j), amount in internal.items():
-            if tt == t:
-                l[i, j] = amount
-        b = np.zeros(n)
-        c = np.zeros(n)
-        for i in range(n):
-            if (t, i) not in external:
-                raise ReplayFormatError(
-                    external_csv, 1,
-                    f"missing external entry for round {t}, node {i} "
-                    "(external liabilities must be strictly positive)",
-                )
-            b[i], c[i] = external[(t, i)]
-        shocks.append(
-            ShockRealization(
-                round=t, external_liabilities=b, external_assets=c,
-                internal_liabilities=l,
-            )
+    seen = np.zeros((max_round, n), dtype=bool)
+    b = np.zeros((max_round, n))
+    c = np.zeros((max_round, n))
+    for (t, i), entry in external.items():
+        b[t - 1, i], c[t - 1, i] = entry
+        seen[t - 1, i] = True
+    missing = np.argwhere(~seen)  # in (round, node) order
+    if missing.size:
+        t, i = missing[0]
+        raise ReplayFormatError(
+            external_csv, 1,
+            f"missing external entry for round {t + 1}, node {i} "
+            "(external liabilities must be strictly positive)",
         )
-    return ReplayEnvironment(shocks=tuple(shocks))
+    l = np.zeros((max_round, n, n))
+    for (t, i, j), amount in internal.items():
+        l[t - 1, i, j] = amount
+    return ReplayEnvironment(shocks=tuple(
+        ShockRealization(
+            round=t + 1, external_liabilities=b[t], external_assets=c[t],
+            internal_liabilities=l[t],
+        )
+        for t in range(max_round)
+    ))

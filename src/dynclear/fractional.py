@@ -55,13 +55,18 @@ class ValueEstimate:
 
     @property
     def stderr(self) -> float:
-        if self.sample_count < 2:
-            return 0.0
-        return float(np.std(self.values, ddof=1) / math.sqrt(self.sample_count))
+        return stderr(self.values)
 
     def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
         half = z * self.stderr
         return (self.mean - half, self.mean + half)
+
+
+def stderr(values) -> float:
+    """Standard error of the mean of ``values``; 0 below two values."""
+    if len(values) < 2:
+        return 0.0
+    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
 def broadcast_caps(caps, n: int) -> np.ndarray:
@@ -154,12 +159,26 @@ def per_round_lp(
 
     source = "per-round allocation LP"
     sol = solve_optimal(leq_program(objective, lhs, rhs, upper), source)
-    clearing = _repair(sol.primal[:n], 0.0, totals, "clearing", source)
-    z = _repair(sol.primal[n : 2 * n], 0.0, caps, "intervention", source)
+    return lp_step(
+        source, round_index, totals, matrix, sol.primal[:n], sol.primal[n : 2 * n],
+        budget, caps, fair_weights,
+    )
+
+
+def lp_step(source: str, round_index: int, totals: np.ndarray,
+            matrix: RelativeLiabilityMatrix, clearing: np.ndarray, z: np.ndarray,
+            budget: float, caps: np.ndarray, weights=None) -> PolicyStepResult:
+    """One round of an LP solution as a :class:`PolicyStepResult`.
+
+    The clearing is clipped into ``[0, totals]``, the intervention into
+    ``[0, caps]`` and rescaled onto ``budget``; a repair larger than
+    ``LP_REPAIR_TOL`` raises :class:`SolverError` naming ``source``.  The
+    Gini of the intervention is recorded when fairness ``weights`` are given.
+    """
+    clearing = _repair(clearing, 0.0, totals, "clearing", source)
+    # + 0.0 turns the LP's -0.0 into 0.0 whatever the memory layout of caps
+    z = _repair(z, 0.0, caps, "intervention", source) + 0.0
     z = _onto_budget(z, budget, source)
-    gini = None
-    if fair_weights is not None:
-        gini = gini_coefficient(z, fair_weights)
     return PolicyStepResult(
         round=round_index,
         totals=totals.copy(),
@@ -167,7 +186,7 @@ def per_round_lp(
         intervention=InterventionVector(amounts=z, budget=float(budget), caps=caps),
         reward=float(clearing.sum()),
         beta=matrix.row_sums.copy(),
-        gini=gini,
+        gini=None if weights is None else gini_coefficient(z, weights),
     )
 
 
@@ -228,6 +247,29 @@ def _path_key(path: SamplePath) -> bytes:
     return h.digest()
 
 
+def sample_paths(
+    env, n_samples: int, seed: int, horizon: int | None = None
+) -> tuple[list[np.random.Generator], list[SamplePath]]:
+    """Sample ``i`` draws rounds ``1..horizon`` (``env.horizon`` when None)
+    on ``substream(seed, i)``.  Returns the per-sample streams, left where
+    the path draw ends so later per-sample draws continue them, and the
+    paths."""
+    if n_samples < 1:
+        raise ValidationError("need at least one sample")
+    last = env.horizon if horizon is None else horizon
+    rngs = [substream(seed, i) for i in range(n_samples)]
+    return rngs, [env.sample_path(1, last, rng) for rng in rngs]
+
+
+def ordered_map(fn, items, threads: int = 1) -> list:
+    """``[fn(item) for item in items]`` on ``threads`` workers; results keep
+    the order of ``items`` whatever the worker count."""
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def once_per_distinct_path(paths: list[SamplePath], solve, threads: int = 1):
     """``[solve(path) for path in paths]`` with ``solve`` called once per
     distinct path (identical shocks, as a replay draws), in order of first
@@ -237,12 +279,7 @@ def once_per_distinct_path(paths: list[SamplePath], solve, threads: int = 1):
     first: dict[bytes, SamplePath] = {}
     for key, path in zip(keys, paths):
         first.setdefault(key, path)
-    if threads <= 1:
-        solved = [solve(p) for p in first.values()]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, first.values()))
-    by_key = dict(zip(first, solved))
+    by_key = dict(zip(first, ordered_map(solve, first.values(), threads)))
     return [by_key[key] for key in keys]
 
 
@@ -263,12 +300,7 @@ def sampled_runs(
     for a fixed seed regardless of the worker count.  Identical paths (as
     produced by replay or other degenerate environments) are solved once.
     """
-    if n_samples < 1:
-        raise ValidationError("need at least one sample")
-    last = env.horizon if horizon is None else horizon
-    paths = [
-        env.sample_path(1, last, substream(seed, i)) for i in range(n_samples)
-    ]
+    _, paths = sample_paths(env, n_samples, seed, horizon)
     solved = once_per_distinct_path(
         paths, lambda p: value_given_sample_path(start, p, budget, caps, fairness),
         threads,

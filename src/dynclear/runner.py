@@ -4,7 +4,6 @@ collects traces, and emits reproducible CSV/JSON outputs."""
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -12,22 +11,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ExperimentConfig, build_environment, effective_horizon
+from .config import ExperimentConfig, build_environment
 from .discrete import RoundingReport, discrete_runs
 from .errors import CertificateError, ValidationError
 from .fairness import price_of_fairness
 from .fractional import (
     PolicyStepResult,
-    _onto_budget,
-    _repair,
     broadcast_caps,
+    lp_step,
     once_per_distinct_path,
     rollout,
+    sample_paths,
     sampled_runs,
-    substream,
+    stderr,
 )
 from .horizon import check_constant_proportions, solve_horizon_primal
-from .network import InterventionVector, SystemState
+from .network import SystemState
 
 
 class Trace(NamedTuple):
@@ -125,12 +124,6 @@ class SummaryReport:
         if self.certificate_info is not None:
             out["certificate"] = self.certificate_info
         return out
-
-
-def _stderr(values) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
 def _stack(all_steps: list[list[PolicyStepResult]]) -> Trace:
@@ -289,11 +282,8 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
     clips payments to the replayed totals and interventions to the caps and
     rescales them onto the budget; a repair beyond ``LP_REPAIR_TOL`` raises
     :class:`SolverError`."""
-    paths = [
-        env.sample_path(1, horizon, substream(seed, i)) for i in range(n_samples)
-    ]
+    _, paths = sample_paths(env, n_samples, seed, horizon)
     caps_vec = broadcast_caps(caps, env.n)
-    source = "horizon LP replay"
 
     def solve(path):
         certificate = check_constant_proportions(path)
@@ -306,21 +296,9 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
         primal = solve_horizon_primal(path, budget, caps, certificate)
 
         def step(t, shock, state, matrix):
-            clearing = _repair(primal.clearing[t], 0.0, state.totals, "clearing",
-                               source)
-            # + 0.0 turns the LP's -0.0 into 0.0, as per_round_lp writes it
-            z = _repair(primal.interventions[t], 0.0, caps_vec, "intervention",
-                        source) + 0.0
-            z = _onto_budget(z, budget, source)
-            return PolicyStepResult(
-                round=shock.round,
-                totals=state.totals.copy(),
-                clearing=clearing,
-                intervention=InterventionVector(
-                    amounts=z, budget=budget, caps=caps_vec
-                ),
-                reward=float(clearing.sum()),
-                beta=matrix.row_sums.copy(),
+            return lp_step(
+                "horizon LP replay", shock.round, state.totals, matrix,
+                primal.clearing[t], primal.interventions[t], budget, caps_vec,
             )
 
         value, steps = rollout(SystemState.empty(path.n), path, step)
@@ -347,7 +325,6 @@ def run_experiment(
     """
     if env is None:
         env = build_environment(config)
-    horizon = effective_horizon(config, env)
     start = SystemState.empty(env.n)
     caps = config.caps
     rounding_reports = None
@@ -358,13 +335,13 @@ def run_experiment(
         runs = sampled_runs(
             env, start, config.samples, config.budget, caps,
             fairness=config.fairness, seed=config.seed,
-            threads=config.threads, horizon=horizon,
+            threads=config.threads, horizon=config.horizon,
         )
         if config.paired_pof:
             baseline = sampled_runs(
                 env, start, config.samples, config.budget, caps,
                 fairness=None, seed=config.seed,
-                threads=config.threads, horizon=horizon,
+                threads=config.threads, horizon=config.horizon,
             )
             pof_unc = float(np.mean([v for _, v, _ in baseline]))
             pof_con = float(np.mean([v for _, v, _ in runs]))
@@ -373,13 +350,13 @@ def run_experiment(
         results = discrete_runs(
             env, start, config.samples, config.budget, caps,
             tau=config.retries, seed=config.seed,
-            threads=config.threads, horizon=horizon,
+            threads=config.threads, horizon=config.horizon,
         )
         rounding_reports = tuple(r for _, r, _ in results)
         runs = [(p, r.value_sol, s) for p, r, s in results]
     elif config.mode == "horizon_lp":
         runs, certificate_info = _horizon_lp_runs(
-            env, horizon, config.samples, config.budget, caps, config.seed
+            env, config.horizon, config.samples, config.budget, caps, config.seed
         )
     else:  # pragma: no cover - guarded by config validation
         raise ValidationError(f"unknown mode {config.mode}")
@@ -388,7 +365,7 @@ def run_experiment(
     all_steps = [s for _, _, s in runs]
     trace = _stack(all_steps)
     by_round = _per_round(trace.rewards)
-    reward_stderr = [_stderr(r) for r in by_round]
+    reward_stderr = [stderr(r) for r in by_round]
 
     gini_per_round = None
     if config.fairness is not None:
@@ -401,9 +378,9 @@ def run_experiment(
         samples=config.samples,
         seed=config.seed,
         budget=config.budget,
-        horizon=horizon,
+        horizon=len(trace.rounds),
         total_value_mean=float(np.mean(values)),
-        total_value_stderr=_stderr(values),
+        total_value_stderr=stderr(values),
         per_round_rewards=tuple(by_round.mean(axis=1).tolist()),
         scatter=scatter,
         gini_per_round=gini_per_round,

@@ -84,6 +84,29 @@ def test_oracle_reports_exact_optimum(tmp_path, capsys):
     assert payload["per_sample"][0]["actions"] == [[1, 0, 0], [1, 0, 0]]
 
 
+def test_oracle_on_the_shipped_discrete_config(tmp_path, capsys):
+    config = os.path.join(
+        os.path.dirname(__file__), "..", "configs", "three_node", "discrete.json"
+    )
+    assert main(["oracle", config, "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "oracle.json").read_text())
+    assert sorted(payload) == ["budget", "mean_value", "per_sample", "samples"]
+    assert payload["budget"] == 1.0 and payload["samples"] == 5
+    assert payload["mean_value"] == pytest.approx(20 / 3, abs=1e-12)
+    for i, sample in enumerate(payload["per_sample"]):
+        assert sample["sample"] == i
+        assert sample["value"] == pytest.approx(20 / 3, abs=1e-12)
+        assert sample["actions"] == [[1, 0, 0], [1, 0, 0]]
+    assert len(payload["per_sample"]) == 5
+
+
+def gamma(**fields) -> dict:
+    """Overrides for a two-node transaction-count config."""
+    env = {"kind": "gamma_transactions", "counts": [[0, 1], [1, 0]],
+           "out_counts": [1, 1], "in_counts": [0, 1]}
+    return {"environment": {**env, **fields}, "horizon": 2}
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize(
     "field, overrides",
@@ -105,6 +128,12 @@ def test_oracle_reports_exact_optimum(tmp_path, capsys):
         }),
         ("samples", {"samples": True}),
         ("budget", {"budget": True}),
+        ("environment", gamma(counts=[["a", 1], [1, 0]])),
+        ("environment", gamma(out_counts=["a", 1])),
+        ("environment", gamma(counts=[[0, 1], [1]])),
+        ("environment", gamma(counts=[[0, 1.5], [1, 0]])),
+        ("environment", gamma(counts=[[0, -1], [1, 0]])),
+        ("environment", gamma(out_counts=[1, 1, 1])),
     ],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, command, field, overrides):

@@ -112,6 +112,48 @@ class TestSampleInterventions:
                 rng=np.random.default_rng(0),
             )
 
+    @staticmethod
+    def per_round_rounding(fractional, caps, budget, tau, rng):
+        """The per-round loop ``sample_interventions`` used to run: one
+        binomial call per round and attempt.  Returns the last draws, their
+        feasibility flags and the attempts used."""
+        caps = caps.astype(int)
+        probs = []
+        for z in fractional:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p = np.where(caps > 0, z / caps, 0.0)
+            probs.append(np.clip(p, 0.0, 1.0))
+        for attempt in range(1, tau + 1):
+            draws = [rng.binomial(caps, p) for p in probs]
+            feas = [float(d.sum()) <= budget + discrete.BUDGET_TOL for d in draws]
+            if all(feas):
+                return draws, feas, attempt
+        return draws, feas, tau
+
+    def test_array_draws_equal_the_per_round_loop(self):
+        sweep = np.random.default_rng(2024)
+        exhausted = zero_caps = 0
+        for seed in range(300):
+            n = int(sweep.integers(1, 7))
+            rounds = int(sweep.integers(1, 5))
+            caps = sweep.integers(0, 4, n).astype(float)
+            schedule = [sweep.uniform(0.0, 1.0, n) * caps for _ in range(rounds)]
+            budget = float(sweep.integers(0, 2 * n + 1))
+            tau = int(sweep.integers(1, 4))
+            actions, attempts = sample_interventions(
+                schedule, caps, budget, tau=tau, rng=np.random.default_rng(seed)
+            )
+            draws, feas, ref_attempts = self.per_round_rounding(
+                schedule, caps, budget, tau, np.random.default_rng(seed)
+            )
+            assert attempts == ref_attempts
+            for action, d, f in zip(actions, draws, feas):
+                np.testing.assert_array_equal(action.amounts, d)
+                assert action.feasible == f
+            exhausted += not all(feas)
+            zero_caps += bool(np.any(caps == 0))
+        assert exhausted > 0 and zero_caps > 0
+
 
 class TestHubDiscretePipeline:
     def test_rounding_is_deterministic_when_optimum_is_integral(self, hub_env):

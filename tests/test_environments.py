@@ -189,6 +189,24 @@ class TestGamma:
                 np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"counts": [["a", 1], [1, 0]]},
+            {"out_counts": ["a", 1]},
+            {"counts": [[0, 1], [1]]},
+            {"counts": [[0, 1.5], [1, 0]]},
+            {"in_counts": [0, -1]},
+            {"out_counts": [1, 1, 1]},
+            {"counts": [[0, np.inf], [1, 0]]},
+        ],
+    )
+    def test_environment_checks_counts_when_built(self, fields):
+        data = {"counts": [[0, 1], [1, 0]], "out_counts": [1, 1],
+                "in_counts": [0, 1], **fields}
+        with pytest.raises(ValidationError):
+            GammaEnvironment(horizon=2, **data)
+
     def test_environment_wrapper(self):
         env = GammaEnvironment(
             counts=np.array([[0, 3], [1, 0]]),

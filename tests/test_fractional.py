@@ -10,6 +10,7 @@ from dynclear import (
     SolverError,
     SystemState,
     ValidationError,
+    ValueEstimate,
     advance_state,
     aggregate_value,
     per_round_lp,
@@ -18,8 +19,8 @@ from dynclear import (
     substream,
     value_given_sample_path,
 )
-from dynclear.environments import EnvironmentModel
-from dynclear.fractional import sampled_runs
+from dynclear.environments import EnvironmentModel, SbmEnvironment, SbmParams
+from dynclear.fractional import ordered_map, sample_paths, sampled_runs, stderr
 
 from conftest import hub_path, hub_shock, random_general_path
 
@@ -208,6 +209,62 @@ class TestAggregateValue:
         draws_forward = [substream(7, i).random() for i in range(5)]
         draws_reverse = [substream(7, i).random() for i in reversed(range(5))]
         assert draws_forward == list(reversed(draws_reverse))
+
+
+class TestSamplePaths:
+    ENV = SbmEnvironment(
+        params=SbmParams(n_core=2, n_periphery=3,
+                         block_probs=np.array([[0.9, 0.5], [0.5, 0.1]])),
+        horizon=4,
+    )
+
+    @pytest.mark.parametrize("seed, horizon", [(0, None), (13, 2), (2**40, 4)])
+    def test_sample_i_draws_its_path_on_substream_i(self, seed, horizon):
+        rngs, paths = sample_paths(self.ENV, 6, seed, horizon)
+        last = self.ENV.horizon if horizon is None else horizon
+        for i, (rng, path) in enumerate(zip(rngs, paths)):
+            fresh = substream(seed, i)
+            expected = self.ENV.sample_path(1, last, fresh)
+            assert len(path) == last
+            for got, want in zip(path, expected):
+                assert got.round == want.round
+                np.testing.assert_array_equal(
+                    got.internal_liabilities, want.internal_liabilities
+                )
+                np.testing.assert_array_equal(
+                    got.external_liabilities, want.external_liabilities
+                )
+                np.testing.assert_array_equal(
+                    got.external_assets, want.external_assets
+                )
+            # the stream is handed back where the path draw left it
+            assert rng.random() == fresh.random()
+
+    def test_needs_a_sample(self):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            sample_paths(self.ENV, 0, 1)
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_results_keep_item_order(self, threads):
+        assert ordered_map(lambda x: x * x, range(20), threads) == [
+            x * x for x in range(20)
+        ]
+
+
+class TestStderr:
+    def test_matches_the_estimate_property(self):
+        values = (1.0, 4.0, 2.5, 7.0)
+        estimate = ValueEstimate(
+            mean=float(np.mean(values)), values=values, sample_count=4,
+            horizon_len=1,
+        )
+        assert stderr(values) == estimate.stderr
+        assert stderr(values) == pytest.approx(np.std(values, ddof=1) / 2.0)
+
+    def test_fewer_than_two_values_give_zero(self):
+        assert stderr([]) == 0.0 and stderr([3.0]) == 0.0
 
 
 class TestRequiredSamples:
