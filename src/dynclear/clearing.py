@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 from .errors import ContractionError, SolverError, ValidationError
 from .network import RelativeLiabilityMatrix
@@ -24,6 +23,17 @@ ROUTE_AGREEMENT_TOL = 1e-6
 LP_REPAIR_TOL = 1e-7
 
 LEQ, EQ, GEQ = "<=", "=", ">="
+
+#: Options of every HiGHS solve.  Presolve finds little to remove in these
+#: LPs and costs about a fifth of HiGHS time; without it, HiGHS's default
+#: dual feasibility tolerance (1e-7) leaves marginals that the horizon dual
+#: check can refuse.
+HIGHS_OPTIONS = {"output_flag": False, "presolve": "off",
+                 "dual_feasibility_tolerance": 1e-9}
+
+#: HiGHS ``simplex_strategy`` values: primal simplex runs first, dual
+#: simplex from scratch only when primal stalls.
+PRIMAL_SIMPLEX, DUAL_SIMPLEX = 4, 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +94,7 @@ class LpSolution:
     dual: np.ndarray | None
     objective_value: float | None
     message: str | None = None  # the solver's account of a non-optimal status
+    iterations: int = 0  # simplex iterations, over both solves after a stall
     bound_duals_lower: np.ndarray | None = None
     bound_duals_upper: np.ndarray | None = None
     _rhs: np.ndarray | None = None
@@ -104,83 +115,154 @@ class LpSolution:
         return total
 
 
-_STATUS_MAP = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+class _HighsResult(NamedTuple):
+    """One :func:`_highs` call in HiGHS's minimize convention."""
+
+    status: str  # optimal | infeasible | unbounded | failed
+    message: str | None
+    iterations: int
+    x: np.ndarray | None = None
+    objective: float | None = None
+    row_dual: np.ndarray | None = None
+    lower_dual: np.ndarray | None = None  # reduced costs of columns at lower
+    upper_dual: np.ndarray | None = None  # ... and at upper bound
 
 
-def _sparse_rows(rows: list[np.ndarray], sign: np.ndarray, n_cols: int):
-    """Dense coefficient rows, each scaled by its ``sign``, stacked into a
-    CSR matrix that stores only the nonzero coefficients."""
-    dense = np.array(rows, dtype=float).reshape(len(rows), n_cols)
-    nonzero = dense != 0.0
-    counts = nonzero.sum(axis=1)
-    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum(counts, out=indptr[1:])
-    flat = np.flatnonzero(nonzero)
-    data = dense.ravel()[flat] * np.repeat(sign, counts)
-    return csr_array((data, flat % n_cols, indptr), shape=(len(rows), n_cols))
+def _highs(cost, start, index, value, row_lower, row_upper,
+           col_lower, col_upper) -> _HighsResult:
+    """``min cost @ x`` s.t. ``row_lower <= A x <= row_upper`` and
+    ``col_lower <= x <= col_upper``, with ``A`` given as CSC arrays
+    ``(start, index, value)``: the one call into the HiGHS binding that
+    scipy bundles (private, imported on first use).
+
+    Primal simplex runs first (see README, "Numerical conventions").  When
+    it ends in any status but optimal, infeasible or unbounded, the solver
+    state is cleared and dual simplex solves once more from scratch.
+    """
+    from scipy.optimize._highspy import _core
+
+    model = _core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = len(cost)
+    model.num_row_ = model.a_matrix_.num_row_ = len(row_upper)
+    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = index
+    model.a_matrix_.value_ = value
+    model.col_cost_ = cost
+    model.col_lower_ = col_lower
+    model.col_upper_ = col_upper
+    model.row_lower_ = row_lower
+    model.row_upper_ = row_upper
+    status_names = {
+        _core.HighsModelStatus.kOptimal: "optimal",
+        _core.HighsModelStatus.kInfeasible: "infeasible",
+        _core.HighsModelStatus.kUnbounded: "unbounded",
+    }
+
+    highs = _core._Highs()
+    for key, option in HIGHS_OPTIONS.items():
+        highs.setOptionValue(key, option)
+    if highs.passModel(model) == _core.HighsStatus.kError:
+        return _HighsResult("failed", "HiGHS rejected the model", 0)
+    iterations = 0
+    for strategy in (PRIMAL_SIMPLEX, DUAL_SIMPLEX):
+        if strategy == DUAL_SIMPLEX:
+            highs.clearSolver()
+        highs.setOptionValue("simplex_strategy", strategy)
+        highs.run()
+        info = highs.getInfo()
+        iterations += info.simplex_iteration_count
+        model_status = highs.getModelStatus()
+        if model_status in status_names:
+            break
+    status = status_names.get(model_status, "failed")
+    if status != "optimal":
+        message = (
+            f"model_status is {highs.modelStatusToString(model_status)}; "
+            "primal_status is "
+            f"{highs.solutionStatusToString(info.primal_solution_status)}"
+        )
+        return _HighsResult(status, message, iterations)
+    solution = highs.getSolution()
+    col_status = np.array(highs.getBasis().col_status, dtype=np.int8)
+    col_dual = np.array(solution.col_dual)
+    return _HighsResult(
+        "optimal", None, iterations,
+        x=np.array(solution.col_value),
+        objective=info.objective_function_value,
+        row_dual=np.array(solution.row_dual),
+        lower_dual=np.where(
+            col_status == int(_core.HighsBasisStatus.kLower), col_dual, 0.0),
+        upper_dual=np.where(
+            col_status == int(_core.HighsBasisStatus.kUpper), col_dual, 0.0),
+    )
+
+
+def _csc_rows(rows: list[np.ndarray], sign: np.ndarray, n_cols: int):
+    """Dense coefficient rows, each scaled by its ``sign``, as the CSC arrays
+    ``(start, index, value)`` of their nonzero coefficients.  Rows are
+    stacked 256 at a time, so the scan never holds a dense copy of the whole
+    matrix (about 20 MB for a fairness LP at n = 50), and is no slower."""
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0))]
+    for first in range(0, len(rows), 256):
+        block = np.array(rows[first:first + 256], dtype=float).ravel()
+        at = np.flatnonzero(block != 0.0)
+        parts.append((at + first * n_cols, block[at]))
+    flat, value = (np.concatenate(part) for part in zip(*parts))
+    by_col = np.argsort(flat % n_cols, kind="stable")
+    row, col = np.divmod(flat[by_col], n_cols)
+    start = np.zeros(n_cols + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=n_cols), out=start[1:])
+    return start, row.astype(np.int32), value[by_col] * sign[row]
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a :class:`LinearProgram` and return primal and dual values.
 
-    The <= and >= rows (>= negated) and the = rows reach HiGHS as sparse
-    matrices that store only nonzero coefficients: the matrix scipy's dense
-    route would build, without its dense copies and checks.  HiGHS runs
-    without presolve (see README, "Numerical conventions").  Numerical
-    failure is reported through ``status='failed'``, never raised; a
-    non-optimal solution carries the backend's account in ``message``.
-    Output is deterministic for identical input.
+    HiGHS receives one sparse matrix that stores only nonzero coefficients:
+    the <= and >= rows (>= negated), then the = rows.  It runs without
+    presolve, by primal simplex from the all-slack basis, a feasible vertex
+    of every LP the package builds (see README, "Numerical conventions").  Numerical failure is reported through
+    ``status='failed'``, never raised; a non-optimal solution carries the
+    backend's account in ``message``.  Output is deterministic for
+    identical input.
     """
-    c = -lp.objective  # scipy minimizes
     rows = lp.constraints
     is_eq = np.array([rel == EQ for _, rel, _ in rows], dtype=bool)
+    order = np.concatenate((np.flatnonzero(~is_eq), np.flatnonzero(is_eq)))
     # a >= row is stored negated as a <= row
-    sign = np.array([-1.0 if rel == GEQ else 1.0 for _, rel, _ in rows])
+    sign = np.array([-1.0 if rows[k][1] == GEQ else 1.0 for k in order])
     rhs = np.array([b for _, _, b in rows], dtype=float)
-    ub_idx = np.flatnonzero(~is_eq)
-    eq_idx = np.flatnonzero(is_eq)
-    kwargs = {}
-    for idx, a_key, b_key in ((ub_idx, "A_ub", "b_ub"), (eq_idx, "A_eq", "b_eq")):
-        if idx.size:
-            kwargs[a_key] = _sparse_rows(
-                [rows[k][0] for k in idx], sign[idx], lp.n_variables
-            )
-            kwargs[b_key] = rhs[idx] * sign[idx]
-    bounds = [
-        (lo if math.isfinite(lo) else None, hi if math.isfinite(hi) else None)
-        for lo, hi in lp.variable_bounds
-    ]
+    row_upper = rhs[order] * sign
+    bounds = np.array(lp.variable_bounds, dtype=float).reshape(-1, 2)
     try:
-        # presolve finds little to remove in these LPs and costs ~1/5 of HiGHS
-        # time; without it, HiGHS's default dual feasibility tolerance (1e-7)
-        # leaves marginals that the horizon dual check can refuse
-        res = linprog(c, bounds=bounds, method="highs",
-                      options={"presolve": False,
-                               "dual_feasibility_tolerance": 1e-9},
-                      **kwargs)
+        res = _highs(
+            -lp.objective,  # HiGHS minimizes
+            *_csc_rows([rows[k][0] for k in order], sign, lp.n_variables),
+            np.where(is_eq[order], row_upper, -INF), row_upper,
+            bounds[:, 0], bounds[:, 1],
+        )
     except Exception as exc:  # defensive: backend bugs become a status
         return LpSolution(status="failed", primal=None, dual=None,
                           objective_value=None,
                           message=f"{type(exc).__name__}: {exc}")
-    status = _STATUS_MAP.get(res.status, "failed")
-    if status != "optimal":
-        return LpSolution(status=status, primal=None, dual=None,
-                          objective_value=None, message=res.message)
+    if res.status != "optimal":
+        return LpSolution(status=res.status, primal=None, dual=None,
+                          objective_value=None, message=res.message,
+                          iterations=res.iterations)
 
-    dual = np.zeros(len(lp.constraints))
-    # negating scipy's minimize-convention marginals yields maximize-convention
+    dual = np.empty(len(rows))
+    # negating HiGHS's minimize-convention duals yields maximize-convention
     # multipliers; a >= row was negated on the way in, which flips it back
-    if ub_idx.size:
-        dual[ub_idx] = -res.ineqlin.marginals * sign[ub_idx]
-    if eq_idx.size:
-        dual[eq_idx] = -res.eqlin.marginals
+    dual[order] = -res.row_dual * sign
     return LpSolution(
         status="optimal",
-        primal=res.x.copy(),
+        primal=res.x,
         dual=dual,
-        objective_value=float(-res.fun),
-        bound_duals_lower=-res.lower.marginals,
-        bound_duals_upper=-res.upper.marginals,
+        objective_value=float(-res.objective),
+        iterations=res.iterations,
+        bound_duals_lower=-res.lower_dual,
+        bound_duals_upper=-res.upper_dual,
         _rhs=rhs,
         _bounds=lp.variable_bounds,
     )

@@ -120,15 +120,36 @@ class TestSolveLp:
                 assert slack >= -1e-7  # primal feasibility
                 assert abs(dual * slack) <= 1e-6  # complementary slackness
 
+    def test_the_bundled_highs_binding_is_importable(self):
+        try:
+            from scipy.optimize._highspy._core import _Highs
+        except ImportError as exc:
+            pytest.fail(
+                "solve_lp runs HiGHS through scipy's private binding "
+                "scipy.optimize._highspy._core._Highs, which this scipy "
+                f"does not ship ({exc}); see README, Install"
+            )
+        assert callable(_Highs)
+
     def test_highs_receives_sparse_rows_without_zeros(self, monkeypatch):
-        seen = {}
-        real = dynclear.clearing.linprog
+        from scipy.optimize._highspy import _core
 
-        def spy(c, **kwargs):
-            seen.update(kwargs)
-            return real(c, **kwargs)
+        seen, options = {}, {}
+        real = dynclear.clearing._highs
 
-        monkeypatch.setattr(dynclear.clearing, "linprog", spy)
+        def spy(*args):
+            seen["args"] = args
+            return real(*args)
+
+        class Recording(_core._Highs):
+            def setOptionValue(self, key, value):
+                status = super().setOptionValue(key, value)
+                assert status == _core.HighsStatus.kOk, (key, value)
+                options[key] = value
+                return status
+
+        monkeypatch.setattr(dynclear.clearing, "_highs", spy)
+        monkeypatch.setattr(_core, "_Highs", Recording)
         # max 2x + y + z s.t. x + y <= 1.5, y - x >= 0.2, x + z = 1
         lp = LinearProgram(
             objective=[2.0, 1.0, 1.0],
@@ -140,19 +161,78 @@ class TestSolveLp:
             variable_bounds=((0.0, INF), (0.0, INF), (0.0, INF)),
         )
         sol = solve_lp(lp)
-        a_ub, a_eq = seen["A_ub"], seen["A_eq"]
-        assert scipy.sparse.issparse(a_ub) and scipy.sparse.issparse(a_eq)
-        assert np.all(a_ub.data != 0) and np.all(a_eq.data != 0)
+        cost, start, index, value, row_lower, row_upper, lo, hi = seen["args"]
+        assert np.all(value != 0)
         np.testing.assert_array_equal(
-            a_ub.toarray(), [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]
+            scipy.sparse.csc_array((value, index, start), shape=(3, 3)).toarray(),
+            [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]],
         )
-        np.testing.assert_array_equal(seen["b_ub"], [1.5, -0.2])
-        np.testing.assert_array_equal(a_eq.toarray(), [[1.0, 0.0, 1.0]])
-        assert seen["options"] == {
-            "presolve": False, "dual_feasibility_tolerance": 1e-9
+        np.testing.assert_array_equal(row_upper, [1.5, -0.2, 1.0])
+        np.testing.assert_array_equal(row_lower, [-INF, -INF, 1.0])
+        np.testing.assert_array_equal(cost, [-2.0, -1.0, -1.0])
+        assert options == {
+            "output_flag": False, "presolve": "off",
+            "dual_feasibility_tolerance": 1e-9, "simplex_strategy": 4,
         }
         np.testing.assert_allclose(sol.primal, [0.65, 0.85, 0.35], atol=1e-8)
         assert sol.dual_objective() == pytest.approx(sol.objective_value, abs=1e-9)
+        assert sol.iterations > 0
+
+    def test_a_primal_stall_gets_one_fresh_dual_solve(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        calls = []
+
+        class Stalling(_core._Highs):
+            """Reports kUnknown after the first run while ``stall`` is set,
+            as primal simplex does on some degenerate per-round LPs."""
+
+            stall = True
+
+            def clearSolver(self):
+                calls.append("clear")
+                return super().clearSolver()
+
+            def run(self):
+                calls.append(self.getOptionValue("simplex_strategy")[1])
+                return super().run()
+
+            def getModelStatus(self):
+                if self.stall and calls == [4]:
+                    return _core.HighsModelStatus.kUnknown
+                return super().getModelStatus()
+
+        lp = clearing_lp_model(*hub_round_one(), np.array([2.0, 0.0, 0.0]))
+        expected = solve_lp(lp)
+        monkeypatch.setattr(_core, "_Highs", Stalling)
+        sol = solve_lp(lp)
+        assert calls == [4, "clear", 1]
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.primal, expected.primal, atol=1e-12)
+        assert sol.iterations >= expected.iterations
+
+        calls.clear()
+        Stalling.stall = False
+        infeasible = LinearProgram(
+            objective=[1.0],
+            constraints=((np.array([1.0]), "<=", -1.0),),
+            variable_bounds=((0.0, INF),),
+        )
+        assert solve_lp(infeasible).status == "infeasible"
+        assert calls == [4]
+
+    def test_a_stall_of_both_solves_is_a_failed_status(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        class Stalled(_core._Highs):
+            def getModelStatus(self):
+                return _core.HighsModelStatus.kUnknown
+
+        monkeypatch.setattr(_core, "_Highs", Stalled)
+        sol = solve_lp(clearing_lp_model(*hub_round_one()))
+        assert sol.status == "failed" and "Unknown" in sol.message
+        with pytest.raises(SolverError, match="status failed: model_status is Unknown"):
+            clear_lp(*hub_round_one())
 
     def test_per_round_lp_matches_a_presolved_reference(self, monkeypatch):
         # HiGHS runs without presolve; the same dense rows handed to linprog
@@ -203,7 +283,7 @@ class TestSolveLp:
         def broken(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(dynclear.clearing, "linprog", broken)
+        monkeypatch.setattr(dynclear.clearing, "_highs", broken)
         matrix, totals, assets = hub_round_one()
         sol = solve_lp(clearing_lp_model(matrix, totals, assets))
         assert sol.status == "failed" and "boom" in sol.message
@@ -215,7 +295,7 @@ class TestSolveLp:
         def broken(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(dynclear.clearing, "linprog", broken)
+        monkeypatch.setattr(dynclear.clearing, "_highs", broken)
         with pytest.raises(SolverError, match="status failed: ValueError: boom"):
             BUILDERS[builder]()
 

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import dynclear
 from dynclear.cli import main
 
 from conftest import write_config
@@ -12,6 +15,31 @@ def test_validate_ok(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["validate", config]) == 0
     assert "OK" in capsys.readouterr().out
+
+
+def test_import_and_validate_load_no_scipy(tmp_path):
+    # scipy is imported on the first LP solve, not before
+    configs = [
+        write_config(tmp_path, mode="discrete", caps=1),
+        os.path.join(os.path.dirname(__file__), "..", "configs",
+                     "synthetic_fairness.json"),
+    ]
+    script = (
+        "import sys\n"
+        "import dynclear\n"
+        "from dynclear.cli import main\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        f"for config in {configs!r}:\n"
+        "    assert main(['validate', config]) == 0\n"
+        "print(loaded())\n"
+    )
+    src = os.path.dirname(os.path.dirname(dynclear.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[0] == "[]"  # after import dynclear
+    assert done.stdout.splitlines()[-1] == "[]"  # after both validations
 
 
 def test_validate_missing_replay_file(tmp_path, capsys):
