@@ -31,9 +31,13 @@ LEQ, EQ, GEQ = "<=", "=", ">="
 HIGHS_OPTIONS = {"output_flag": False, "presolve": "off",
                  "dual_feasibility_tolerance": 1e-9}
 
-#: HiGHS ``simplex_strategy`` values: primal simplex runs first, dual
-#: simplex from scratch only when primal stalls.
+#: HiGHS ``simplex_strategy`` values.
 PRIMAL_SIMPLEX, DUAL_SIMPLEX = 4, 1
+
+#: The solves of one LP as ``(simplex_strategy, from_scratch)``, each run
+#: only when the one before it stalls: primal simplex from the all-slack
+#: basis, dual simplex resumed from primal's basis, dual simplex afresh.
+SOLVES = ((PRIMAL_SIMPLEX, False), (DUAL_SIMPLEX, False), (DUAL_SIMPLEX, True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +98,7 @@ class LpSolution:
     dual: np.ndarray | None
     objective_value: float | None
     message: str | None = None  # the solver's account of a non-optimal status
-    iterations: int = 0  # simplex iterations, over both solves after a stall
+    iterations: int = 0  # simplex iterations, over every solve after a stall
     bound_duals_lower: np.ndarray | None = None
     bound_duals_upper: np.ndarray | None = None
     _rhs: np.ndarray | None = None
@@ -136,8 +140,9 @@ def _highs(cost, start, index, value, row_lower, row_upper,
     scipy bundles (private, imported on first use).
 
     Primal simplex runs first (see README, "Numerical conventions").  When
-    it ends in any status but optimal, infeasible or unbounded, the solver
-    state is cleared and dual simplex solves once more from scratch.
+    it ends in any status but optimal, infeasible or unbounded, dual simplex
+    resumes from its basis; when that stalls too, the solver state is
+    cleared and dual simplex solves once more from scratch (``SOLVES``).
     """
     from scipy.optimize._highspy import _core
 
@@ -165,8 +170,8 @@ def _highs(cost, start, index, value, row_lower, row_upper,
     if highs.passModel(model) == _core.HighsStatus.kError:
         return _HighsResult("failed", "HiGHS rejected the model", 0)
     iterations = 0
-    for strategy in (PRIMAL_SIMPLEX, DUAL_SIMPLEX):
-        if strategy == DUAL_SIMPLEX:
+    for strategy, from_scratch in SOLVES:
+        if from_scratch:
             highs.clearSolver()
         highs.setOptionValue("simplex_strategy", strategy)
         highs.run()

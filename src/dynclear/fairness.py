@@ -147,16 +147,16 @@ def gini_coefficient(interventions, weights: FairnessWeights) -> float:
 @dataclass(frozen=True, eq=False)
 class FairnessBlock:
     """LP rows over the stacked variables ``(Z, varpi)``: one slack per
-    unordered pair ``{i, j}`` (``i < j``) with ``w_ij + w_ji > 0``, its two
-    absolute-value sandwich rows, and one aggregate cap row.  All rows are
-    <= with the given right-hand sides; slacks are bounded below by 0 and
+    unordered pair ``{i, j}`` (``i < j``) with ``w_ij + w_ji > 0``, its one
+    row ``Z_i - Z_j - varpi_ij <= 0``, and one aggregate cap row.  All rows
+    are <= with zero right-hand sides; slacks are bounded below by 0 and
     unbounded above.  ``E`` below counts unordered pairs, so a symmetric
     weight matrix gets half the slacks of its ordered edge set."""
 
     edges: tuple[tuple[int, int], ...]
-    z_rows: np.ndarray      # (2E + 1, n)
-    slack_rows: np.ndarray  # (2E + 1, E)
-    rhs: np.ndarray         # (2E + 1,)
+    z_rows: np.ndarray      # (E + 1, n)
+    slack_rows: np.ndarray  # (E + 1, E)
+    rhs: np.ndarray         # (E + 1,)
 
     @property
     def n_slacks(self) -> int:
@@ -164,13 +164,15 @@ class FairnessBlock:
 
 
 def fairness_constraint_block(weights: FairnessWeights, g: float) -> FairnessBlock:
-    """Linearize ``GC(Z) <= g`` with one slack ``varpi_ij >= |Z_i - Z_j|``
-    per unordered pair and the aggregate row
-    ``sum_{i<j} (w_ij + w_ji) varpi_ij <= g * sum_i s_i Z_i``.
+    """Linearize ``GC(Z) <= g`` with one slack ``varpi_ij >= Z_i - Z_j`` per
+    unordered pair, weighted ``w'_ij = w_ij + w_ji``, and the aggregate row
+    ``sum_{i<j} w'_ij (2 varpi_ij - Z_i + Z_j) <= g * sum_i s_i Z_i``.
 
-    Both ordered edges of a pair bound the same ``|Z_i - Z_j|``, so merging
-    them into one slack weighted ``w_ij + w_ji`` is exact: the block's
-    feasible set, projected onto ``Z``, is ``GC(Z) <= g`` as before."""
+    Since ``|d| = 2 max(0, d) - d``, the slack ``max(0, Z_i - Z_j)`` turns
+    the cap row into ``sum w'_ij |Z_i - Z_j| <= g s^T Z``, and any larger
+    slack only tightens it (``w' >= 0``): the block's feasible set,
+    projected onto ``Z``, is exactly ``GC(Z) <= g``, with one row per pair
+    where a two-sided ``varpi >= |Z_i - Z_j|`` needs two."""
     if not 0.0 <= g <= 1.0:
         raise ValidationError(f"fairness cap must lie in [0, 1], got {g}")
     n = weights.n
@@ -178,22 +180,21 @@ def fairness_constraint_block(weights: FairnessWeights, g: float) -> FairnessBlo
     ii, jj = np.nonzero(np.triu(pair_w, k=1))
     e = ii.size
     k = np.arange(e)
-    z_rows = np.zeros((2 * e + 1, n))
-    slack_rows = np.zeros((2 * e + 1, e))
-    # Z_i - Z_j <= varpi_k   and   Z_j - Z_i <= varpi_k
-    z_rows[2 * k, ii] = 1.0
-    z_rows[2 * k, jj] = -1.0
-    z_rows[2 * k + 1, ii] = -1.0
-    z_rows[2 * k + 1, jj] = 1.0
-    slack_rows[2 * k, k] = -1.0
-    slack_rows[2 * k + 1, k] = -1.0
-    z_rows[-1] = -g * weights.node_mass()
-    slack_rows[-1] = pair_w[ii, jj]
+    w = pair_w[ii, jj]
+    z_rows = np.zeros((e + 1, n))
+    slack_rows = np.zeros((e + 1, e))
+    # Z_i - Z_j <= varpi_k
+    z_rows[k, ii] = 1.0
+    z_rows[k, jj] = -1.0
+    slack_rows[k, k] = -1.0
+    # sum_k w'_k (2 varpi_k - Z_i + Z_j) - g s^T Z <= 0
+    z_rows[-1] = -g * weights.node_mass() - w @ z_rows[:e]
+    slack_rows[-1] = 2.0 * w
     return FairnessBlock(
         edges=tuple(zip(ii.tolist(), jj.tolist())),
         z_rows=z_rows,
         slack_rows=slack_rows,
-        rhs=np.zeros(2 * e + 1),
+        rhs=np.zeros(e + 1),
     )
 
 

@@ -3,8 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dynclear import ReplayEnvironment, SamplePath, ShockRealization, SystemState
+
+
+# Every property test replays the same examples on every run (no example
+# database), and LP solve times that vary with host load fail no example.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def hub_shock(t: int) -> ShockRealization:

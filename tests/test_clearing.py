@@ -184,10 +184,11 @@ class TestSolveLp:
         calls = []
 
         class Stalling(_core._Highs):
-            """Reports kUnknown after the first run while ``stall`` is set,
-            as primal simplex does on some degenerate per-round LPs."""
+            """Reports kUnknown after the runs listed in ``stalls``, as
+            primal simplex (and sometimes the resumed dual) does on some
+            degenerate LPs."""
 
-            stall = True
+            stalls = ()
 
             def clearSolver(self):
                 calls.append("clear")
@@ -198,21 +199,29 @@ class TestSolveLp:
                 return super().run()
 
             def getModelStatus(self):
-                if self.stall and calls == [4]:
+                if calls in self.stalls:
                     return _core.HighsModelStatus.kUnknown
                 return super().getModelStatus()
 
         lp = clearing_lp_model(*hub_round_one(), np.array([2.0, 0.0, 0.0]))
         expected = solve_lp(lp)
         monkeypatch.setattr(_core, "_Highs", Stalling)
-        sol = solve_lp(lp)
-        assert calls == [4, "clear", 1]
-        assert sol.status == "optimal"
-        np.testing.assert_allclose(sol.primal, expected.primal, atol=1e-12)
-        assert sol.iterations >= expected.iterations
+        # dual simplex resumes from the stalled basis, and only a second
+        # stall clears the solver for a dual solve from scratch
+        for stalls, sequence in (
+            ([[4]], [4, 1]),
+            ([[4], [4, 1]], [4, 1, "clear", 1]),
+        ):
+            calls.clear()
+            Stalling.stalls = stalls
+            sol = solve_lp(lp)
+            assert calls == sequence
+            assert sol.status == "optimal"
+            np.testing.assert_allclose(sol.primal, expected.primal, atol=1e-12)
+            assert sol.iterations >= expected.iterations
 
         calls.clear()
-        Stalling.stall = False
+        Stalling.stalls = ()
         infeasible = LinearProgram(
             objective=[1.0],
             constraints=((np.array([1.0]), "<=", -1.0),),
@@ -403,7 +412,7 @@ def clearing_stacks(draw):
     return list(matrices), np.stack(totals), np.stack(assets), z
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(clearing_stacks(), st.data())
 def test_clearing_kernel_is_the_exact_greatest_fixed_point(stack, data):
     matrices, totals, assets, z = stack
@@ -439,3 +448,13 @@ def test_clearing_kernel_is_the_exact_greatest_fixed_point(stack, data):
     bad[j, 0, -1] = 1.0  # node 0 owes everything to node n - 1
     with pytest.raises(ContractionError):
         clear_stack(bad, totals, assets + z)
+
+
+def test_property_tests_run_under_the_derandomized_profile():
+    # conftest loads one profile for every property test; a test's own
+    # @settings(max_examples=...) inherits the rest of it
+    assert settings.default.derandomize
+    assert settings.default.database is None
+    assert settings.default.deadline is None
+    own = settings(max_examples=60)
+    assert own.derandomize and own.database is None and own.deadline is None

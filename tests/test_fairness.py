@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from dynclear import (
@@ -106,8 +107,8 @@ class TestConstraintBlock:
         matrix, _ = hub_matrix()
         w = spatial_weights(matrix)
         block = fairness_constraint_block(w, 0.5)
-        assert block.z_rows.shape == (2 * 2 + 1, 3)
-        assert block.slack_rows.shape == (5, 2)
+        assert block.z_rows.shape == (2 + 1, 3)
+        assert block.slack_rows.shape == (3, 2)
         np.testing.assert_allclose(block.rhs, 0.0)
 
     def test_symmetric_pairs_share_one_slack(self):
@@ -115,8 +116,8 @@ class TestConstraintBlock:
             block = fairness_constraint_block(standard_weights(n), 0.5)
             e = n * (n - 1) // 2
             assert block.n_slacks == e
-            assert block.z_rows.shape == (2 * e + 1, n)
-            assert block.slack_rows.shape == (2 * e + 1, e)
+            assert block.z_rows.shape == (e + 1, n)
+            assert block.slack_rows.shape == (e + 1, e)
             assert all(i < j for i, j in block.edges)
 
     def test_cap_row_weights_are_pair_sums(self):
@@ -132,11 +133,40 @@ class TestConstraintBlock:
                 if w[i, j] + w[j, i] > 0
             }
             assert set(block.edges) == pairs
+            cap_z = -0.3 * weights.node_mass()
             for k, (i, j) in enumerate(block.edges):
-                assert block.slack_rows[-1, k] == w[i, j] + w[j, i]
-            np.testing.assert_array_equal(
-                block.z_rows[-1], -0.3 * weights.node_mass()
+                assert block.slack_rows[-1, k] == 2 * (w[i, j] + w[j, i])
+                # pair row k: Z_i - Z_j - varpi_k <= 0
+                assert block.z_rows[k, i] == 1.0 and block.z_rows[k, j] == -1.0
+                assert np.count_nonzero(block.z_rows[k]) == 2
+                assert block.slack_rows[k, k] == -1.0
+                assert np.count_nonzero(block.slack_rows[k]) == 1
+                cap_z[i] -= w[i, j] + w[j, i]
+                cap_z[j] += w[i, j] + w[j, i]
+            np.testing.assert_allclose(block.z_rows[-1], cap_z, rtol=0, atol=1e-12)
+
+    def test_cap_row_at_the_tight_slacks_is_the_weighted_gap(self):
+        # |d| = 2 max(0, d) - d: at varpi = max(0, Z_i - Z_j) the cap row
+        # reads sum_{i<j} (w_ij + w_ji) |Z_i - Z_j| - g s^T Z
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n = int(rng.integers(2, 8))
+            w = rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.6)
+            np.fill_diagonal(w, 0.0)
+            weights = FairnessWeights(kind="spatial", weights=w)
+            g = float(rng.uniform(0, 1))
+            block = fairness_constraint_block(weights, g)
+            z = rng.uniform(0, 3, n)
+            ii, jj = np.array(block.edges, dtype=int).reshape(-1, 2).T
+            varpi = np.maximum(0.0, z[ii] - z[jj])
+            cap = block.z_rows[-1] @ z + block.slack_rows[-1] @ varpi
+            gap = float(np.sum(w * np.abs(z[:, None] - z[None, :])))
+            assert cap == pytest.approx(
+                gap - g * weights.node_mass() @ z, rel=0, abs=1e-12
             )
+            # and the pair rows hold with equality or slack at varpi
+            pair = block.z_rows[:-1] @ z + block.slack_rows[:-1] @ varpi
+            assert pair.max(initial=0.0) <= 1e-12
 
     def test_unit_cap_never_binds(self):
         spec = FairnessSpec(kind="standard", budget=FairnessBudget(1.0))
@@ -304,3 +334,35 @@ class TestMergedBlockEquivalence:
                 )
                 assert step.reward == pytest.approx(expected, abs=1e-7)
                 assert step.gini <= g + 1e-7
+
+
+@st.composite
+def fairness_rounds(draw):
+    """One random round on up to 6 nodes with a fairness spec of any kind
+    and a cap ``g`` in [0, 1], both ends drawn on purpose."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shock = random_general_path(rng, n, 1).shocks[0]
+    state = advance_state(SystemState.empty(n), np.zeros(n), shock)
+    g = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, allow_subnormal=False))
+    kind = draw(st.sampled_from(["standard", "spatial", "property"]))
+    spec = FairnessSpec(
+        kind=kind, budget=FairnessBudget(g),
+        q=rng.uniform(0, 1, n) if kind == "property" else None,
+        masked=draw(st.booleans()),
+    )
+    budget = float(rng.uniform(0.5, 3.0))
+    caps = rng.uniform(0.2, 2.0, n)
+    return relative_matrix(state), state.totals, shock.external_assets, budget, caps, spec
+
+
+@settings(max_examples=80)
+@given(fairness_rounds())
+def test_fairness_lp_is_exact_and_respects_the_cap(instance):
+    matrix, totals, assets, budget, caps, spec = instance
+    step = per_round_lp(matrix, totals, assets, budget, caps, fairness=spec)
+    expected = ordered_edge_reference(
+        matrix, totals, assets, budget, caps, spec.weights_for(matrix), spec.g
+    )
+    assert step.reward == pytest.approx(expected, abs=1e-7)
+    assert step.gini <= spec.g + 1e-6

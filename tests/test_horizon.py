@@ -300,7 +300,7 @@ def horizon_instances(draw):
     return path, budget, caps
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30)
 @given(horizon_instances())
 def test_horizon_duality_and_myopic_optimality_hold(instance):
     path, budget, caps = instance
