@@ -4,7 +4,6 @@ algorithm and by linear program, plus the generic LP contract both routes
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,8 +20,6 @@ ROUTE_AGREEMENT_TOL = 1e-6
 #: Largest clip or rescale applied to an LP primal before it counts as a
 #: solver failure: the HiGHS primal feasibility tolerance.
 LP_REPAIR_TOL = 1e-7
-
-LEQ, EQ, GEQ = "<=", "=", ">="
 
 #: Options of every HiGHS solve.  Presolve finds little to remove in these
 #: LPs and costs about a fifth of HiGHS time; without it, HiGHS's default
@@ -42,55 +39,65 @@ SOLVES = ((PRIMAL_SIMPLEX, False), (DUAL_SIMPLEX, False), (DUAL_SIMPLEX, True))
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """A maximization LP: ``max objective @ x`` subject to constraint rows
-    ``(coefficients, relation, rhs)`` with relation in {<=, =, >=} and
-    per-variable bounds ``[lo, hi]`` (``inf`` sentinels allowed)."""
+    """``max objective @ x`` subject to ``A x <= rhs`` and ``0 <= x <= upper``
+    (``inf`` allowed): the one form of every LP the package builds.
 
-    objective: np.ndarray
-    constraints: tuple[tuple[np.ndarray, str, float], ...]
-    variable_bounds: tuple[tuple[float, float], ...]
+    ``A`` is held as the CSC arrays HiGHS takes: column ``j`` has the
+    nonzeros ``value[start[j]:start[j + 1]]`` in the rows
+    ``index[start[j]:start[j + 1]]``, ascending.  Build one with
+    :func:`leq_program`, which checks shapes and bounds.
+    """
 
-    def __post_init__(self):
-        obj = np.asarray(self.objective, dtype=float)
-        if obj.ndim != 1:
-            raise ValidationError("objective must be a vector")
-        d = obj.shape[0]
-        rows = []
-        for k, (coeffs, rel, rhs) in enumerate(self.constraints):
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (d,):
-                raise ValidationError(
-                    f"constraint {k} has {coeffs.shape} coefficients, expected ({d},)"
-                )
-            if rel not in (LEQ, EQ, GEQ):
-                raise ValidationError(f"constraint {k} has unknown relation {rel!r}")
-            rows.append((coeffs, rel, float(rhs)))
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.variable_bounds)
-        if len(bounds) != d:
-            raise ValidationError(
-                f"{len(bounds)} variable bounds for {d} variables"
-            )
-        for i, (lo, hi) in enumerate(bounds):
-            if math.isnan(lo) or math.isnan(hi) or lo > hi:
-                raise ValidationError(f"variable {i} has invalid bounds [{lo}, {hi}]")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "variable_bounds", bounds)
+    objective: np.ndarray  # (d,)
+    start: np.ndarray      # (d + 1,) int32
+    index: np.ndarray      # (nnz,) int32
+    value: np.ndarray      # (nnz,)
+    rhs: np.ndarray        # (m,)
+    upper: np.ndarray      # (d,)
 
     @property
     def n_variables(self) -> int:
         return self.objective.shape[0]
+
+    @property
+    def constraints(self) -> "_Rows":
+        """The rows as dense ``(coefficients, "<=", rhs)`` tuples, built one
+        at a time from the CSC arrays.  Read-only; it exists only for the
+        benchmark tracer and for tests, and goes when tracing reads the CSC
+        arrays (ROADMAP item 3)."""
+        return _Rows(self)
+
+
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """Lazy sequence behind :attr:`LinearProgram.constraints`: rows are
+    scattered 256 at a time into a dense block, never the whole matrix."""
+
+    lp: LinearProgram
+
+    def __len__(self) -> int:
+        return self.lp.rhs.shape[0]
+
+    def __iter__(self):
+        lp = self.lp
+        cols = np.repeat(np.arange(lp.n_variables), np.diff(lp.start))
+        for first in range(0, len(self), 256):
+            rhs = lp.rhs[first:first + 256]
+            at = (first <= lp.index) & (lp.index < first + rhs.size)
+            block = np.zeros((rhs.size, lp.n_variables))
+            block[lp.index[at] - first, cols[at]] = lp.value[at]
+            yield from ((row, "<=", float(b)) for row, b in zip(block, rhs))
 
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     """Solver output in the maximize convention.
 
-    ``dual`` carries one multiplier per constraint row (nonnegative for <=
-    rows, nonpositive for >=, free for =).  ``bound_duals_lower/upper`` are
-    the reduced costs attached to the variable bounds; together with ``dual``
-    they reproduce the optimal objective (strong duality), which is what
-    :meth:`dual_objective` evaluates.
+    ``dual`` carries one nonnegative multiplier per constraint row and
+    ``bound_duals_upper`` the reduced costs of the columns at their upper
+    bound; together they reproduce the optimal objective (strong duality,
+    the lower bounds being 0), which is what :meth:`dual_objective`
+    evaluates.
     """
 
     status: str  # optimal | infeasible | unbounded | failed
@@ -99,24 +106,16 @@ class LpSolution:
     objective_value: float | None
     message: str | None = None  # the solver's account of a non-optimal status
     iterations: int = 0  # simplex iterations, over every solve after a stall
-    bound_duals_lower: np.ndarray | None = None
     bound_duals_upper: np.ndarray | None = None
-    _rhs: np.ndarray | None = None
-    _bounds: tuple[tuple[float, float], ...] | None = None
+    _lp: LinearProgram | None = None
 
     def dual_objective(self) -> float:
         if self.status != "optimal":
             raise SolverError("dual objective only defined for optimal solutions")
-        total = float(np.dot(self.dual, self._rhs))
-        for (lo, hi), zl, zu in zip(
-            self._bounds, self.bound_duals_lower, self.bound_duals_upper
-        ):
-            # a multiplier on an infinite bound is necessarily zero
-            if math.isfinite(lo) and zl != 0.0:
-                total += zl * lo
-            if math.isfinite(hi) and zu != 0.0:
-                total += zu * hi
-        return total
+        # a multiplier on an infinite bound is 0
+        finite = np.isfinite(self._lp.upper)
+        return float(np.dot(self.dual, self._lp.rhs)
+                     + np.dot(self.bound_duals_upper[finite], self._lp.upper[finite]))
 
 
 class _HighsResult(NamedTuple):
@@ -128,8 +127,7 @@ class _HighsResult(NamedTuple):
     x: np.ndarray | None = None
     objective: float | None = None
     row_dual: np.ndarray | None = None
-    lower_dual: np.ndarray | None = None  # reduced costs of columns at lower
-    upper_dual: np.ndarray | None = None  # ... and at upper bound
+    upper_dual: np.ndarray | None = None  # reduced costs of columns at upper
 
 
 def _highs(cost, start, index, value, row_lower, row_upper,
@@ -190,62 +188,33 @@ def _highs(cost, start, index, value, row_lower, row_upper,
         return _HighsResult(status, message, iterations)
     solution = highs.getSolution()
     col_status = np.array(highs.getBasis().col_status, dtype=np.int8)
-    col_dual = np.array(solution.col_dual)
     return _HighsResult(
         "optimal", None, iterations,
         x=np.array(solution.col_value),
         objective=info.objective_function_value,
         row_dual=np.array(solution.row_dual),
-        lower_dual=np.where(
-            col_status == int(_core.HighsBasisStatus.kLower), col_dual, 0.0),
-        upper_dual=np.where(
-            col_status == int(_core.HighsBasisStatus.kUpper), col_dual, 0.0),
+        upper_dual=np.where(col_status == int(_core.HighsBasisStatus.kUpper),
+                            np.array(solution.col_dual), 0.0),
     )
-
-
-def _csc_rows(rows: list[np.ndarray], sign: np.ndarray, n_cols: int):
-    """Dense coefficient rows, each scaled by its ``sign``, as the CSC arrays
-    ``(start, index, value)`` of their nonzero coefficients.  Rows are
-    stacked 256 at a time, so the scan never holds a dense copy of the whole
-    matrix (about 20 MB for a fairness LP at n = 50), and is no slower."""
-    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0))]
-    for first in range(0, len(rows), 256):
-        block = np.array(rows[first:first + 256], dtype=float).ravel()
-        at = np.flatnonzero(block != 0.0)
-        parts.append((at + first * n_cols, block[at]))
-    flat, value = (np.concatenate(part) for part in zip(*parts))
-    by_col = np.argsort(flat % n_cols, kind="stable")
-    row, col = np.divmod(flat[by_col], n_cols)
-    start = np.zeros(n_cols + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=n_cols), out=start[1:])
-    return start, row.astype(np.int32), value[by_col] * sign[row]
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a :class:`LinearProgram` and return primal and dual values.
 
-    HiGHS receives one sparse matrix that stores only nonzero coefficients:
-    the <= and >= rows (>= negated), then the = rows.  It runs without
-    presolve, by primal simplex from the all-slack basis, a feasible vertex
-    of every LP the package builds (see README, "Numerical conventions").  Numerical failure is reported through
+    The CSC arrays, ``rhs`` and ``upper`` go to HiGHS as they are, with
+    ``-inf`` as every row's lower bound and ``0`` as every column's.  HiGHS
+    runs without presolve, by primal simplex from the all-slack basis, a
+    feasible vertex of every LP the package builds (see README, "Numerical
+    conventions").  Numerical failure is reported through
     ``status='failed'``, never raised; a non-optimal solution carries the
     backend's account in ``message``.  Output is deterministic for
     identical input.
     """
-    rows = lp.constraints
-    is_eq = np.array([rel == EQ for _, rel, _ in rows], dtype=bool)
-    order = np.concatenate((np.flatnonzero(~is_eq), np.flatnonzero(is_eq)))
-    # a >= row is stored negated as a <= row
-    sign = np.array([-1.0 if rows[k][1] == GEQ else 1.0 for k in order])
-    rhs = np.array([b for _, _, b in rows], dtype=float)
-    row_upper = rhs[order] * sign
-    bounds = np.array(lp.variable_bounds, dtype=float).reshape(-1, 2)
     try:
         res = _highs(
             -lp.objective,  # HiGHS minimizes
-            *_csc_rows([rows[k][0] for k in order], sign, lp.n_variables),
-            np.where(is_eq[order], row_upper, -INF), row_upper,
-            bounds[:, 0], bounds[:, 1],
+            lp.start, lp.index, lp.value, np.full(lp.rhs.shape, -INF), lp.rhs,
+            np.zeros(lp.n_variables), lp.upper,
         )
     except Exception as exc:  # defensive: backend bugs become a status
         return LpSolution(status="failed", primal=None, dual=None,
@@ -255,21 +224,15 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         return LpSolution(status=res.status, primal=None, dual=None,
                           objective_value=None, message=res.message,
                           iterations=res.iterations)
-
-    dual = np.empty(len(rows))
-    # negating HiGHS's minimize-convention duals yields maximize-convention
-    # multipliers; a >= row was negated on the way in, which flips it back
-    dual[order] = -res.row_dual * sign
+    # negating HiGHS's minimize-convention duals gives maximize-convention ones
     return LpSolution(
         status="optimal",
         primal=res.x,
-        dual=dual,
+        dual=-res.row_dual,
         objective_value=float(-res.objective),
         iterations=res.iterations,
-        bound_duals_lower=-res.lower_dual,
         bound_duals_upper=-res.upper_dual,
-        _rhs=rhs,
-        _bounds=lp.variable_bounds,
+        _lp=lp,
     )
 
 
@@ -339,15 +302,58 @@ def clear_fixed_point(
     return clear_stack(matrix.entries[None], totals[None], (assets + z)[None])[0]
 
 
-def leq_program(objective, lhs, rhs, upper) -> LinearProgram:
-    """``max objective @ x`` subject to ``lhs @ x <= rhs`` and
-    ``0 <= x <= upper`` (``inf`` allowed): the form of every LP the package
-    builds, and the one place that writes it as constraint rows."""
-    return LinearProgram(
-        objective=objective,
-        constraints=tuple((row, LEQ, b) for row, b in zip(lhs, rhs)),
-        variable_bounds=tuple((0.0, hi) for hi in upper),
+def dense_coo(block, row0: int = 0, col0: int = 0):
+    """COO triplets ``(rows, cols, values)`` of the nonzeros of a dense
+    ``block`` whose top-left entry sits at ``(row0, col0)``."""
+    rows, cols = np.nonzero(block)
+    return rows + row0, cols + col0, block[rows, cols]
+
+
+def kron_coo(a, b, row0: int = 0, col0: int = 0):
+    """:func:`dense_coo` of ``np.kron(a, b)``, built from the nonzeros of
+    ``a`` and ``b`` without the dense product; each value is the same
+    product ``a[i, j] * b[k, l]`` that ``np.kron`` forms."""
+    ra, ca, va = dense_coo(a)
+    rb, cb, vb = dense_coo(b)
+    rows = ra[:, None] * b.shape[0] + rb + row0
+    cols = ca[:, None] * b.shape[1] + cb + col0
+    return rows.ravel(), cols.ravel(), (va[:, None] * vb).ravel()
+
+
+def leq_program(objective, triplets, rhs, upper) -> LinearProgram:
+    """``max objective @ x`` subject to ``A x <= rhs`` and ``0 <= x <= upper``
+    (``inf`` allowed), with ``A`` given as COO blocks ``(rows, cols,
+    values)`` that hold each entry at most once: the one COO -> CSC step of
+    the package.
+
+    Exact zeros are dropped and the rest sorted by (column, row), the order
+    a column-wise scan of the dense matrix gives.  Shapes, indices and
+    bounds are checked vectorised and raise :class:`ValidationError`.
+    """
+    objective, rhs, upper = (
+        np.asarray(a, dtype=float) for a in (objective, rhs, upper)
     )
+    m, d = rhs.size, objective.size
+    if ((objective.ndim, rhs.ndim, upper.shape) != (1, 1, (d,))
+            or not np.all(upper >= 0)):
+        raise ValidationError(f"objective, rhs and {d} bounds >= 0 must be vectors")
+    rows, cols, values = (
+        np.concatenate([np.ravel(t[k]) for t in triplets] or [np.zeros(0)])
+        for k in range(3)
+    )
+    rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+    if not (rows.shape == cols.shape == values.shape
+            and np.all((0 <= rows) & (rows < m) & (0 <= cols) & (cols < d))):
+        raise ValidationError(f"the COO triplets do not fit a {m} x {d} matrix")
+    keep = np.flatnonzero(values != 0.0)
+    keep = keep[np.argsort(cols[keep] * m + rows[keep])]  # by (column, row)
+    rows, cols = rows[keep], cols[keep]
+    if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+        raise ValidationError("a constraint entry is given twice")
+    start = np.zeros(d + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=d), out=start[1:])
+    return LinearProgram(objective, start, rows.astype(np.int32), values[keep],
+                         rhs, upper)
 
 
 def solve_optimal(lp: LinearProgram, what: str) -> LpSolution:
@@ -371,7 +377,7 @@ def clearing_lp_model(
     n = matrix.n
     z = np.zeros(n) if interventions is None else np.asarray(interventions, float)
     return leq_program(
-        np.ones(n), np.eye(n) - matrix.entries.T,
+        np.ones(n), [dense_coo(np.eye(n) - matrix.entries.T)],
         np.asarray(assets, dtype=float) + z, np.asarray(totals, dtype=float),
     )
 

@@ -154,13 +154,19 @@ class FairnessBlock:
     weight matrix gets half the slacks of its ordered edge set."""
 
     edges: tuple[tuple[int, int], ...]
-    z_rows: np.ndarray      # (E + 1, n)
-    slack_rows: np.ndarray  # (E + 1, E)
-    rhs: np.ndarray         # (E + 1,)
+    z_rows: np.ndarray     # (E + 1, n)
+    cap_slack: np.ndarray  # (E,): the cap row's slack coefficients 2 w'
+    rhs: np.ndarray        # (E + 1,)
 
     @property
     def n_slacks(self) -> int:
         return len(self.edges)
+
+    @property
+    def slack_rows(self) -> np.ndarray:
+        """The (E + 1, E) slack coefficients as a dense matrix, for
+        inspection; ``per_round_lp`` emits their nonzeros directly."""
+        return np.vstack([-np.eye(self.n_slacks), self.cap_slack])
 
 
 def fairness_constraint_block(weights: FairnessWeights, g: float) -> FairnessBlock:
@@ -182,18 +188,15 @@ def fairness_constraint_block(weights: FairnessWeights, g: float) -> FairnessBlo
     k = np.arange(e)
     w = pair_w[ii, jj]
     z_rows = np.zeros((e + 1, n))
-    slack_rows = np.zeros((e + 1, e))
     # Z_i - Z_j <= varpi_k
     z_rows[k, ii] = 1.0
     z_rows[k, jj] = -1.0
-    slack_rows[k, k] = -1.0
     # sum_k w'_k (2 varpi_k - Z_i + Z_j) - g s^T Z <= 0
     z_rows[-1] = -g * weights.node_mass() - w @ z_rows[:e]
-    slack_rows[-1] = 2.0 * w
     return FairnessBlock(
         edges=tuple(zip(ii.tolist(), jj.tolist())),
         z_rows=z_rows,
-        slack_rows=slack_rows,
+        cap_slack=2.0 * w,
         rhs=np.zeros(e + 1),
     )
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import LP_REPAIR_TOL, SolverError, leq_program, solve_optimal
+from .clearing import LP_REPAIR_TOL, SolverError, dense_coo, leq_program, solve_optimal
 from .errors import ValidationError
 from .fairness import FairnessSpec, fairness_constraint_block, gini_coefficient
 from .network import (
@@ -143,22 +143,25 @@ def per_round_lp(
 
     n_slack = block.n_slacks if block is not None else 0
     objective = np.concatenate([np.ones(n), np.zeros(n + n_slack)])
-    n_rows = n + 1 + (block.rhs.size if block is not None else 0)
-    lhs = np.zeros((n_rows, objective.size))
-    # default constraint: (I - A^T) P_tilde - Z <= c
-    lhs[:n, :n] = np.eye(n) - matrix.entries.T
-    lhs[:n, n : 2 * n] = -np.eye(n)
-    # budget: 1^T Z <= B
-    lhs[n, n : 2 * n] = 1.0
+    k = np.arange(n)
+    triplets = [
+        # default constraint: (I - A^T) P_tilde - Z <= c
+        dense_coo(np.eye(n) - matrix.entries.T),
+        (k, n + k, np.full(n, -1.0)),
+        # budget: 1^T Z <= B
+        (np.full(n, n), n + k, np.ones(n)),
+    ]
     rhs = np.append(assets, float(budget))
     if block is not None:
-        lhs[n + 1 :, n : 2 * n] = block.z_rows
-        lhs[n + 1 :, 2 * n :] = block.slack_rows
+        e = np.arange(n_slack)  # -varpi_k in pair row k, 2 w'_k varpi_k in the cap row
+        triplets += [dense_coo(block.z_rows, n + 1, n),
+                     (n + 1 + e, 2 * n + e, np.full(n_slack, -1.0)),
+                     (np.full(n_slack, n + 1 + n_slack), 2 * n + e, block.cap_slack)]
         rhs = np.concatenate([rhs, block.rhs])
     upper = np.concatenate([totals, caps, np.full(n_slack, np.inf)])
 
     source = "per-round allocation LP"
-    sol = solve_optimal(leq_program(objective, lhs, rhs, upper), source)
+    sol = solve_optimal(leq_program(objective, triplets, rhs, upper), source)
     return lp_step(
         source, round_index, totals, matrix, sol.primal[:n], sol.primal[n : 2 * n],
         budget, caps, fair_weights,

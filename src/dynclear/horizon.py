@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import LP_REPAIR_TOL, leq_program, solve_optimal
+from .clearing import LP_REPAIR_TOL, kron_coo, leq_program, solve_optimal
 from .errors import CertificateError, MyopicGapError, SolverError
 from .fractional import broadcast_caps, value_given_sample_path
 from .network import SamplePath, SystemState, _freeze
@@ -154,6 +154,19 @@ def _verified_dual(sol, h, c, budget, caps, zeta) -> DualSolution:
     return DualSolution(value=float(value), lam=lam, mu=mu, nu=nu, xi=xi)
 
 
+def _round_rows(rounds: int, zeta: np.ndarray, row0: int) -> list:
+    """COO blocks, from row ``row0``, of the default rows ``(I - zeta^T)
+    x(t) - z(t)`` and then the budget rows ``1^T z(t)`` over ``[x | z]``."""
+    n = zeta.shape[0]
+    tn = rounds * n
+    eye = np.eye(rounds)
+    return [
+        kron_coo(eye, np.eye(n) - zeta.T, row0, 0),
+        kron_coo(eye, -np.eye(n), row0, tn),
+        kron_coo(eye, np.ones((1, n)), row0 + tn, tn),
+    ]
+
+
 def _solve_horizon(
     path: SamplePath, budget: float, caps: np.ndarray, zeta: np.ndarray
 ) -> HorizonSolution:
@@ -161,17 +174,14 @@ def _solve_horizon(
     c, h, _ = _prefix_data(path)
     tn = rounds * n  # variables: [P_tilde(1..T) | Z(1..T)]
     objective = np.repeat([1.0, 0.0], tn)
-    lhs = np.zeros((2 * tn + rounds, 2 * tn))
-    # prefix solvency: sum_{t' <= t} P_tilde(t') <= h(t)
-    lhs[:tn, :tn] = np.kron(np.tril(np.ones((rounds, rounds))), np.eye(n))
-    # default: (I - zeta^T) P_tilde(t) - Z(t) <= c(t)
-    lhs[tn : 2 * tn, :tn] = np.kron(np.eye(rounds), np.eye(n) - zeta.T)
-    lhs[tn : 2 * tn, tn:] = -np.eye(tn)
-    # budget: 1^T Z(t) <= B
-    lhs[2 * tn :, tn:] = np.kron(np.eye(rounds), np.ones((1, n)))
+    triplets = [
+        # prefix solvency: sum_{t' <= t} P_tilde(t') <= h(t)
+        kron_coo(np.tril(np.ones((rounds, rounds))), np.eye(n)),
+        *_round_rows(rounds, zeta, tn),
+    ]
     rhs = np.concatenate([h.ravel(), c.ravel(), np.full(rounds, float(budget))])
     upper = np.concatenate([np.full(tn, np.inf), np.tile(caps, rounds)])
-    sol = solve_optimal(leq_program(objective, lhs, rhs, upper), "horizon LP")
+    sol = solve_optimal(leq_program(objective, triplets, rhs, upper), "horizon LP")
     clearing = sol.primal[:tn].reshape(rounds, n)
     interventions = sol.primal[tn:].reshape(rounds, n)
     return HorizonSolution(
@@ -244,16 +254,12 @@ def solve_prefix_oneshot(
     zeta = certificate.zeta
     tn = rounds * n  # variables: [Q(1..T) | W(1..T)]
     objective = np.repeat([1.0, 0.0], tn)
-    lhs = np.zeros((tn + rounds, 2 * tn))
-    # default: (I - zeta^T) Q(t) - W(t) <= f(t)
-    lhs[:tn, :tn] = np.kron(np.eye(rounds), np.eye(n) - zeta.T)
-    lhs[:tn, tn:] = -np.eye(tn)
-    # staircase budget: 1^T W(t) <= t B
-    lhs[tn:, tn:] = np.kron(np.eye(rounds), np.ones((1, n)))
+    # default: (I - zeta^T) Q(t) - W(t) <= f(t); staircase: 1^T W(t) <= t B
+    triplets = _round_rows(rounds, zeta, 0)
     steps = np.arange(1, rounds + 1)
     rhs = np.concatenate([f.ravel(), float(budget) * steps])
     upper = np.concatenate([h.ravel(), np.outer(steps, caps).ravel()])
-    sol = solve_optimal(leq_program(objective, lhs, rhs, upper), "prefix LP")
+    sol = solve_optimal(leq_program(objective, triplets, rhs, upper), "prefix LP")
     q = sol.primal[:tn].reshape(rounds, n)
     w = sol.primal[tn:].reshape(rounds, n)
     clearing = np.diff(q, axis=0, prepend=np.zeros((1, n)))

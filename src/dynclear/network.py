@@ -146,27 +146,22 @@ class SystemState:
     """Outstanding liabilities at the start of a round, before clearing.
 
     ``totals[i]`` equals ``external[i] + pairwise[i].sum()`` (maintained by
-    the constructors, not recomputed by callers).  ``last_clearing`` is the
-    clearing vector executed in the transition that produced this state.
+    the constructors, not recomputed by callers).
     """
 
     pairwise: np.ndarray
     totals: np.ndarray
     external: np.ndarray
-    last_clearing: np.ndarray
 
     def __post_init__(self):
         p = _matrix(self.pairwise, None, "pairwise")
         n = p.shape[0]
         totals = _vector(self.totals, n, "totals")
         external = _vector(self.external, n, "external")
-        last = _vector(self.last_clearing, n, "last_clearing")
         if np.any(p < 0):
             raise ValidationError("pairwise liabilities must be nonnegative")
         if np.any(external < -CONSISTENCY_TOL):
             raise ValidationError("external component must be nonnegative")
-        if np.any(last < -CONSISTENCY_TOL):
-            raise ValidationError("last_clearing must be nonnegative")
         recomputed = external + p.sum(axis=1)
         if np.max(np.abs(recomputed - totals)) > CONSISTENCY_TOL:
             raise ValidationError(
@@ -175,7 +170,6 @@ class SystemState:
         object.__setattr__(self, "pairwise", _freeze(p))
         object.__setattr__(self, "totals", _freeze(totals))
         object.__setattr__(self, "external", _freeze(external))
-        object.__setattr__(self, "last_clearing", _freeze(last))
 
     @property
     def n(self) -> int:
@@ -185,23 +179,14 @@ class SystemState:
     def empty(cls, n: int) -> "SystemState":
         """The debt-free state used before the first round."""
         z = np.zeros(n)
-        return cls(pairwise=np.zeros((n, n)), totals=z, external=z, last_clearing=z)
+        return cls(pairwise=np.zeros((n, n)), totals=z, external=z)
 
     @classmethod
-    def from_components(
-        cls, pairwise, external, last_clearing=None
-    ) -> "SystemState":
+    def from_components(cls, pairwise, external) -> "SystemState":
         pairwise = np.asarray(pairwise, dtype=float)
         external = np.asarray(external, dtype=float)
-        n = external.shape[0]
-        if last_clearing is None:
-            last_clearing = np.zeros(n)
-        return cls(
-            pairwise=pairwise,
-            totals=external + pairwise.sum(axis=1),
-            external=external,
-            last_clearing=np.asarray(last_clearing, dtype=float),
-        )
+        return cls(pairwise=pairwise, totals=external + pairwise.sum(axis=1),
+                   external=external)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,12 +270,7 @@ def advance_state(
     pairwise, external, totals = carry_forward(
         state.pairwise, state.external, state.totals, clearing, shock
     )
-    return SystemState(
-        pairwise=pairwise,
-        totals=totals,
-        external=external,
-        last_clearing=np.clip(clearing, 0.0, None),
-    )
+    return SystemState(pairwise=pairwise, totals=totals, external=external)
 
 
 def carry_forward(pairwise, external, totals, clearing, shock):

@@ -9,7 +9,6 @@ import dynclear.fractional
 from dynclear import (
     ContractionError,
     FairnessSpec,
-    LinearProgram,
     RelativeLiabilityMatrix,
     SbmParams,
     SolverError,
@@ -27,7 +26,7 @@ from dynclear import (
     solve_lp,
     solve_prefix_oneshot,
 )
-from dynclear.clearing import clear_stack
+from dynclear.clearing import clear_stack, dense_coo, leq_program
 
 from conftest import hub_path, hub_shock, picard, random_clearing_instance
 
@@ -55,28 +54,18 @@ BUILDERS = {
 
 class TestSolveLp:
     def test_simple_maximum(self):
-        lp = LinearProgram(
-            objective=[1.0],
-            constraints=((np.array([1.0]), "<=", 3.0),),
-            variable_bounds=((0.0, INF),),
-        )
+        lp = leq_program([1.0], [([0], [0], [1.0])], [3.0], [INF])
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(3.0)
         assert sol.primal[0] == pytest.approx(3.0)
 
     def test_infeasible(self):
-        lp = LinearProgram(
-            objective=[1.0],
-            constraints=((np.array([1.0]), "<=", -1.0),),
-            variable_bounds=((0.0, INF),),
-        )
+        lp = leq_program([1.0], [([0], [0], [1.0])], [-1.0], [INF])
         assert solve_lp(lp).status == "infeasible"
 
     def test_unbounded(self):
-        lp = LinearProgram(
-            objective=[1.0], constraints=(), variable_bounds=((0.0, INF),)
-        )
+        lp = leq_program([1.0], [], [], [INF])
         assert solve_lp(lp).status == "unbounded"
 
     def test_hub_clearing_lp_with_support_reaches_five(self):
@@ -86,15 +75,11 @@ class TestSolveLp:
         assert sol.objective_value == pytest.approx(5.0, abs=1e-7)
 
     def test_equality_and_geq_rows_round_trip(self):
-        # max 2x + y s.t. x + y = 1, y - x >= 0.2 -> x = 0.4, y = 0.6
-        lp = LinearProgram(
-            objective=[2.0, 1.0],
-            constraints=(
-                (np.array([1.0, 1.0]), "=", 1.0),
-                (np.array([-1.0, 1.0]), ">=", 0.2),
-            ),
-            variable_bounds=((0.0, INF), (0.0, INF)),
-        )
+        # max 2x + y s.t. x + y = 1, y - x >= 0.2 -> x = 0.4, y = 0.6, in <=
+        # form: an = row is a row and its negation, a >= row is negated
+        lhs = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        lp = leq_program([2.0, 1.0], [dense_coo(lhs)], [1.0, -1.0, -0.2],
+                         [INF, INF])
         sol = solve_lp(lp)
         np.testing.assert_allclose(sol.primal, [0.4, 0.6], atol=1e-8)
 
@@ -102,21 +87,19 @@ class TestSolveLp:
         rng = np.random.default_rng(5)
         for _ in range(25):
             n, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
-            lp = LinearProgram(
-                objective=rng.uniform(-1, 1, n),
-                constraints=tuple(
-                    (rng.uniform(-1, 1, n), "<=", float(rng.uniform(0.5, 2)))
-                    for _ in range(m)
-                ),
-                variable_bounds=tuple((0.0, float(rng.uniform(1, 3))) for _ in range(n)),
-            )
+            objective = rng.uniform(-1, 1, n)
+            rows = [(rng.uniform(-1, 1, n), float(rng.uniform(0.5, 2)))
+                    for _ in range(m)]
+            lhs, rhs = (np.array(part) for part in zip(*rows))
+            lp = leq_program(objective, [dense_coo(lhs)], rhs,
+                             [float(rng.uniform(1, 3)) for _ in range(n)])
             sol = solve_lp(lp)
             assert sol.status == "optimal"
             assert sol.dual_objective() == pytest.approx(
                 sol.objective_value, abs=1e-6
             )
-            for (coeffs, _, rhs), dual in zip(lp.constraints, sol.dual):
-                slack = rhs - float(coeffs @ sol.primal)
+            for coeffs, b, dual in zip(lhs, rhs, sol.dual):
+                slack = b - float(coeffs @ sol.primal)
                 assert slack >= -1e-7  # primal feasibility
                 assert abs(dual * slack) <= 1e-6  # complementary slackness
 
@@ -150,25 +133,21 @@ class TestSolveLp:
 
         monkeypatch.setattr(dynclear.clearing, "_highs", spy)
         monkeypatch.setattr(_core, "_Highs", Recording)
-        # max 2x + y + z s.t. x + y <= 1.5, y - x >= 0.2, x + z = 1
-        lp = LinearProgram(
-            objective=[2.0, 1.0, 1.0],
-            constraints=(
-                (np.array([1.0, 1.0, 0.0]), "<=", 1.5),
-                (np.array([-1.0, 1.0, 0.0]), ">=", 0.2),
-                (np.array([1.0, 0.0, 1.0]), "=", 1.0),
-            ),
-            variable_bounds=((0.0, INF), (0.0, INF), (0.0, INF)),
-        )
+        # max 2x + y + z s.t. x + y <= 1.5, y - x >= 0.2, x + z = 1, in <=
+        # form: the >= row negated, the = row as itself and its negation
+        lhs = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0],
+                        [1.0, 0.0, 1.0], [-1.0, 0.0, -1.0]])
+        lp = leq_program([2.0, 1.0, 1.0], [dense_coo(lhs)], [1.5, -0.2, 1.0, -1.0],
+                         [INF, INF, INF])
         sol = solve_lp(lp)
         cost, start, index, value, row_lower, row_upper, lo, hi = seen["args"]
         assert np.all(value != 0)
         np.testing.assert_array_equal(
-            scipy.sparse.csc_array((value, index, start), shape=(3, 3)).toarray(),
-            [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]],
+            scipy.sparse.csc_array((value, index, start), shape=(4, 3)).toarray(),
+            lhs,
         )
-        np.testing.assert_array_equal(row_upper, [1.5, -0.2, 1.0])
-        np.testing.assert_array_equal(row_lower, [-INF, -INF, 1.0])
+        np.testing.assert_array_equal(row_upper, [1.5, -0.2, 1.0, -1.0])
+        np.testing.assert_array_equal(row_lower, [-INF] * 4)
         np.testing.assert_array_equal(cost, [-2.0, -1.0, -1.0])
         assert options == {
             "output_flag": False, "presolve": "off",
@@ -222,11 +201,7 @@ class TestSolveLp:
 
         calls.clear()
         Stalling.stalls = ()
-        infeasible = LinearProgram(
-            objective=[1.0],
-            constraints=((np.array([1.0]), "<=", -1.0),),
-            variable_bounds=((0.0, INF),),
-        )
+        infeasible = leq_program([1.0], [([0], [0], [1.0])], [-1.0], [INF])
         assert solve_lp(infeasible).status == "infeasible"
         assert calls == [4]
 
@@ -276,12 +251,14 @@ class TestSolveLp:
                 per_round_lp(matrix, state.totals, shock.external_assets,
                              budget, caps, fairness=spec)
                 lp, sol = solved[-1]
-                assert all(rel == "<=" for _, rel, _ in lp.constraints)
                 reference = linprog(
                     -lp.objective,
-                    A_ub=np.array([row for row, _, _ in lp.constraints]),
-                    b_ub=[rhs for _, _, rhs in lp.constraints],
-                    bounds=lp.variable_bounds,
+                    A_ub=scipy.sparse.csc_array(
+                        (lp.value, lp.index, lp.start),
+                        shape=(lp.rhs.size, lp.n_variables),
+                    ).toarray(),
+                    b_ub=lp.rhs,
+                    bounds=np.column_stack([np.zeros(lp.n_variables), lp.upper]),
                     method="highs",
                 )
                 assert reference.status == 0
@@ -310,17 +287,13 @@ class TestSolveLp:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            LinearProgram(
-                objective=[1.0, 1.0],
-                constraints=((np.array([1.0]), "<=", 1.0),),
-                variable_bounds=((0.0, 1.0), (0.0, 1.0)),
-            )
+            leq_program([1.0, 1.0], [([0], [2], [1.0])], [1.0], [1.0, 1.0])
         with pytest.raises(ValidationError):
-            LinearProgram(
-                objective=[1.0],
-                constraints=(),
-                variable_bounds=((1.0, 0.0),),
-            )
+            leq_program([1.0, 1.0], [([1], [0], [1.0])], [1.0], [1.0, 1.0])
+        with pytest.raises(ValidationError):
+            leq_program([1.0, 1.0], [], [], [1.0])
+        with pytest.raises(ValidationError):
+            leq_program([1.0], [], [], [-1.0])
 
 
 class TestFixedPoint:

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from dynclear import (
     CertificateError,
-    LinearProgram,
     SamplePath,
     ShockRealization,
     SolverError,
@@ -20,7 +19,7 @@ from dynclear import (
     verify_myopic_optimality,
 )
 from dynclear import clearing
-from dynclear.clearing import LP_REPAIR_TOL, solve_lp
+from dynclear.clearing import LP_REPAIR_TOL, dense_coo, leq_program, solve_lp
 from dynclear.horizon import _prefix_data
 
 from conftest import deep_constant_proportion_path, hub_path, hub_shock
@@ -190,7 +189,8 @@ def reference_dual_value(path, budget, caps, zeta) -> float:
     """The dual of the horizon primal built and solved as its own LP:
     minimize ``h.lam + c.mu + B sum(nu) + caps.sum(xi)`` over nonnegative
     multipliers subject to ``(I - zeta) mu(t) + sum_{t' >= t} lam(t') >= 1``
-    and ``xi(t) + nu(t) - mu(t) >= 0``."""
+    and ``xi(t) + nu(t) - mu(t) >= 0``, each >= row written as its negated
+    <= row."""
     rounds, n = len(path), path.n
     c, h, _ = _prefix_data(path)
     # variable layout: [lam (T*n) | mu (T*n) | nu (T) | xi (T*n)], all >= 0
@@ -206,18 +206,17 @@ def reference_dual_value(path, budget, caps, zeta) -> float:
             row = np.zeros(dim)
             row[base_mu + t * n : base_mu + (t + 1) * n] = np.eye(n)[i] - zeta[i]
             row[[tp * n + i for tp in range(t, rounds)]] = 1.0
-            rows.append((row, ">=", 1.0))
+            rows.append((-row, -1.0))
     for t in range(rounds):
         for i in range(n):
             row = np.zeros(dim)
             row[base_xi + t * n + i] = 1.0
             row[base_nu + t] = 1.0
             row[base_mu + t * n + i] = -1.0
-            rows.append((row, ">=", 0.0))
-    sol = solve_lp(
-        LinearProgram(objective=-cost, constraints=tuple(rows),
-                      variable_bounds=((0.0, float("inf")),) * dim)
-    )
+            rows.append((-row, 0.0))
+    lhs, rhs = zip(*rows)
+    sol = solve_lp(leq_program(-cost, [dense_coo(np.array(lhs))], rhs,
+                               np.full(dim, np.inf)))
     assert sol.status == "optimal"
     return -sol.objective_value
 

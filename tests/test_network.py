@@ -70,7 +70,6 @@ def test_system_state_totals_consistency_enforced():
             pairwise=np.zeros((2, 2)),
             totals=[1.0, 0.0],
             external=[0.0, 0.0],
-            last_clearing=[0.0, 0.0],
         )
 
 
