@@ -11,8 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import LP_REPAIR_TOL, SolverError, dense_coo, leq_program, solve_optimal
-from .errors import ValidationError
+from .clearing import (
+    LP_REPAIR_TOL,
+    LinearProgram,
+    SolverError,
+    clear_stack,
+    dense_coo,
+    leq_program,
+    solve_optimal,
+)
+from .errors import ContractionError, ValidationError
 from .fairness import FairnessSpec, fairness_constraint_block, gini_coefficient
 from .network import (
     InterventionVector,
@@ -109,6 +117,12 @@ def _onto_budget(z: np.ndarray, budget: float, source: str) -> np.ndarray:
     return z
 
 
+#: Largest gap between the knapsack route's primal value and the objective
+#: of its dual certificate, relative to the primal value (or 1 when that is
+#: smaller), at which the route's step counts as optimal.
+KNAPSACK_GAP_TOL = 1e-9
+
+
 def per_round_lp(
     matrix: RelativeLiabilityMatrix,
     totals,
@@ -120,12 +134,15 @@ def per_round_lp(
 ) -> PolicyStepResult:
     """Jointly maximize one round's payments over clearing and intervention.
 
-    Variables are ``(P_tilde, Z)`` plus one slack per unordered fairness
-    pair when a fairness spec is attached.  The base problem is always
-    feasible (zero intervention plus the zero-input clearing), so a
+    Without a fairness spec the round is first solved as a knapsack on the
+    default set (see :func:`_knapsack_round`); a step whose LP duality
+    certificate holds is returned without an LP.  Every other round is the
+    LP over ``(P_tilde, Z)``, plus one slack per unordered fairness pair
+    when a fairness spec is attached, solved by HiGHS.  The base problem is
+    always feasible (zero intervention plus the zero-input clearing), so a
     non-optimal status only arises from genuinely conflicting extra rows and
-    is raised as :class:`SolverError`.  The optimal primal is clipped into
-    its bounds and the intervention rescaled onto the budget; a repair
+    is raised as :class:`SolverError`.  Either way the clearing is clipped
+    into its bounds and the intervention rescaled onto the budget; a repair
     larger than ``LP_REPAIR_TOL`` is raised as :class:`SolverError` too.
     """
     totals = np.asarray(totals, dtype=float)
@@ -135,12 +152,33 @@ def per_round_lp(
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
 
-    block = None
-    fair_weights = None
-    if fairness is not None:
+    fair_weights = block = None
+    if fairness is None:
+        certified = _knapsack_round(matrix, totals, assets, float(budget), caps)
+        if certified is not None:
+            return lp_step("per-round knapsack", round_index, totals, matrix,
+                           *certified, budget, caps)
+    else:
         fair_weights = fairness.weights_for(matrix)
         block = fairness_constraint_block(fair_weights, fairness.g)
 
+    source = "per-round allocation LP"
+    lp = _allocation_lp(matrix, totals, assets, budget, caps, block)
+    sol = solve_optimal(lp, source)
+    return lp_step(
+        source, round_index, totals, matrix, sol.primal[:n], sol.primal[n : 2 * n],
+        budget, caps, fair_weights,
+    )
+
+
+def _allocation_lp(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
+                   assets: np.ndarray, budget: float, caps: np.ndarray,
+                   block=None) -> LinearProgram:
+    """The per-round LP over ``(P_tilde, Z)`` and the slacks of a fairness
+    ``block`` (none when None): maximize ``1^T P_tilde`` subject to
+    ``(I - A^T) P_tilde - Z <= c``, ``1^T Z <= B`` and the block's rows,
+    with ``P_tilde <= totals`` and ``Z <= caps``."""
+    n = matrix.n
     n_slack = block.n_slacks if block is not None else 0
     objective = np.concatenate([np.ones(n), np.zeros(n + n_slack)])
     k = np.arange(n)
@@ -159,13 +197,68 @@ def per_round_lp(
                      (np.full(n_slack, n + 1 + n_slack), 2 * n + e, block.cap_slack)]
         rhs = np.concatenate([rhs, block.rhs])
     upper = np.concatenate([totals, caps, np.full(n_slack, np.inf)])
+    return leq_program(objective, triplets, rhs, upper)
 
-    source = "per-round allocation LP"
-    sol = solve_optimal(leq_program(objective, triplets, rhs, upper), source)
-    return lp_step(
-        source, round_index, totals, matrix, sol.primal[:n], sol.primal[n : 2 * n],
-        budget, caps, fair_weights,
+
+def _knapsack_round(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
+                    assets: np.ndarray, budget: float, caps: np.ndarray):
+    """``(clearing, Z)`` solving the fairness-free per-round LP when the
+    intervention leaves the zero-intervention default set ``D`` as it is,
+    and None when that cannot be certified.
+
+    While ``D`` is fixed, a unit given to node ``i`` in ``D`` raises total
+    payments by ``v_i = [(I - A_DD)^-1 1]_i``, so ``Z`` fills the caps of
+    ``D`` in order of decreasing ``v`` (ties to the lower index) until the
+    budget is spent, and ``D`` pays ``x_D`` solving
+    ``(I - A_DD^T) x_D = c_D + Z_D + A_SD^T P_S`` while the solvent set
+    ``S`` pays ``P_S``.  The step is returned only when ``(x, Z)`` is
+    feasible to ``LP_REPAIR_TOL`` and its value matches, to
+    ``KNAPSACK_GAP_TOL``, the objective of the dual point ``y = v`` on
+    ``D`` and 0 on ``S``, ``mu = v`` of the first node left under its cap
+    (0 when none is), ``gamma = max(0, y - mu)`` and
+    ``alpha = max(0, 1 - (I - A) y)``, which is dual feasible whenever
+    ``y >= 0``: by weak duality ``(x, Z)`` is then optimal.
+    """
+    entries = matrix.entries
+    try:
+        cleared = clear_stack(entries[None], totals[None], assets[None])[0]
+    except ContractionError:  # a row sum of 1: the LP is still well posed
+        return None
+    short = entries.T @ cleared + assets < totals
+    defaults, solvent = np.flatnonzero(short), np.flatnonzero(~short)
+    eye = np.eye(defaults.size)
+    inner = entries[np.ix_(defaults, defaults)]
+    v = np.linalg.solve(eye - inner, np.ones(defaults.size))
+    order = np.argsort(-v, kind="stable")
+    room = caps[defaults][order]
+    fill = np.clip(budget - np.concatenate(([0.0], np.cumsum(room)[:-1])),
+                   0.0, room)
+    z = np.zeros(matrix.n)
+    z[defaults[order]] = fill
+    x = totals.copy()
+    x[defaults] = np.linalg.solve(
+        eye - inner.T,
+        assets[defaults] + z[defaults]
+        + entries[np.ix_(solvent, defaults)].T @ totals[solvent],
     )
+    tol = LP_REPAIR_TOL
+    feasible = (
+        np.all((-tol <= x) & (x <= totals + tol))
+        and np.all(x - entries.T @ x - z <= assets + tol)
+        and z.sum() <= budget + tol
+    )
+    y = np.zeros(matrix.n)
+    y[defaults] = v
+    under = np.flatnonzero(fill < room)
+    mu = float(v[order[under[0]]]) if under.size else 0.0
+    alpha = np.maximum(0.0, 1.0 - (y - entries @ y))
+    dual = (assets @ y + budget * mu + totals @ alpha
+            + caps @ np.maximum(0.0, y - mu))
+    primal = float(x.sum())
+    if not (feasible and np.all(y >= 0.0)
+            and abs(dual - primal) <= KNAPSACK_GAP_TOL * max(1.0, primal)):
+        return None
+    return x, z
 
 
 def lp_step(source: str, round_index: int, totals: np.ndarray,
@@ -225,7 +318,9 @@ def value_given_sample_path(
 
     ``start`` is the state of the round before the path begins, with no
     clearing executed against it (the canonical debt-free start).  Each
-    round's optimal clearing feeds the next round's state.
+    round's optimal clearing feeds the next round's state.  Without
+    ``fairness`` a round whose knapsack on the default set is certified
+    optimal needs no LP (see :func:`per_round_lp`); a zero budget always is.
     """
     return rollout(
         start, path,

@@ -1,11 +1,35 @@
+import contextlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from dynclear import ReplayEnvironment, SamplePath, ShockRealization, SystemState
+from dynclear import (
+    ReplayEnvironment,
+    SamplePath,
+    SbmParams,
+    ShockRealization,
+    SystemState,
+    advance_state,
+    clear_fixed_point,
+    relative_matrix,
+    sample_sbm_round,
+)
+
+# Hypothesis's pytest plugin imports this module (and with it libcst) to
+# report a failing property test.  libcst's import raises a
+# DeprecationWarning that pyproject.toml turns into an error, which would
+# abort the whole session in place of reporting one failure; importing it
+# once here, with only that warning ignored, leaves it cached for the plugin.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated",
+        category=DeprecationWarning,
+    )
+    import hypothesis.extra._patching  # noqa: F401
 
 
 # Every property test replays the same examples on every run (no example
@@ -27,6 +51,33 @@ def hub_shock(t: int) -> ShockRealization:
 
 def hub_path(rounds: int = 2) -> SamplePath:
     return SamplePath(shocks=tuple(hub_shock(t) for t in range(1, rounds + 1)))
+
+
+def refused_hub_round():
+    """``(matrix, totals, assets)`` of the hub's first round with node 1
+    also holding 0.5.  Node 0 heads the knapsack, and one unit or more given
+    to it makes node 1 solvent: a change of default set that the knapsack
+    route of ``per_round_lp`` refuses, so the round goes to HiGHS.  At
+    B = L = 2 the optimum is Z = (2, 0, 0) with clearing (3, 1, 1)."""
+    state = advance_state(SystemState.empty(3), np.zeros(3), hub_shock(1))
+    return relative_matrix(state), state.totals, np.array([1.0, 0.5, 0.0])
+
+
+def sbm_round(rng, n, rounds=1, block_probs=((0.8, 0.4), (0.4, 0.1)),
+              asset_level=0.5):
+    """The state, relative matrix and assets of an SBM network's last round,
+    earlier rounds cleared with no intervention."""
+    params = SbmParams(
+        n_core=max(1, n // 5), n_periphery=n - max(1, n // 5),
+        block_probs=block_probs, asset_level=asset_level,
+    )
+    state, cleared = SystemState.empty(n), np.zeros(n)
+    for _ in range(rounds):
+        shock = sample_sbm_round(params, rng)
+        state = advance_state(state, cleared, shock)
+        matrix = relative_matrix(state)
+        cleared = clear_fixed_point(matrix, state.totals, shock.external_assets)
+    return state, matrix, shock.external_assets
 
 
 @pytest.fixture

@@ -27,8 +27,15 @@ from dynclear import (
     solve_prefix_oneshot,
 )
 from dynclear.clearing import clear_stack, dense_coo, leq_program
+from dynclear.fractional import _allocation_lp
 
-from conftest import hub_path, hub_shock, picard, random_clearing_instance
+from conftest import (
+    hub_path,
+    hub_shock,
+    picard,
+    random_clearing_instance,
+    refused_hub_round,
+)
 
 INF = float("inf")
 
@@ -43,9 +50,10 @@ def _hub_horizon(solve):
     return solve(path, 1.0, 1.0, check_constant_proportions(path))
 
 
-#: Every LP builder of the package, called on the hub instance.
+#: Every LP builder of the package, called on the hub instance (the
+#: per-round LP on a round its knapsack route refuses).
 BUILDERS = {
-    "per_round_lp": lambda: per_round_lp(*hub_round_one(), budget=1.0, caps=1.0),
+    "per_round_lp": lambda: per_round_lp(*refused_hub_round(), budget=1.0, caps=1.0),
     "clear_lp": lambda: clear_lp(*hub_round_one()),
     "solve_horizon_primal": lambda: _hub_horizon(solve_horizon_primal),
     "solve_prefix_oneshot": lambda: _hub_horizon(solve_prefix_oneshot),
@@ -248,8 +256,12 @@ class TestSolveLp:
                 FairnessSpec(kind="property", budget=g, q=rng.random(n)),
             ]
             for spec in specs:
-                per_round_lp(matrix, state.totals, shock.external_assets,
-                             budget, caps, fairness=spec)
+                if spec is None:  # the knapsack route may need no LP
+                    dynclear.clearing.solve_lp(_allocation_lp(
+                        matrix, state.totals, shock.external_assets, budget, caps))
+                else:
+                    per_round_lp(matrix, state.totals, shock.external_assets,
+                                 budget, caps, fairness=spec)
                 lp, sol = solved[-1]
                 reference = linprog(
                     -lp.objective,
@@ -274,7 +286,7 @@ class TestSolveLp:
         sol = solve_lp(clearing_lp_model(matrix, totals, assets))
         assert sol.status == "failed" and "boom" in sol.message
         with pytest.raises(SolverError, match="boom"):
-            per_round_lp(matrix, totals, assets, budget=1.0, caps=1.0)
+            per_round_lp(*refused_hub_round(), budget=1.0, caps=1.0)
 
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     def test_every_builder_quotes_the_backend_message(self, monkeypatch, builder):

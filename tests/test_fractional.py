@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dynclear.clearing
 from dynclear import (
+    RelativeLiabilityMatrix,
     SamplePath,
     ShockRealization,
     SolverError,
@@ -19,10 +21,25 @@ from dynclear import (
     substream,
     value_given_sample_path,
 )
+from dynclear.clearing import solve_optimal
 from dynclear.environments import EnvironmentModel, SbmEnvironment, SbmParams
-from dynclear.fractional import ordered_map, sample_paths, sampled_runs, stderr
+from dynclear.fractional import (
+    _allocation_lp,
+    _knapsack_round,
+    broadcast_caps,
+    ordered_map,
+    sample_paths,
+    sampled_runs,
+    stderr,
+)
 
-from conftest import hub_path, hub_shock, random_general_path
+from conftest import (
+    hub_path,
+    hub_shock,
+    random_general_path,
+    refused_hub_round,
+    sbm_round,
+)
 
 
 def hub_round_one():
@@ -70,7 +87,7 @@ class TestRepairBound:
             return dataclasses.replace(sol, primal=primal)
 
         monkeypatch.setattr(dynclear.clearing, "solve_lp", fake)
-        matrix, totals, assets = hub_round_one()
+        matrix, totals, assets = refused_hub_round()
         return per_round_lp(matrix, totals, assets, budget=2.0, caps=2.0)
 
     def test_clearing_above_totals_raises(self, monkeypatch):
@@ -97,6 +114,107 @@ class TestRepairBound:
         step = self.perturbed(monkeypatch, edit)
         np.testing.assert_array_equal(step.clearing, [3.0, 1.0, 1.0])
         assert step.intervention.amounts.sum() <= 2.0
+
+
+def chain_round(creditor: bool = False):
+    """``(matrix, totals, assets)`` of four nodes in a chain, each owing half
+    its total of 10 to the next (the last owes it outside) and holding one
+    unit: every node defaults, with ``v = (1.875, 1.75, 1.5, 1)``.  With
+    ``creditor`` the last node owes that half to a fifth node instead, which
+    holds 100 and so stays solvent whatever the intervention."""
+    n = 5 if creditor else 4
+    entries = np.zeros((n, n))
+    entries[np.arange(n - 1), np.arange(1, n)] = 0.5
+    assets = np.ones(n)
+    if creditor:
+        assets[4] = 100.0
+    return RelativeLiabilityMatrix.from_entries(entries), np.full(n, 10.0), assets
+
+
+def non_contracting_round():
+    """Node 0 owes everything to node 1: a row sum of 1, which the clearing
+    kernel refuses and the LP does not mind."""
+    matrix = RelativeLiabilityMatrix.from_entries([[0.0, 1.0], [0.0, 0.0]])
+    return matrix, np.ones(2), np.zeros(2)
+
+
+def optimum(matrix, totals, assets, budget, caps) -> float:
+    """HiGHS's optimal value of the fairness-free per-round LP."""
+    lp = _allocation_lp(matrix, totals, assets, budget, broadcast_caps(caps, matrix.n))
+    return solve_optimal(lp, "reference LP").objective_value
+
+
+@st.composite
+def sbm_rounds(draw):
+    """``(matrix, totals, assets, caps)`` of a random SBM round: 2 to 40
+    nodes, asset level 0 to 5, scalar or per-node caps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    state, matrix, assets = sbm_round(rng, n, rounds=draw(st.integers(1, 2)),
+                                      asset_level=draw(st.floats(0.0, 5.0)))
+    caps = (rng.uniform(0.0, 3.0, n) if draw(st.booleans())
+            else float(rng.uniform(0.0, 3.0)))
+    return matrix, state.totals, assets, caps
+
+
+class TestKnapsackRoute:
+    """The fairness-free round solved as a knapsack on the default set,
+    returned only under an LP duality certificate."""
+
+    @pytest.mark.parametrize("instance, lp_calls", [
+        (chain_round, 0),
+        (lambda: chain_round(creditor=True), 0),
+        (refused_hub_round, 1),
+        (non_contracting_round, 1),
+    ], ids=["all-default", "solvent-creditor", "budget-makes-a-node-solvent",
+            "non-contracting"])
+    def test_solve_lp_runs_only_when_the_certificate_fails(
+            self, monkeypatch, instance, lp_calls):
+        calls = []
+        real = dynclear.clearing.solve_lp
+        monkeypatch.setattr(dynclear.clearing, "solve_lp",
+                            lambda lp: calls.append(lp) or real(lp))
+        step = per_round_lp(*instance(), budget=1.5, caps=1.0)
+        assert len(calls) == lp_calls
+        assert step.reward == pytest.approx(optimum(*instance(), 1.5, 1.0), rel=1e-9)
+
+    def test_the_budget_fills_caps_in_order_of_centrality(self):
+        # v = (1.875, 1.75, 1.5, 1): node 0 takes its cap, node 1 the rest,
+        # on top of the zero-intervention payments (1, 1.5, 1.75, 1.875)
+        step = per_round_lp(*chain_round(), budget=1.5, caps=1.0)
+        np.testing.assert_array_equal(step.intervention.amounts, [1.0, 0.5, 0.0, 0.0])
+        assert step.reward == pytest.approx(6.125 + 1.0 * 1.875 + 0.5 * 1.75)
+
+    @settings(max_examples=80)
+    @given(sbm_rounds(), st.floats(0.0, 1.2))
+    def test_a_certified_round_is_optimal(self, instance, share):
+        matrix, totals, assets, caps = instance
+        caps = broadcast_caps(caps, matrix.n)
+        budget = share * float(caps.sum())
+        certified = _knapsack_round(matrix, totals, assets, budget, caps)
+        if budget == 0.0:  # zero_input rounds never need an LP
+            assert certified is not None
+        if certified is not None:
+            clearing, z = certified
+            best = optimum(matrix, totals, assets, budget, caps)
+            assert clearing.sum() == pytest.approx(best, rel=1e-9)
+            step = per_round_lp(matrix, totals, assets, budget, caps)
+            assert step.reward == pytest.approx(best, rel=1e-9)
+            amounts = step.intervention.amounts
+            assert np.all((0.0 <= amounts) & (amounts <= caps))
+            assert amounts.sum() <= budget
+
+    @settings(max_examples=40)
+    @given(sbm_rounds())
+    def test_reward_is_nondecreasing_in_the_budget(self, instance):
+        # from B = 0 (always certified) past the sum of the caps, where the
+        # budget turns defaulting nodes solvent and HiGHS takes over
+        matrix, totals, assets, caps = instance
+        top = 1.5 * float(broadcast_caps(caps, matrix.n).sum())
+        rewards = [per_round_lp(matrix, totals, assets, b, caps).reward
+                   for b in np.linspace(0.0, top, 9)]
+        for low, high in zip(rewards, rewards[1:]):
+            assert high >= low - 1e-9
 
 
 class TestValueGivenSamplePath:

@@ -10,22 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from dynclear import (
     FairnessSpec,
-    SbmParams,
-    SystemState,
-    advance_state,
     check_constant_proportions,
-    clear_fixed_point,
     clearing_lp_model,
     per_round_lp,
-    relative_matrix,
-    sample_sbm_round,
     solve_horizon_primal,
     solve_prefix_oneshot,
 )
 from dynclear import clearing
+from dynclear.fractional import _allocation_lp
 from dynclear.horizon import _prefix_data
 
-from conftest import deep_constant_proportion_path, random_clearing_instance
+from conftest import deep_constant_proportion_path, random_clearing_instance, sbm_round
 
 
 class Captured(Exception):
@@ -130,22 +125,6 @@ def dense_prefix(path, budget, caps, zeta):
     return np.repeat([1.0, 0.0], tn), lhs, rhs, upper
 
 
-def sbm_round(rng, n, rounds=1, block_probs=((0.8, 0.4), (0.4, 0.1))):
-    """The state, relative matrix and assets of an SBM network's last round,
-    earlier rounds cleared with no intervention."""
-    params = SbmParams(
-        n_core=max(1, n // 5), n_periphery=n - max(1, n // 5),
-        block_probs=block_probs, asset_level=0.5,
-    )
-    state, cleared = SystemState.empty(n), np.zeros(n)
-    for _ in range(rounds):
-        shock = sample_sbm_round(params, rng)
-        state = advance_state(state, cleared, shock)
-        matrix = relative_matrix(state)
-        cleared = clear_fixed_point(matrix, state.totals, shock.external_assets)
-    return state, matrix, shock.external_assets
-
-
 KINDS = (None, "standard", "spatial", "property")
 
 
@@ -160,9 +139,12 @@ def test_per_round_lp_arrays_equal_the_dense_scan(seed, n, kind, g):
     spec = None if kind is None else FairnessSpec(
         kind=kind, budget=g, q=rng.random(n) if kind == "property" else None,
     )
-    with pytest.MonkeyPatch.context() as mp:
-        lp = capture(mp, lambda: per_round_lp(
-            matrix, state.totals, assets, budget, caps, fairness=spec))
+    if spec is None:  # the knapsack route solves most of these without an LP
+        lp = _allocation_lp(matrix, state.totals, assets, budget, caps)
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            lp = capture(mp, lambda: per_round_lp(
+                matrix, state.totals, assets, budget, caps, fairness=spec))
     assert_same_lp(lp, *dense_per_round(
         matrix, state.totals, assets, budget, caps, spec))
 
