@@ -117,9 +117,10 @@ def _onto_budget(z: np.ndarray, budget: float, source: str) -> np.ndarray:
     return z
 
 
-#: Largest gap between the knapsack route's primal value and the objective
-#: of its dual certificate, relative to the primal value (or 1 when that is
-#: smaller), at which the route's step counts as optimal.
+#: Largest gap between a knapsack route's primal value and the objective of
+#: its dual certificate, relative to the primal value (or 1 when that is
+#: smaller), at which the route's step counts as optimal: the per-round
+#: route here and the whole-horizon one of :mod:`horizon`.
 KNAPSACK_GAP_TOL = 1e-9
 
 
@@ -208,14 +209,13 @@ def _knapsack_round(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
 
     While ``D`` is fixed, a unit given to node ``i`` in ``D`` raises total
     payments by ``v_i = [(I - A_DD)^-1 1]_i``, so ``Z`` fills the caps of
-    ``D`` in order of decreasing ``v`` (ties to the lower index) until the
-    budget is spent, and ``D`` pays ``x_D`` solving
-    ``(I - A_DD^T) x_D = c_D + Z_D + A_SD^T P_S`` while the solvent set
-    ``S`` pays ``P_S``.  The step is returned only when ``(x, Z)`` is
+    ``D`` by decreasing ``v`` (:func:`fill_caps`), and ``D`` pays ``x_D``
+    solving ``(I - A_DD^T) x_D = c_D + Z_D + A_SD^T P_S`` while the solvent
+    set ``S`` pays ``P_S``.  The step is returned only when ``(x, Z)`` is
     feasible to ``LP_REPAIR_TOL`` and its value matches, to
     ``KNAPSACK_GAP_TOL``, the objective of the dual point ``y = v`` on
-    ``D`` and 0 on ``S``, ``mu = v`` of the first node left under its cap
-    (0 when none is), ``gamma = max(0, y - mu)`` and
+    ``D`` and 0 on ``S``, the threshold ``mu`` of :func:`fill_caps`,
+    ``gamma = max(0, y - mu)`` and
     ``alpha = max(0, 1 - (I - A) y)``, which is dual feasible whenever
     ``y >= 0``: by weak duality ``(x, Z)`` is then optimal.
     """
@@ -229,12 +229,8 @@ def _knapsack_round(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
     eye = np.eye(defaults.size)
     inner = entries[np.ix_(defaults, defaults)]
     v = np.linalg.solve(eye - inner, np.ones(defaults.size))
-    order = np.argsort(-v, kind="stable")
-    room = caps[defaults][order]
-    fill = np.clip(budget - np.concatenate(([0.0], np.cumsum(room)[:-1])),
-                   0.0, room)
     z = np.zeros(matrix.n)
-    z[defaults[order]] = fill
+    z[defaults], mu = fill_caps(v, caps[defaults], budget)
     x = totals.copy()
     x[defaults] = np.linalg.solve(
         eye - inner.T,
@@ -249,8 +245,6 @@ def _knapsack_round(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
     )
     y = np.zeros(matrix.n)
     y[defaults] = v
-    under = np.flatnonzero(fill < room)
-    mu = float(v[order[under[0]]]) if under.size else 0.0
     alpha = np.maximum(0.0, 1.0 - (y - entries @ y))
     dual = (assets @ y + budget * mu + totals @ alpha
             + caps @ np.maximum(0.0, y - mu))
@@ -259,6 +253,23 @@ def _knapsack_round(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
             and abs(dual - primal) <= KNAPSACK_GAP_TOL * max(1.0, primal)):
         return None
     return x, z
+
+
+def fill_caps(v: np.ndarray, caps: np.ndarray, budget: float):
+    """``(z, mu)`` of the fractional knapsack that spends ``budget`` on
+    items of unit value ``v`` and capacity ``caps``: ``z`` fills the caps in
+    order of decreasing ``v`` (a stable sort, so ties go to the lower index)
+    until the budget is spent, and ``mu``, the budget's multiplier in the
+    knapsack's LP dual, is the ``v`` of the first item left under its cap
+    (0 when every cap is filled)."""
+    order = np.argsort(-v, kind="stable")
+    room = caps[order]
+    fill = np.clip(budget - np.concatenate(([0.0], np.cumsum(room)[:-1])),
+                   0.0, room)
+    z = np.empty_like(fill)
+    z[order] = fill
+    under = np.flatnonzero(fill < room)
+    return z, float(v[order[under[0]]]) if under.size else 0.0
 
 
 def lp_step(source: str, round_index: int, totals: np.ndarray,

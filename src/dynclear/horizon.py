@@ -9,9 +9,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import LP_REPAIR_TOL, kron_coo, leq_program, solve_optimal
+from .clearing import (
+    LP_REPAIR_TOL,
+    LinearProgram,
+    kron_coo,
+    leq_program,
+    solve_optimal,
+)
 from .errors import CertificateError, MyopicGapError, SolverError
-from .fractional import broadcast_caps, value_given_sample_path
+from .fractional import (
+    KNAPSACK_GAP_TOL,
+    broadcast_caps,
+    fill_caps,
+    value_given_sample_path,
+)
 from .network import SamplePath, SystemState, _freeze
 
 CERTIFICATE_TOL = 1e-9
@@ -51,8 +62,10 @@ class PrefixFormulation:
 
 @dataclass(frozen=True, eq=False)
 class DualSolution:
-    """Multipliers of the horizon primal, read from the HiGHS marginals and
-    verified dual feasible to ``LP_REPAIR_TOL``.
+    """Multipliers of the horizon primal, verified dual feasible to
+    ``LP_REPAIR_TOL``: the closed-form dual point of the all-default regime
+    (``lam = 0``, see :func:`_closed_form_horizon`) where that route
+    certifies the step, and the HiGHS marginals of the LP everywhere else.
 
     ``value`` is the dual objective ``h.lam + c.mu + B sum(nu) + caps.sum(xi)``,
     so by weak duality ``value - primal value`` bounds how far the primal is
@@ -68,11 +81,17 @@ class DualSolution:
 
 @dataclass(frozen=True, eq=False)
 class HorizonSolution:
+    """An optimal schedule of the horizon primal.  ``closed_form`` is True
+    when the closed-form route certified it: every node then stays in
+    default, and each round's payments are the maximal clearing of the
+    replayed state and intervention."""
+
     value: float
     clearing: np.ndarray       # (T, n)
     interventions: np.ndarray  # (T, n)
     rewards: tuple[float, ...]
     dual: DualSolution
+    closed_form: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,34 +143,43 @@ def _prefix_data(path: SamplePath):
     return c, h, f
 
 
-def _verified_dual(sol, h, c, budget, caps, zeta) -> DualSolution:
-    """The dual of the horizon primal, read off its HiGHS marginals.
+def _dual_point(lam, mu, nu, xi, h, c, budget, caps, zeta):
+    """``(dual, breach)``: the :class:`DualSolution` of the multipliers and
+    their largest shortfall from dual feasibility.
 
-    Dual feasibility is checked explicitly: every multiplier is
-    nonnegative, ``(I - zeta) mu(t) + sum_{t' >= t} lam(t') >= 1`` for the
-    payment columns and ``xi(t) + nu(t) - mu(t) >= 0`` for the intervention
-    columns, each to ``LP_REPAIR_TOL``; a breach raises :class:`SolverError`.
+    Dual feasibility asks that every multiplier be nonnegative,
+    ``(I - zeta) mu(t) + sum_{t' >= t} lam(t') >= 1`` for the payment
+    columns and ``xi(t) + nu(t) - mu(t) >= 0`` for the intervention
+    columns; ``breach`` is NaN when any multiplier is.
     """
-    rounds, n = h.shape
-    tn = rounds * n
-    lam = sol.dual[:tn].reshape(rounds, n)
-    mu = sol.dual[tn : 2 * tn].reshape(rounds, n)
-    nu = sol.dual[2 * tn :].copy()
-    xi = sol.bound_duals_upper[tn:].reshape(rounds, n)
     suffix_lam = np.cumsum(lam[::-1], axis=0)[::-1]
     shortfalls = np.concatenate([
         -lam.ravel(), -mu.ravel(), -nu, -xi.ravel(),
         (1.0 - (mu - mu @ zeta.T) - suffix_lam).ravel(),
         (mu - xi - nu[:, None]).ravel(),
     ])
-    breach = float(shortfalls.max(initial=0.0))
+    value = (h * lam).sum() + (c * mu).sum() + budget * nu.sum() + xi.sum(0) @ caps
+    dual = DualSolution(value=float(value), lam=lam, mu=mu, nu=nu, xi=xi)
+    return dual, float(shortfalls.max(initial=0.0))
+
+
+def _verified_dual(sol, h, c, budget, caps, zeta) -> DualSolution:
+    """The dual of the horizon primal, read off its HiGHS marginals; a
+    breach of dual feasibility (:func:`_dual_point`) beyond
+    ``LP_REPAIR_TOL`` raises :class:`SolverError`."""
+    rounds, n = h.shape
+    tn = rounds * n
+    dual, breach = _dual_point(
+        sol.dual[:tn].reshape(rounds, n), sol.dual[tn : 2 * tn].reshape(rounds, n),
+        sol.dual[2 * tn :].copy(), sol.bound_duals_upper[tn:].reshape(rounds, n),
+        h, c, budget, caps, zeta,
+    )
     if not breach <= LP_REPAIR_TOL:  # NaN counts as a failure too
         raise SolverError(
             f"horizon LP marginals violate dual feasibility by {breach:.3g}, "
             f"beyond LP_REPAIR_TOL={LP_REPAIR_TOL:g}"
         )
-    value = (h * lam).sum() + (c * mu).sum() + budget * nu.sum() + xi.sum(0) @ caps
-    return DualSolution(value=float(value), lam=lam, mu=mu, nu=nu, xi=xi)
+    return dual
 
 
 def _round_rows(rounds: int, zeta: np.ndarray, row0: int) -> list:
@@ -167,29 +195,103 @@ def _round_rows(rounds: int, zeta: np.ndarray, row0: int) -> list:
     ]
 
 
-def _solve_horizon(
+def _horizon_lp(
     path: SamplePath, budget: float, caps: np.ndarray, zeta: np.ndarray
-) -> HorizonSolution:
+) -> LinearProgram:
+    """The horizon primal over ``[P_tilde(1..T) | Z(1..T)]``: maximize
+    ``sum_t 1^T P_tilde(t)`` subject to the prefix rows
+    ``sum_{t' <= t} P_tilde(t') <= h(t)``, the default rows
+    ``(I - zeta^T) P_tilde(t) - Z(t) <= c(t)`` and the budgets
+    ``1^T Z(t) <= B``, with ``Z(t) <= caps``."""
     rounds, n = len(path), path.n
     c, h, _ = _prefix_data(path)
-    tn = rounds * n  # variables: [P_tilde(1..T) | Z(1..T)]
+    tn = rounds * n
     objective = np.repeat([1.0, 0.0], tn)
     triplets = [
-        # prefix solvency: sum_{t' <= t} P_tilde(t') <= h(t)
         kron_coo(np.tril(np.ones((rounds, rounds))), np.eye(n)),
         *_round_rows(rounds, zeta, tn),
     ]
     rhs = np.concatenate([h.ravel(), c.ravel(), np.full(rounds, float(budget))])
     upper = np.concatenate([np.full(tn, np.inf), np.tile(caps, rounds)])
-    sol = solve_optimal(leq_program(objective, triplets, rhs, upper), "horizon LP")
+    return leq_program(objective, triplets, rhs, upper)
+
+
+def _closed_form_horizon(
+    c: np.ndarray, h: np.ndarray, budget: float, caps: np.ndarray,
+    zeta: np.ndarray,
+) -> HorizonSolution | None:
+    """The horizon primal solved in closed form when every node stays in
+    default, and None when that cannot be certified.
+
+    While no prefix row binds, the LP splits into ``T`` copies of one
+    knapsack: a unit given to node ``i`` in any round raises total payments
+    by ``v_i = [(I - zeta)^-1 1]_i``.  So every round gets the same ``Z``,
+    the caps filled by decreasing ``v`` (:func:`fill_caps`, whose threshold
+    is ``nu``), and pays ``P_tilde(t) = (I - zeta^T)^-1 (c(t) + Z)``, all
+    rounds in one solve.  The step is returned only when it is primal
+    feasible to ``LP_REPAIR_TOL`` (``P_tilde >= 0``, the prefix and default
+    rows, the budget) and the dual point ``lam = 0``, ``mu(t) = v``,
+    ``nu(t) = nu``, ``xi(t) = max(0, v - nu)`` is dual feasible to
+    ``LP_REPAIR_TOL`` with an objective matching the primal value to
+    ``KNAPSACK_GAP_TOL``: by weak duality the step is then optimal.
+
+    A certified schedule is also the maximal clearing of every replayed
+    round: with ``P(t) = h(t) - sum_{t' < t} P_tilde(t')`` the prefix rows
+    say ``P_tilde(t) <= P(t)``, so ``P_tilde(t)`` is a clearing vector, and
+    any clearing vector ``x`` has ``(I - zeta^T) x <= c(t) + Z``, hence
+    ``x <= P_tilde(t)`` (Eisenberg & Noe 2001).
+    """
+    rounds, n = c.shape
+    eye = np.eye(n)
+    v = np.linalg.solve(eye - zeta, np.ones(n))
+    z, nu = fill_caps(v, caps, budget)
+    clearing = np.linalg.solve(eye - zeta.T, (c + z).T).T
+    tol = LP_REPAIR_TOL
+    feasible = (
+        clearing.min() >= -tol
+        and np.all(np.cumsum(clearing, axis=0) <= h + tol)
+        and np.all(clearing - clearing @ zeta - z <= c + tol)
+        and z.sum() <= budget + tol
+    )
+    dual, breach = _dual_point(
+        np.zeros((rounds, n)), np.tile(v, (rounds, 1)), np.full(rounds, nu),
+        np.tile(np.maximum(0.0, v - nu), (rounds, 1)), h, c, budget, caps, zeta,
+    )
+    value = float(clearing.sum())
+    if not (feasible and breach <= tol
+            and abs(dual.value - value) <= KNAPSACK_GAP_TOL * max(1.0, value)):
+        return None
+    return HorizonSolution(
+        value=value,
+        clearing=clearing,
+        interventions=np.tile(z, (rounds, 1)),
+        rewards=tuple(float(r.sum()) for r in clearing),
+        dual=dual,
+        closed_form=True,
+    )
+
+
+def _solve_horizon(
+    path: SamplePath, budget: float, caps: np.ndarray, zeta: np.ndarray
+) -> HorizonSolution:
+    """The horizon primal by :func:`_closed_form_horizon`, or, when that
+    route refuses, by HiGHS on :func:`_horizon_lp` with its dual read from
+    the marginals (:func:`_verified_dual`)."""
+    c, h, _ = _prefix_data(path)
+    solution = _closed_form_horizon(c, h, budget, caps, zeta)
+    if solution is not None:
+        return solution
+    rounds, n = len(path), path.n
+    tn = rounds * n
+    sol = solve_optimal(_horizon_lp(path, budget, caps, zeta), "horizon LP")
     clearing = sol.primal[:tn].reshape(rounds, n)
-    interventions = sol.primal[tn:].reshape(rounds, n)
     return HorizonSolution(
         value=float(sol.objective_value),
         clearing=clearing,
-        interventions=interventions,
+        interventions=sol.primal[tn:].reshape(rounds, n),
         rewards=tuple(float(r.sum()) for r in clearing),
         dual=_verified_dual(sol, h, c, budget, caps, zeta),
+        closed_form=False,
     )
 
 
@@ -200,8 +302,13 @@ def solve_horizon_primal(
     certificate: ConstantProportionCertificate,
 ) -> HorizonSolution:
     """One LP over all rounds with the certified constant proportion matrix
-    in place of the per-round relative liabilities.  The solution carries
-    the verified dual read from the same solve."""
+    in place of the per-round relative liabilities.
+
+    Solved in closed form, with no LP, where every node stays in default
+    and that route's primal-dual certificate holds
+    (:func:`_closed_form_horizon`); otherwise by HiGHS.  The solution
+    carries the verified dual of the same solve: the closed-form dual point
+    or the HiGHS marginals."""
     _require_valid(certificate)
     caps = broadcast_caps(caps, path.n)
     return _solve_horizon(path, budget, caps, certificate.zeta)
@@ -216,9 +323,10 @@ def solve_horizon_dual(
     """The dual of the horizon primal: ``lam`` on the prefix-solvency rows,
     ``mu`` on the default rows, ``nu`` on the budgets, ``xi`` on the caps.
 
-    Read from the HiGHS marginals of :func:`solve_horizon_primal` and
-    verified dual feasible, so no second LP is solved; strong duality holds
-    to solver precision.
+    The dual of :func:`solve_horizon_primal`'s solve, verified dual
+    feasible, so no second LP is solved: the closed-form dual point where
+    that route certifies the step, and the HiGHS marginals otherwise.
+    Strong duality holds to ``KNAPSACK_GAP_TOL`` or to solver precision.
     """
     return solve_horizon_primal(path, budget, caps, certificate).dual
 
@@ -293,9 +401,15 @@ def verify_myopic_optimality(
 ) -> MyopicReport:
     """Compare the sequential per-round solve against the horizon LP.
 
-    On a certificate-valid path the two are provably equal; a gap beyond
-    ``tol`` raises :class:`MyopicGapError`.  On an invalid certificate the
-    report is returned with ``applicable=False`` (both values listed for
+    The two are provably equal on a certificate-valid path on which every
+    node stays in default along the horizon schedule, the regime that
+    :func:`_closed_form_horizon` certifies: each round of that schedule is
+    then a per-round optimum too, reached by the same cap fill.  Once some
+    node turns solvent the horizon LP, whose value bounds every policy's,
+    can be a strict relaxation of the dynamics, and the sequential policy
+    need not be optimal.  On a certificate-valid path a gap beyond ``tol``
+    raises :class:`MyopicGapError`.  On an invalid certificate the report
+    is returned with ``applicable=False`` (both values listed for
     inspection, nothing asserted).
     """
     caps = broadcast_caps(caps, path.n)

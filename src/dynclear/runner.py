@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .clearing import clear_fixed_point
 from .config import ExperimentConfig, build_environment
 from .discrete import RoundingReport, discrete_runs
 from .errors import CertificateError, ValidationError
@@ -25,7 +26,7 @@ from .fractional import (
     sampled_runs,
     stderr,
 )
-from .horizon import check_constant_proportions, solve_horizon_primal
+from .horizon import GAP_TOL, check_constant_proportions, solve_horizon_primal
 from .network import SystemState
 
 
@@ -276,12 +277,20 @@ def emit_plot_data(
 
 
 def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
-    """One whole-horizon LP per distinct sampled path (a replay is solved
+    """One whole-horizon solve per distinct sampled path (a replay is solved
     once), its schedule replayed along the path for trace output, and the
-    duality gap taken against the dual read from the same solve.  Replaying
-    clips payments to the replayed totals and interventions to the caps and
-    rescales them onto the budget; a repair beyond ``LP_REPAIR_TOL`` raises
-    :class:`SolverError`."""
+    duality gap taken against the verified dual of the same solve: the
+    closed-form dual point where every node stays in default, the HiGHS
+    marginals otherwise.  Replaying clips payments to the replayed totals
+    and interventions to the caps and rescales them onto the budget; a
+    repair beyond ``LP_REPAIR_TOL`` raises :class:`SolverError`.
+
+    A closed-form schedule is the maximal clearing of every replayed round
+    by construction.  A schedule HiGHS solved need not be, since the horizon
+    LP lets a solvent node pay late, so each of its replayed rounds is
+    compared with the maximal clearing (:func:`clear_fixed_point`) of the
+    replayed state and intervention; a gap beyond ``GAP_TOL`` raises
+    :class:`CertificateError` naming the sample and the round."""
     _, paths = sample_paths(env, n_samples, seed, horizon)
     caps_vec = broadcast_caps(caps, env.n)
 
@@ -296,10 +305,23 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
         primal = solve_horizon_primal(path, budget, caps, certificate)
 
         def step(t, shock, state, matrix):
-            return lp_step(
+            result = lp_step(
                 "horizon LP replay", shock.round, state.totals, matrix,
                 primal.clearing[t], primal.interventions[t], budget, caps_vec,
             )
+            if not primal.closed_form:
+                maximal = clear_fixed_point(matrix, state.totals,
+                                            shock.external_assets,
+                                            result.intervention.amounts)
+                gap = float(np.abs(result.clearing - maximal).max())
+                if not gap <= GAP_TOL:
+                    raise CertificateError(
+                        f"the horizon schedule of sample {paths.index(path)} "
+                        f"pays {gap:.3g} away from the maximal clearing in "
+                        f"round {shock.round}, so it is not a trajectory of the "
+                        "clearing dynamics"
+                    )
+            return result
 
         value, steps = rollout(SystemState.empty(path.n), path, step)
         gap = abs(primal.value - primal.dual.value)

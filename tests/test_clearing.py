@@ -45,17 +45,18 @@ def hub_round_one():
     return relative_matrix(state), state.totals, hub_shock(1).external_assets
 
 
-def _hub_horizon(solve):
+def _hub_horizon(solve, budget=1.0, caps=1.0):
     path = hub_path(2)
-    return solve(path, 1.0, 1.0, check_constant_proportions(path))
+    return solve(path, budget, caps, check_constant_proportions(path))
 
 
 #: Every LP builder of the package, called on the hub instance (the
-#: per-round LP on a round its knapsack route refuses).
+#: per-round LP on a round its knapsack route refuses, the horizon LP on a
+#: path its closed-form route refuses: B = 3 makes node 1 solvent).
 BUILDERS = {
     "per_round_lp": lambda: per_round_lp(*refused_hub_round(), budget=1.0, caps=1.0),
     "clear_lp": lambda: clear_lp(*hub_round_one()),
-    "solve_horizon_primal": lambda: _hub_horizon(solve_horizon_primal),
+    "solve_horizon_primal": lambda: _hub_horizon(solve_horizon_primal, 3.0, 2.0),
     "solve_prefix_oneshot": lambda: _hub_horizon(solve_prefix_oneshot),
 }
 

@@ -19,10 +19,22 @@ from dynclear import (
     verify_myopic_optimality,
 )
 from dynclear import clearing
-from dynclear.clearing import LP_REPAIR_TOL, dense_coo, leq_program, solve_lp
-from dynclear.horizon import _prefix_data
+from dynclear.clearing import (
+    LP_REPAIR_TOL,
+    clear_fixed_point,
+    dense_coo,
+    leq_program,
+    solve_lp,
+    solve_optimal,
+)
+from dynclear.horizon import _closed_form_horizon, _horizon_lp, _prefix_data
 
-from conftest import deep_constant_proportion_path, hub_path, hub_shock
+from conftest import (
+    deep_constant_proportion_path,
+    hub_path,
+    hub_shock,
+    redrawn_asset_instance,
+)
 
 
 def jump_path():
@@ -239,23 +251,19 @@ class TestDualCertificate:
             reference = reference_dual_value(path, budget, caps, cert.zeta)
             assert dual.value == pytest.approx(reference, abs=1e-7)
 
-    def test_primal_rows_match_the_row_by_row_build(self, monkeypatch):
-        lps = []
-        solve = clearing.solve_lp
-        monkeypatch.setattr(clearing, "solve_lp", lambda lp: lps.append(lp) or solve(lp))
+    def test_primal_rows_match_the_row_by_row_build(self):
         rng = np.random.default_rng(55)
         for _ in range(5):
             path, budget, caps = random_instance(rng)
             cert = check_constant_proportions(path)
-            solve_horizon_primal(path, budget, caps, cert)
             expected = reference_primal_rows(path, budget, cert.zeta)
-            rows = lps[-1].constraints
+            rows = _horizon_lp(path, budget, caps, cert.zeta).constraints
             assert len(rows) == len(expected)
             for (row, rel, rhs), (ref_row, ref_rel, ref_rhs) in zip(rows, expected):
                 assert np.array_equal(row, ref_row)
                 assert (rel, rhs) == (ref_rel, ref_rhs)
 
-    def test_dual_is_feasible_on_a_generated_replay_of_60_nodes(self):
+    def test_dual_is_feasible_on_a_generated_replay_of_60_nodes(self, highs_horizon):
         # the n = 60, T = 25 replay perfbench/workloads.py generates for seed
         # 31 (budget 10, caps 1): at HiGHS's default dual feasibility
         # tolerance its payment-column marginals fell 5e-7 short
@@ -265,7 +273,9 @@ class TestDualCertificate:
         assert abs(primal.value - primal.dual.value) <= 1e-6
 
     @pytest.mark.parametrize("corrupt", [-1.0, 0.0, np.nan])
-    def test_a_corrupted_row_marginal_is_refused(self, monkeypatch, corrupt):
+    def test_a_corrupted_row_marginal_is_refused(
+        self, monkeypatch, highs_horizon, corrupt
+    ):
         # with zero budget on a deep-default path every default-row
         # multiplier mu_i(t) is at least 1 and its payment column needs it:
         # negating, dropping or blanking the largest one breaks feasibility
@@ -317,6 +327,77 @@ def test_horizon_duality_and_myopic_optimality_hold(instance):
         SystemState.empty(path.n), path, budget, caps
     )
     assert sequential == pytest.approx(primal.value, abs=1e-6)
+
+
+def counted_lps(monkeypatch) -> list:
+    """The LPs handed to ``clearing.solve_lp`` from now on, still solved."""
+    lps = []
+    solve = clearing.solve_lp
+    monkeypatch.setattr(clearing, "solve_lp", lambda lp: lps.append(lp) or solve(lp))
+    return lps
+
+
+def highs_value(path, budget, caps, zeta) -> float:
+    lp = _horizon_lp(path, budget, caps, zeta)
+    return solve_optimal(lp, "horizon LP").objective_value
+
+
+def replay_gap(path, solution) -> float:
+    """Largest gap between a schedule's payments and the maximal clearing of
+    the replayed state and intervention, over every round and node."""
+    state, paid, gap = SystemState.empty(path.n), np.zeros(path.n), 0.0
+    for t, shock in enumerate(path):
+        state = advance_state(state, paid, shock)
+        paid = solution.clearing[t]
+        maximal = clear_fixed_point(relative_matrix(state), state.totals,
+                                    shock.external_assets,
+                                    solution.interventions[t])
+        gap = max(gap, float(np.abs(paid - maximal).max()))
+    return gap
+
+
+@settings(max_examples=40)
+@given(horizon_instances())
+def test_the_closed_form_route_solves_deep_paths_without_an_lp(instance):
+    path, budget, caps = instance
+    cert = check_constant_proportions(path)
+    with pytest.MonkeyPatch.context() as mp:
+        lps = counted_lps(mp)
+        solution = solve_horizon_primal(path, budget, caps, cert)
+    assert solution.closed_form and not lps
+    reference = highs_value(path, budget, caps, cert.zeta)
+    assert abs(solution.value - reference) <= 1e-9 * max(1.0, reference)
+    assert replay_gap(path, solution) <= 1e-9
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**16))
+def test_the_closed_form_route_certifies_only_attainable_values(seed):
+    # assets redrawn from U(0, 8) let nodes turn solvent, where the horizon
+    # LP can exceed every policy's value; the route must refuse those paths
+    path, budget, caps = redrawn_asset_instance(seed)
+    cert = check_constant_proportions(path)
+    c, h, _ = _prefix_data(path)
+    solution = _closed_form_horizon(c, h, budget, caps, cert.zeta)
+    sequential, _ = value_given_sample_path(
+        SystemState.empty(path.n), path, budget, caps
+    )
+    reference = highs_value(path, budget, caps, cert.zeta)
+    assert reference >= sequential - 1e-9
+    if solution is not None:
+        assert reference - sequential <= 1e-6
+        assert abs(solution.value - reference) <= 1e-9 * max(1.0, reference)
+        assert replay_gap(path, solution) <= 1e-9
+
+
+def test_a_node_turning_solvent_sends_the_path_to_highs(monkeypatch):
+    # on the hub, B = 3 fills node 0's cap of 2 and gives node 1 the last
+    # unit, which with its third of node 0's payment makes node 1 solvent
+    path = hub_path(2)
+    lps = counted_lps(monkeypatch)
+    solution = solve_horizon_primal(path, 3.0, 2.0, check_constant_proportions(path))
+    assert len(lps) == 1 and not solution.closed_form
+    assert solution.value == pytest.approx(10.0, abs=1e-6)
 
 
 class TestPrefixOneShot:

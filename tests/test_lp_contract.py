@@ -18,7 +18,7 @@ from dynclear import (
 )
 from dynclear import clearing
 from dynclear.fractional import _allocation_lp
-from dynclear.horizon import _prefix_data
+from dynclear.horizon import _horizon_lp, _prefix_data
 
 from conftest import deep_constant_proportion_path, random_clearing_instance, sbm_round
 
@@ -162,8 +162,7 @@ def horizon_instances(draw):
 def test_horizon_lp_arrays_equal_the_dense_scan(instance):
     path, budget, caps = instance
     cert = check_constant_proportions(path)
-    with pytest.MonkeyPatch.context() as mp:
-        lp = capture(mp, lambda: solve_horizon_primal(path, budget, caps, cert))
+    lp = _horizon_lp(path, budget, caps, cert.zeta)
     assert_same_lp(lp, *dense_horizon(path, budget, caps, cert.zeta))
 
 
@@ -218,7 +217,9 @@ def build_peak_mb(monkeypatch, build) -> float:
         tracemalloc.stop()
 
 
-def test_the_horizon_lp_at_100_nodes_and_40_rounds_is_built_sparse(monkeypatch):
+def test_the_horizon_lp_at_100_nodes_and_40_rounds_is_built_sparse(
+    monkeypatch, highs_horizon
+):
     path = deep_constant_proportion_path(np.random.default_rng(1), 100, 40)
     cert = check_constant_proportions(path)
     peak = build_peak_mb(

@@ -5,20 +5,30 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynclear import (
+    CertificateError,
     ConfigError,
+    ReplayEnvironment,
     SolverError,
-    clearing,
+    SystemState,
+    horizon,
     load_config,
     run_experiment,
     runner,
     summarize_scatter,
+    value_given_sample_path,
 )
 from dynclear.cli import main as cli_main
 from dynclear.runner import Trace, _ols
 
-from conftest import write_config
+from conftest import (
+    deep_constant_proportion_path,
+    redrawn_asset_instance,
+    write_config,
+    write_path_replay,
+)
 
 
 def _one_round_trace(samples):
@@ -242,13 +252,13 @@ class TestOutputTables:
 class TestHorizonLpMode:
     def test_replayed_path_is_solved_once(self, tmp_path, monkeypatch):
         lps = []
-        solve = clearing.solve_lp
+        solve = runner.solve_horizon_primal
 
-        def counting(lp):
-            lps.append(lp)
-            return solve(lp)
+        def counting(*args):
+            lps.append(args)
+            return solve(*args)
 
-        monkeypatch.setattr(clearing, "solve_lp", counting)
+        monkeypatch.setattr(runner, "solve_horizon_primal", counting)
         config = load_config(
             write_config(tmp_path, mode="horizon_lp", budget=2.0, samples=3)
         )
@@ -260,6 +270,36 @@ class TestHorizonLpMode:
                 by_sample.setdefault(row[0], []).append(row[1:])
         assert sorted(by_sample) == ["0", "1", "2"]
         assert by_sample["0"] and by_sample["0"] == by_sample["1"] == by_sample["2"]
+
+    def test_a_schedule_below_the_maximal_clearing_is_refused(self, tmp_path):
+        # the horizon LP of this path is worth 132.47 against the sequential
+        # 131.59: it lets a solvent node pay late, which the dynamics do not
+        path, budget, caps = redrawn_asset_instance(10)
+        config = write_config(tmp_path, mode="horizon_lp", budget=budget,
+                              caps=caps.tolist())
+        write_path_replay(tmp_path, path)
+        with pytest.raises(CertificateError,
+                           match=r"sample 0 .* maximal clearing in round \d"):
+            run_experiment(load_config(config))
+        assert cli_main(["run", config]) == 3
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_highs_schedules_of_deep_paths_replay_as_the_dynamics(self, seed):
+        # every node stays in default, so each optimum of the horizon LP is
+        # a maximal-clearing trajectory and the replay check never fires
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        path = deep_constant_proportion_path(rng, n, int(rng.integers(1, 5)))
+        budget, caps = float(rng.uniform(0.0, 4.0)), rng.uniform(0.0, 3.0, n)
+        env = ReplayEnvironment(shocks=path.shocks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(horizon, "_closed_form_horizon", lambda *args: None)
+            runs, info = runner._horizon_lp_runs(env, None, 1, budget, caps, 0)
+        sequential, _ = value_given_sample_path(
+            SystemState.empty(n), path, budget, caps)
+        assert runs[0][1] == pytest.approx(sequential, abs=1e-6)
+        assert info["max_duality_gap"] <= 1e-6
 
     @pytest.mark.parametrize("budget", [0.0, 1.0])
     def test_trace_writes_no_negative_zero(self, tmp_path, monkeypatch, budget):
