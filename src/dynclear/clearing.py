@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractionError, SolverError, ValidationError
-from .network import RelativeLiabilityMatrix
+from .network import CONNECTIVITY_MARGIN, RelativeLiabilityMatrix
 
 INF = float("inf")
 
@@ -95,9 +95,9 @@ class LpSolution:
 
     ``dual`` carries one nonnegative multiplier per constraint row and
     ``bound_duals_upper`` the reduced costs of the columns at their upper
-    bound; together they reproduce the optimal objective (strong duality,
-    the lower bounds being 0), which is what :meth:`dual_objective`
-    evaluates.
+    bound; ``dual @ rhs`` plus ``bound_duals_upper @ upper`` over the finite
+    bounds reproduces the optimal objective (strong duality, the lower
+    bounds being 0).
     """
 
     status: str  # optimal | infeasible | unbounded | failed
@@ -107,15 +107,6 @@ class LpSolution:
     message: str | None = None  # the solver's account of a non-optimal status
     iterations: int = 0  # simplex iterations, over every solve after a stall
     bound_duals_upper: np.ndarray | None = None
-    _lp: LinearProgram | None = None
-
-    def dual_objective(self) -> float:
-        if self.status != "optimal":
-            raise SolverError("dual objective only defined for optimal solutions")
-        # a multiplier on an infinite bound is 0
-        finite = np.isfinite(self._lp.upper)
-        return float(np.dot(self.dual, self._lp.rhs)
-                     + np.dot(self.bound_duals_upper[finite], self._lp.upper[finite]))
 
 
 class _HighsResult(NamedTuple):
@@ -232,7 +223,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         objective_value=float(-res.objective),
         iterations=res.iterations,
         bound_duals_upper=-res.upper_dual,
-        _lp=lp,
     )
 
 
@@ -246,14 +236,14 @@ def clear_stack(entries, totals, assets) -> np.ndarray:
     ``(I - diag(d) A^T) x = d * assets + (1 - d) * P`` for the whole stack
     in one batched solve, until ``D`` stops growing (at most ``n`` rounds).
     The result is exact up to the linear solves.  Raises
-    :class:`ContractionError` when a row sum reaches ``1 - 1e-12`` (the
-    :func:`check_nonvanishing` margin) or a block is singular.
+    :class:`ContractionError` when a row sum reaches
+    ``1 - CONNECTIVITY_MARGIN`` or a block is singular.
     """
     entries, totals, assets = (
         np.asarray(a, dtype=float) for a in (entries, totals, assets)
     )
     beta_max = float(entries.sum(axis=-1).max(initial=0.0))
-    if beta_max >= 1.0 - 1e-12:
+    if beta_max >= 1.0 - CONNECTIVITY_MARGIN:
         raise ContractionError(
             f"max connectivity {beta_max} is not < 1; "
             "the clearing map is not a contraction"

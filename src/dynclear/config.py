@@ -129,6 +129,8 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     if caps is None:
         caps = budget
     _check_numbers(caps, "caps", 0.0, math.inf)
+    if not np.all(np.isfinite(caps)):
+        raise ConfigError(f"caps: must be finite, got {caps!r}")
     horizon = _optional(data, "horizon", int, "")
     if horizon is not None and horizon < 1:
         raise ConfigError("horizon: must be >= 1")

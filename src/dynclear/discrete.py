@@ -77,8 +77,9 @@ class RoundingReport:
 
 def _integer_caps(caps: np.ndarray) -> np.ndarray:
     rounded = np.rint(caps)
-    if np.max(np.abs(caps - rounded), initial=0.0) > 1e-9:
-        raise ValidationError("discrete interventions need integer caps")
+    if (not np.all(np.isfinite(caps))
+            or np.max(np.abs(caps - rounded), initial=0.0) > 1e-9):
+        raise ValidationError("discrete interventions need finite integer caps")
     return rounded.astype(int)
 
 

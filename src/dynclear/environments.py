@@ -5,7 +5,7 @@ deterministic replay of recorded rounds."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +16,12 @@ from .network import DEFAULT_B_FLOOR, SamplePath, ShockRealization
 class EnvironmentModel:
     """Base sampling contract.
 
-    Subclasses implement :meth:`sample_round`; rounds of the shipped
-    synthetic models are drawn i.i.d., the degenerate case of a Markov
-    chain.  Identical ``(model, rng state)`` pairs yield identical samples.
+    Subclasses implement :meth:`sample_round`, or override
+    :meth:`sample_path` as a replay does; rounds of the shipped synthetic
+    models are drawn i.i.d., the degenerate case of a Markov chain.
+    Identical ``(model, rng state)`` pairs yield identical samples.
     """
 
-    kind: str = "abstract"
     n: int
     horizon: int
 
@@ -44,12 +44,6 @@ class EnvironmentModel:
     def shock_norm_bound(self) -> float | None:
         """Sup of ||b||_1 + ||l||_1 over the environment, when finite."""
         return None
-
-
-def sample_path(
-    model: EnvironmentModel, from_round: int, to_round: int, rng: np.random.Generator
-) -> SamplePath:
-    return model.sample_path(from_round, to_round, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +78,11 @@ class SbmParams:
 
 
 def sample_sbm_round(
-    params: SbmParams,
-    rng: np.random.Generator,
-    round_index: int = 1,
-    b_floor: float = DEFAULT_B_FLOOR,
+    params: SbmParams, rng: np.random.Generator, round_index: int = 1
 ) -> ShockRealization:
     """One blockmodel round: directed edges by block probability, liability
     mass exponential on present edges, exponential external liabilities
-    floored away from zero, constant external assets."""
+    floored at ``DEFAULT_B_FLOOR``, constant external assets."""
     n = params.n
     core = np.arange(n) < params.n_core
     block = np.where(core, 0, 1)
@@ -101,14 +92,13 @@ def sample_sbm_round(
     scale = 1.0 / params.liability_rate
     internal = np.where(present, rng.exponential(scale, size=(n, n)), 0.0)
     np.fill_diagonal(internal, 0.0)
-    b = np.maximum(rng.exponential(scale, size=n), b_floor)
+    b = np.maximum(rng.exponential(scale, size=n), DEFAULT_B_FLOOR)
     c = np.full(n, params.asset_level)
     return ShockRealization(
         round=round_index,
         external_liabilities=b,
         external_assets=c,
         internal_liabilities=internal,
-        b_floor=min(b_floor, DEFAULT_B_FLOOR),
     )
 
 
@@ -116,8 +106,6 @@ def sample_sbm_round(
 class SbmEnvironment(EnvironmentModel):
     params: SbmParams
     horizon: int
-    b_floor: float = DEFAULT_B_FLOOR
-    kind: str = field(default="sbm_core_periphery", init=False)
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -128,7 +116,7 @@ class SbmEnvironment(EnvironmentModel):
         return self.params.n
 
     def sample_round(self, t, rng):
-        return sample_sbm_round(self.params, rng, round_index=t, b_floor=self.b_floor)
+        return sample_sbm_round(self.params, rng, round_index=t)
 
 
 def _gamma_or_zero(rng, shape: np.ndarray) -> np.ndarray:
@@ -188,7 +176,6 @@ class GammaEnvironment(EnvironmentModel):
     out_counts: np.ndarray
     in_counts: np.ndarray
     horizon: int
-    kind: str = field(default="gamma_transactions", init=False)
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -212,7 +199,6 @@ class ReplayEnvironment(EnvironmentModel):
     """Deterministic playback of recorded rounds 1..T."""
 
     shocks: tuple[ShockRealization, ...]
-    kind: str = field(default="replay", init=False)
 
     def __post_init__(self):
         path = SamplePath(shocks=tuple(self.shocks))  # validates contiguity
@@ -227,13 +213,6 @@ class ReplayEnvironment(EnvironmentModel):
     @property
     def horizon(self) -> int:
         return len(self.shocks)
-
-    def sample_round(self, t, rng):
-        if not 1 <= t <= self.horizon:
-            raise ValidationError(
-                f"round {t} outside recorded horizon 1..{self.horizon}"
-            )
-        return self.shocks[t - 1]
 
     def sample_path(self, from_round, to_round, rng):
         if not 1 <= from_round <= to_round <= self.horizon:

@@ -40,11 +40,11 @@ class CertificateError(DynclearError):
 
 
 class MyopicGapError(DynclearError):
-    """Sequential and horizon values disagree on a certificate-valid path.
-    They are provably equal while every node stays in default along the
-    horizon schedule; once a node turns solvent the horizon LP can be a
-    strict relaxation of the dynamics, or the sequential policy can fall
-    short of an attainable optimum."""
+    """Sequential and horizon values disagree on a certificate-valid path
+    on which every node stays in default along the horizon schedule, where
+    they are provably equal.  Outside that regime a gap is not an error:
+    the horizon LP can be a strict relaxation of the dynamics, or the
+    sequential policy can fall short of an attainable optimum."""
 
 
 class ConfigError(DynclearError):

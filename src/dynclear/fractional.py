@@ -4,7 +4,6 @@ Carlo aggregation of the value function."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -64,10 +63,6 @@ class ValueEstimate:
     @property
     def stderr(self) -> float:
         return stderr(self.values)
-
-    def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        half = z * self.stderr
-        return (self.mean - half, self.mean + half)
 
 
 def stderr(values) -> float:
@@ -347,15 +342,6 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def _path_key(path: SamplePath) -> bytes:
-    h = hashlib.sha1()
-    for shock in path:
-        h.update(shock.external_liabilities.tobytes())
-        h.update(shock.external_assets.tobytes())
-        h.update(shock.internal_liabilities.tobytes())
-    return h.digest()
-
-
 def sample_paths(
     env, n_samples: int, seed: int, horizon: int | None = None
 ) -> tuple[list[np.random.Generator], list[SamplePath]]:
@@ -381,11 +367,13 @@ def ordered_map(fn, items, threads: int = 1) -> list:
 
 def once_per_distinct_path(paths: list[SamplePath], solve, threads: int = 1):
     """``[solve(path) for path in paths]`` with ``solve`` called once per
-    distinct path (identical shocks, as a replay draws), in order of first
-    appearance and on ``threads`` workers; results keep the order of
-    ``paths`` whatever the worker count."""
-    keys = [_path_key(p) for p in paths]
-    first: dict[bytes, SamplePath] = {}
+    distinct path, in order of first appearance and on ``threads`` workers;
+    results keep the order of ``paths`` whatever the worker count.  Paths
+    are the same when they hold the same shock objects, as replay draws do;
+    an environment that rebuilds equal shocks as new objects has each such
+    path solved again, with equal results, only more slowly."""
+    keys = [tuple(map(id, p.shocks)) for p in paths]
+    first: dict[tuple[int, ...], SamplePath] = {}
     for key, path in zip(keys, paths):
         first.setdefault(key, path)
     by_key = dict(zip(first, ordered_map(solve, first.values(), threads)))
@@ -406,8 +394,8 @@ def sampled_runs(
     """Draw ``n_samples`` paths on per-sample substreams and solve each.
 
     Results are ordered by sample index, so the output is bitwise identical
-    for a fixed seed regardless of the worker count.  Identical paths (as
-    produced by replay or other degenerate environments) are solved once.
+    for a fixed seed regardless of the worker count.  Paths holding the same
+    shock objects (as a replay draws) are solved once.
     """
     _, paths = sample_paths(env, n_samples, seed, horizon)
     solved = once_per_distinct_path(

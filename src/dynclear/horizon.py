@@ -96,6 +96,10 @@ class HorizonSolution:
 
 @dataclass(frozen=True, eq=False)
 class MyopicReport:
+    """Sequential against horizon value on one path.  ``applicable`` is True
+    where the two are provably equal: a certificate-valid path whose
+    horizon schedule the closed-form route certified."""
+
     certificate: ConstantProportionCertificate
     applicable: bool
     sequential_value: float
@@ -108,10 +112,9 @@ def _round_ratios(shock) -> np.ndarray:
     return shock.internal_liabilities / mass[:, None]
 
 
-def check_constant_proportions(
-    path: SamplePath, tol: float = CERTIFICATE_TOL
-) -> ConstantProportionCertificate:
-    """Extract round-1 proportions and measure how far later rounds drift.
+def check_constant_proportions(path: SamplePath) -> ConstantProportionCertificate:
+    """Extract round-1 proportions and measure how far later rounds drift;
+    the path is valid when no round drifts by more than ``CERTIFICATE_TOL``.
 
     Any round works as the reference under validity; round 1 is used.  The
     denominators are strictly positive because external liabilities are.
@@ -121,7 +124,7 @@ def check_constant_proportions(
     for shock in path.shocks[1:]:
         worst = max(worst, float(np.abs(_round_ratios(shock) - zeta).max()))
     return ConstantProportionCertificate(
-        zeta=zeta, valid=worst <= tol, max_violation=worst
+        zeta=zeta, valid=worst <= CERTIFICATE_TOL, max_violation=worst
     )
 
 
@@ -348,7 +351,8 @@ def solve_prefix_oneshot(
 ) -> PrefixSolution:
     """The horizon problem as a single static clearing LP over cumulative
     payments, with the weighted objective ``sum_t 1^T Q(t)`` (equivalently
-    ``sum_t t * reward(t)``, another strictly increasing choice).
+    ``sum_s (T - s + 1) * reward(s)``, since ``Q(t)`` sums the payments of
+    rounds ``s <= t``: earlier rounds weigh more).
 
     The vectorized problem has block-diagonal proportions, prefix assets and
     liabilities, staircase budgets ``1^T W(t) <= t B`` and caps
@@ -392,43 +396,40 @@ def solve_prefix_oneshot(
     )
 
 
-def verify_myopic_optimality(
-    path: SamplePath,
-    budget: float,
-    caps,
-    start: SystemState | None = None,
-    tol: float = GAP_TOL,
-) -> MyopicReport:
-    """Compare the sequential per-round solve against the horizon LP.
+def verify_myopic_optimality(path: SamplePath, budget: float, caps) -> MyopicReport:
+    """Compare the sequential per-round solve from the debt-free state, the
+    state the horizon LP starts from, against the horizon LP.
 
     The two are provably equal on a certificate-valid path on which every
     node stays in default along the horizon schedule, the regime that
     :func:`_closed_form_horizon` certifies: each round of that schedule is
-    then a per-round optimum too, reached by the same cap fill.  Once some
-    node turns solvent the horizon LP, whose value bounds every policy's,
-    can be a strict relaxation of the dynamics, and the sequential policy
-    need not be optimal.  On a certificate-valid path a gap beyond ``tol``
-    raises :class:`MyopicGapError`.  On an invalid certificate the report
-    is returned with ``applicable=False`` (both values listed for
-    inspection, nothing asserted).
+    then a per-round optimum too, reached by the same cap fill.  Only there
+    is the report ``applicable``, and a gap beyond ``GAP_TOL`` raises
+    :class:`MyopicGapError`.  Once some node turns solvent the horizon LP,
+    whose value bounds every policy's, can be a strict relaxation of the
+    dynamics, and the sequential policy need not be optimal either; there,
+    and on an invalid certificate, the report is returned with
+    ``applicable=False`` (both values listed for inspection, nothing
+    asserted).
     """
     caps = broadcast_caps(caps, path.n)
     certificate = check_constant_proportions(path)
-    if start is None:
-        start = SystemState.empty(path.n)
-    sequential, _ = value_given_sample_path(start, path, budget, caps)
+    sequential, _ = value_given_sample_path(
+        SystemState.empty(path.n), path, budget, caps
+    )
     horizon = _solve_horizon(path, budget, caps, certificate.zeta)
     gap = sequential - horizon.value
+    applicable = certificate.valid and horizon.closed_form
     report = MyopicReport(
         certificate=certificate,
-        applicable=certificate.valid,
+        applicable=applicable,
         sequential_value=sequential,
         horizon_value=horizon.value,
         gap=gap,
     )
-    if certificate.valid and abs(gap) > tol:
+    if applicable and abs(gap) > GAP_TOL:
         raise MyopicGapError(
             f"sequential value {sequential} and horizon value {horizon.value} "
-            f"differ by {gap} on a certificate-valid path"
+            f"differ by {gap} on a path where every node stays in default"
         )
     return report

@@ -23,6 +23,10 @@ DEFAULT_B_FLOOR = 1e-6
 #: Tolerance on maintained consistency invariants (totals vs. components).
 CONSISTENCY_TOL = 1e-9
 
+#: How far below 1 every row sum of the relative liability matrix must stay
+#: for the clearing map to count as a contraction.
+CONNECTIVITY_MARGIN = 1e-12
+
 
 def _vector(x, n: int | None, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -126,10 +130,6 @@ class SamplePath:
     @property
     def start_round(self) -> int:
         return self.shocks[0].round
-
-    @property
-    def end_round(self) -> int:
-        return self.shocks[-1].round
 
     def __len__(self) -> int:
         return len(self.shocks)
@@ -301,9 +301,7 @@ def relative_matrix(state: SystemState) -> RelativeLiabilityMatrix:
     return RelativeLiabilityMatrix(entries=entries, row_sums=entries.sum(axis=-1))
 
 
-def check_nonvanishing(
-    matrix: RelativeLiabilityMatrix, margin: float = 1e-12
-) -> bool:
+def check_nonvanishing(matrix: RelativeLiabilityMatrix) -> bool:
     """True iff every node keeps a strictly positive external share,
-    i.e. ``max_i beta_i < 1 - margin``."""
-    return bool(matrix.max_connectivity < 1.0 - margin)
+    i.e. ``max_i beta_i < 1 - CONNECTIVITY_MARGIN``."""
+    return bool(matrix.max_connectivity < 1.0 - CONNECTIVITY_MARGIN)

@@ -292,7 +292,7 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
     replayed state and intervention; a gap beyond ``GAP_TOL`` raises
     :class:`CertificateError` naming the sample and the round."""
     _, paths = sample_paths(env, n_samples, seed, horizon)
-    caps_vec = broadcast_caps(caps, env.n)
+    caps = broadcast_caps(caps, env.n)
 
     def solve(path):
         certificate = check_constant_proportions(path)
@@ -307,7 +307,7 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
         def step(t, shock, state, matrix):
             result = lp_step(
                 "horizon LP replay", shock.round, state.totals, matrix,
-                primal.clearing[t], primal.interventions[t], budget, caps_vec,
+                primal.clearing[t], primal.interventions[t], budget, caps,
             )
             if not primal.closed_form:
                 maximal = clear_fixed_point(matrix, state.totals,

@@ -198,7 +198,6 @@ def test_criterion_7_fairness_band_on_synthetic_network():
 
 
 class _HubMixture(EnvironmentModel):
-    kind = "mixture"
     n = 3
     horizon = 2
 

@@ -40,6 +40,14 @@ from conftest import (
 INF = float("inf")
 
 
+def dual_objective(sol, lp) -> float:
+    """``dual @ rhs`` plus the upper-bound duals times the finite upper
+    bounds: the optimal objective, by strong duality."""
+    finite = np.isfinite(lp.upper)
+    return float(np.dot(sol.dual, lp.rhs)
+                 + np.dot(sol.bound_duals_upper[finite], lp.upper[finite]))
+
+
 def hub_round_one():
     state = advance_state(SystemState.empty(3), np.zeros(3), hub_shock(1))
     return relative_matrix(state), state.totals, hub_shock(1).external_assets
@@ -104,7 +112,7 @@ class TestSolveLp:
                              [float(rng.uniform(1, 3)) for _ in range(n)])
             sol = solve_lp(lp)
             assert sol.status == "optimal"
-            assert sol.dual_objective() == pytest.approx(
+            assert dual_objective(sol, lp) == pytest.approx(
                 sol.objective_value, abs=1e-6
             )
             for coeffs, b, dual in zip(lhs, rhs, sol.dual):
@@ -163,7 +171,7 @@ class TestSolveLp:
             "dual_feasibility_tolerance": 1e-9, "simplex_strategy": 4,
         }
         np.testing.assert_allclose(sol.primal, [0.65, 0.85, 0.35], atol=1e-8)
-        assert sol.dual_objective() == pytest.approx(sol.objective_value, abs=1e-9)
+        assert dual_objective(sol, lp) == pytest.approx(sol.objective_value, abs=1e-9)
         assert sol.iterations > 0
 
     def test_a_primal_stall_gets_one_fresh_dual_solve(self, monkeypatch):

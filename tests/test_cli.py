@@ -42,6 +42,14 @@ def test_import_and_validate_load_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"  # after both validations
 
 
+@pytest.mark.parametrize("caps", [float("inf"), [1.0, float("inf"), 1.0]],
+                         ids=["scalar", "list"])
+def test_validate_rejects_infinite_caps(tmp_path, capsys, caps):
+    config = write_config(tmp_path, mode="discrete", caps=caps)
+    assert main(["validate", config]) == 2
+    assert "caps" in capsys.readouterr().err
+
+
 def test_validate_missing_replay_file(tmp_path, capsys):
     config = write_config(tmp_path)
     os.unlink(os.path.join(tmp_path, "internal.csv"))

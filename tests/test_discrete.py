@@ -105,6 +105,11 @@ class TestSampleInterventions:
                 rng=np.random.default_rng(0),
             )
 
+    def test_infinite_caps_rejected(self):
+        # |inf - rint(inf)| is NaN, which must not pass as an integer cap
+        with pytest.raises(ValidationError, match="integer caps"):
+            discrete._integer_caps(np.array([1.0, np.inf]))
+
     def test_fractional_caps_rejected(self):
         with pytest.raises(ValidationError, match="integer caps"):
             sample_interventions(

@@ -13,7 +13,6 @@ from dynclear import (
     load_replay,
     relative_matrix,
     sample_gamma_round,
-    sample_path,
     sample_sbm_round,
 )
 
@@ -85,9 +84,9 @@ class TestReplay:
 
     def test_replay_returns_stored_rounds_verbatim(self, hub_env):
         rng = np.random.default_rng(0)
-        path = sample_path(hub_env, 1, 2, rng)
+        path = hub_env.sample_path(1, 2, rng)
         assert path.shocks == hub_env.shocks
-        sub = sample_path(hub_env, 2, 2, rng)
+        sub = hub_env.sample_path(2, 2, rng)
         assert sub.shocks == (hub_env.shocks[1],)
 
     def test_replay_span_errors(self, hub_env):

@@ -27,6 +27,7 @@ from dynclear.fractional import (
     _allocation_lp,
     _knapsack_round,
     broadcast_caps,
+    once_per_distinct_path,
     ordered_map,
     sample_paths,
     sampled_runs,
@@ -272,7 +273,6 @@ class TestValueGivenSamplePath:
 class _HotColdMixture(EnvironmentModel):
     """Whole-path Bernoulli mixture: the hub path or a near-empty economy."""
 
-    kind = "mixture"
     n = 3
     horizon = 2
 
@@ -411,3 +411,26 @@ def test_sampled_runs_reuses_identical_paths(hub_env):
     assert values == [values[0]] * 4
     first_steps = runs[0][2]
     assert runs[1][2] is first_steps  # memoized solve, not recomputed
+
+
+def test_memo_keys_paths_by_shock_identity(hub_env):
+    shared = hub_env.sample_path(1, 2, None)
+    same = SamplePath(shocks=shared.shocks)
+    copied = SamplePath(shocks=tuple(
+        ShockRealization(
+            round=s.round,
+            external_liabilities=s.external_liabilities.copy(),
+            external_assets=s.external_assets.copy(),
+            internal_liabilities=s.internal_liabilities.copy(),
+        )
+        for s in shared
+    ))
+    solved = []
+
+    def solve(path):
+        solved.append(path)
+        return value_given_sample_path(SystemState.empty(3), path, 2.0, 2.0)[0]
+
+    values = once_per_distinct_path([shared, same, copied], solve)
+    assert solved == [shared, copied]  # equal content, new objects: solved again
+    assert values == [values[0]] * 3

@@ -423,8 +423,9 @@ class TestPrefixOneShot:
         assert one_shot.value == pytest.approx(primal.value, abs=1e-7)
 
     def test_weighted_objective_picks_the_same_schedule(self):
-        # the prefix objective weights round t by t; on a unique-optimum
-        # instance the recovered schedule matches the plain-sum optimum
+        # the prefix objective weights round s by T - s + 1; on a
+        # unique-optimum instance the recovered schedule matches the
+        # plain-sum optimum
         path = hub_path(2)
         cert = check_constant_proportions(path)
         primal = solve_horizon_primal(path, 2.0, 2.0, cert)
@@ -476,6 +477,15 @@ class TestMyopicOptimality:
             report = verify_myopic_optimality(path, budget, caps)
             assert report.applicable
             assert abs(report.gap) <= 1e-6
+
+    def test_a_gap_off_the_all_default_regime_is_reported_not_raised(self):
+        # a node turns solvent, so the horizon LP may exceed the sequential
+        # solve; only the closed-form regime proves the two equal
+        path, budget, caps = redrawn_asset_instance(10)
+        report = verify_myopic_optimality(path, budget, caps)
+        assert report.certificate.valid and not report.applicable
+        assert report.horizon_value == pytest.approx(132.47, abs=0.01)
+        assert report.sequential_value == pytest.approx(131.59, abs=0.01)
 
     def test_certificate_violation_reports_inapplicable(self):
         report = verify_myopic_optimality(jump_path(), 1.0, 1.0)
