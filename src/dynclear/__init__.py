@@ -81,7 +81,6 @@ from .horizon import (
     verify_myopic_optimality,
 )
 from .network import (
-    InterventionVector,
     RelativeLiabilityMatrix,
     SamplePath,
     ShockRealization,
@@ -108,7 +107,6 @@ __all__ = [
     "FairnessSpec",
     "FairnessWeights",
     "GammaEnvironment",
-    "InterventionVector",
     "LinearProgram",
     "LpSolution",
     "MyopicGapError",

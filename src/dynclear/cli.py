@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .config import build_environment, load_config
+from .config import build_environment, check_minimum, load_config
 from .discrete import brute_force_discrete
 from .errors import ConfigError, DynclearError, ReplayFormatError
 from .fractional import sample_paths
@@ -41,14 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config, args):
-    if args.seed is not None:
-        config.seed = args.seed
     if args.out_dir is not None:
         config.out_dir = args.out_dir
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("threads: must be >= 1")
-        config.threads = args.threads
+    for field in ("seed", "threads"):
+        value = getattr(args, field)
+        if value is not None:
+            setattr(config, field, check_minimum(field, value))
     return config
 
 

@@ -71,6 +71,24 @@ def _check_numbers(value, path: str, lo: float, hi: float) -> None:
             )
 
 
+def _check_finite(value, path: str) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+
+
+#: Least value of each integer run field.
+MINIMUM = {"samples": 1, "seed": 0, "horizon": 1, "retries": 1, "threads": 1}
+
+
+def check_minimum(field: str, value: int) -> int:
+    """``value`` of the integer run ``field``, raising :class:`ConfigError`
+    when it is below the field's least value; the command-line overrides go
+    through it too."""
+    if value < MINIMUM[field]:
+        raise ConfigError(f"{field}: must be >= {MINIMUM[field]}")
+    return value
+
+
 def _optional(data: dict, key: str, types, path: str, default=None):
     if key not in data or data[key] is None:
         return default
@@ -118,22 +136,20 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError(f"mode: {mode!r} is not one of {MODES}")
     budget = float(_require(data, "budget", (int, float), ""))
     _check_numbers(budget, "budget", 0.0, math.inf)
+    _check_finite(budget, "budget")
     if mode == "zero_input" and budget != 0:
         raise ConfigError("budget: zero_input mode requires budget 0")
-    samples = _require(data, "samples", int, "")
-    if samples < 1:
-        raise ConfigError("samples: must be >= 1")
-    seed = _optional(data, "seed", int, "", default=0)
+    samples = check_minimum("samples", _require(data, "samples", int, ""))
+    seed = check_minimum("seed", _optional(data, "seed", int, "", default=0))
     out_dir = _require(data, "out_dir", str, "")
     caps = _optional(data, "caps", (int, float, list), "", default=None)
     if caps is None:
         caps = budget
     _check_numbers(caps, "caps", 0.0, math.inf)
-    if not np.all(np.isfinite(caps)):
-        raise ConfigError(f"caps: must be finite, got {caps!r}")
+    _check_finite(caps, "caps")
     horizon = _optional(data, "horizon", int, "")
-    if horizon is not None and horizon < 1:
-        raise ConfigError("horizon: must be >= 1")
+    if horizon is not None:
+        check_minimum("horizon", horizon)
     if env["kind"] != "replay" and horizon is None:
         raise ConfigError("horizon: required for synthetic environments")
     retries = _optional(data, "retries", int, "", default=None)
@@ -141,11 +157,8 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError("retries: only meaningful in discrete mode")
     if retries is None:
         retries = DEFAULT_RETRIES
-    if retries < 1:
-        raise ConfigError("retries: must be >= 1")
-    threads = _optional(data, "threads", int, "", default=1)
-    if threads < 1:
-        raise ConfigError("threads: must be >= 1")
+    check_minimum("retries", retries)
+    threads = check_minimum("threads", _optional(data, "threads", int, "", default=1))
 
     fairness = None
     fair_data = _optional(data, "fairness", dict, "")

@@ -10,19 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import clear_fixed_point, clear_stack
+from .clearing import clear_stack
 from .errors import EnumerationLimitError, ValidationError
 from .fractional import (
     PolicyStepResult,
     broadcast_caps,
     once_per_distinct_path,
     ordered_map,
-    rollout,
     sample_paths,
     value_given_sample_path,
 )
 from .network import (
-    InterventionVector,
     RelativeLiabilityMatrix,
     SamplePath,
     SystemState,
@@ -33,6 +31,10 @@ from .network import (
 DEFAULT_RETRIES = 64
 
 BUDGET_TOL = 1e-9
+
+#: Most action schedules, ``|actions| ** rounds``, the exhaustive oracle
+#: will search.
+MAX_COMBINATIONS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +90,8 @@ def sample_interventions(
     caps,
     budget: float,
     tau: int = DEFAULT_RETRIES,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[list[DiscreteAction], int]:
     """Round a fractional intervention schedule to integers.
 
@@ -102,8 +105,6 @@ def sample_interventions(
     """
     if tau < 1:
         raise ValidationError("tau must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
     shapes = {np.shape(z) for z in fractional}
     if not shapes:
         raise ValidationError("empty fractional schedule")
@@ -130,33 +131,56 @@ def sample_interventions(
     return actions, attempt
 
 
-def simulate_discrete_policy(
-    start: SystemState,
-    path: SamplePath,
-    actions: list[DiscreteAction] | list[np.ndarray],
-) -> tuple[float, list[PolicyStepResult]]:
-    """Realized value of a fixed action schedule under maximal clearing."""
-    if len(actions) != len(path):
-        raise ValidationError("one action per round required")
-
-    def step(t, shock, state, matrix):
-        z = actions[t]
-        z = np.asarray(z.amounts if isinstance(z, DiscreteAction) else z, float)
-        clearing = clear_fixed_point(matrix, state.totals, shock.external_assets, z)
-        return PolicyStepResult(
-            round=shock.round,
-            totals=state.totals.copy(),
-            clearing=clearing,
-            intervention=InterventionVector(
-                amounts=z,
-                budget=max(float(z.sum()), 0.0),  # may exceed B when flagged
-                caps=np.maximum(z, 0.0),
-            ),
-            reward=float(clearing.sum()),
-            beta=matrix.row_sums.copy(),
+def _play(start: SystemState, path: SamplePath, schedules):
+    """Carry a stack of states along ``path`` under fixed intervention
+    schedules of shape ``(k, rounds, n)``: each round folds the shock and
+    the previous round's clearing into every state (:func:`carry_forward`,
+    from ``start`` with nothing cleared) and clears the stack under maximal
+    clearing (:func:`clear_stack`).  Yields each round's ``(shock, totals,
+    entries, clearing)``, stacked along the schedules."""
+    z = np.asarray(schedules, dtype=float)
+    n = path.n
+    if start.n != n:
+        raise ValidationError("start state and path disagree on node count")
+    if z.ndim != 3 or z.shape[1:] != (len(path), n):
+        raise ValidationError(
+            f"schedules must have shape (k, {len(path)}, {n}), got {z.shape}"
         )
+    if not np.all(z >= 0):
+        raise ValidationError("intervention amounts must be nonnegative")
+    k = z.shape[0]
+    pairwise = np.broadcast_to(start.pairwise, (k, n, n))
+    external = np.broadcast_to(start.external, (k, n))
+    totals = np.broadcast_to(start.totals, (k, n))
+    clearing = np.zeros((k, n))
+    for t, shock in enumerate(path):
+        pairwise, external, totals = carry_forward(
+            pairwise, external, totals, clearing, shock
+        )
+        entries = relative_entries(pairwise, totals)
+        clearing = clear_stack(entries, totals, shock.external_assets + z[:, t])
+        yield shock, totals, entries, clearing
 
-    return rollout(start, path, step)
+
+def simulate_discrete_policy(
+    start: SystemState, path: SamplePath, schedule
+) -> tuple[float, list[PolicyStepResult]]:
+    """Realized value of a fixed ``(rounds, n)`` intervention schedule under
+    maximal clearing, with its per-round results."""
+    schedule = np.array(schedule, dtype=float)
+    steps = [
+        PolicyStepResult(
+            round=shock.round,
+            totals=totals[0],
+            clearing=clearing[0],
+            intervention=z,
+            reward=float(clearing[0].sum()),
+            beta=entries[0].sum(axis=-1),
+        )
+        for (shock, totals, entries, clearing), z
+        in zip(_play(start, path, schedule[None]), schedule)
+    ]
+    return float(sum(s.reward for s in steps)), steps
 
 
 def discrete_runs(
@@ -188,12 +212,14 @@ def discrete_runs(
     def run(index: int):
         rng, path = rngs[index], paths[index]
         v_rel, frac_steps = relaxed[index]
-        z_star = [s.intervention.amounts for s in frac_steps]
+        z_star = [s.intervention for s in frac_steps]
         gamma_hat = max(float(s.beta.max(initial=0.0)) for s in frac_steps)
         actions, attempts = sample_interventions(
             z_star, caps_arr, budget, tau=tau, rng=rng
         )
-        v_sol, steps = simulate_discrete_policy(start, path, actions)
+        v_sol, steps = simulate_discrete_policy(
+            start, path, np.stack([a.amounts for a in actions])
+        )
         ratio = v_sol / v_rel if v_rel > 0 else 1.0
         report = RoundingReport(
             sample_index=index,
@@ -281,14 +307,13 @@ def brute_force_discrete(
     path: SamplePath,
     budget: float,
     caps,
-    max_combinations: int = 10**6,
 ) -> tuple[float, tuple[np.ndarray, ...]]:
     """Exact optimum over integral action schedules by exhaustive search.
 
     Simulates every schedule under maximal clearing, expanding the search
     tree breadth-first with all branches advanced in one vectorized sweep;
     the final round is evaluated per action so peak memory stays at the size
-    of the second-to-last level.  Guarded by ``max_combinations`` on
+    of the second-to-last level.  Guarded by ``MAX_COMBINATIONS`` on
     ``|actions| ** rounds``.
     """
     n = start.n
@@ -296,9 +321,9 @@ def brute_force_discrete(
     actions = enumerate_actions(caps_arr, budget)
     m = len(actions)
     rounds = len(path)
-    if m**rounds > max_combinations:
+    if m**rounds > MAX_COMBINATIONS:
         raise EnumerationLimitError(
-            f"{m}^{rounds} action sequences exceed the guard of {max_combinations}"
+            f"{m}^{rounds} action sequences exceed the guard of {MAX_COMBINATIONS}"
         )
 
     pairwise = start.pairwise[None, :, :].copy()
@@ -354,25 +379,10 @@ def simulate_action_batch(
     """Realized values for a stack of action schedules, shape
     ``(k, rounds, n)`` in, ``(k,)`` out.  Same dynamics as
     :func:`simulate_discrete_policy`, vectorized across schedules."""
-    seqs = np.asarray(action_sequences, dtype=float)
-    if seqs.ndim != 3 or seqs.shape[1] != len(path) or seqs.shape[2] != start.n:
-        raise ValidationError("action_sequences must have shape (k, rounds, n)")
-    k = seqs.shape[0]
-    pairwise = np.broadcast_to(start.pairwise, (k, start.n, start.n)).copy()
-    external = np.broadcast_to(start.external, (k, start.n)).copy()
-    totals = np.broadcast_to(start.totals, (k, start.n)).copy()
-    clearing = np.zeros((k, start.n))
-    value = np.zeros(k)
-    for t, shock in enumerate(path):
-        pairwise, external, totals = carry_forward(
-            pairwise, external, totals, clearing, shock
-        )
-        clearing = clear_stack(
-            relative_entries(pairwise, totals), totals,
-            shock.external_assets[None, :] + seqs[:, t, :],
-        )
-        value += clearing.sum(axis=1)
-    return value
+    return sum(
+        clearing.sum(axis=1)
+        for *_, clearing in _play(start, path, action_sequences)
+    )
 
 
 def discretize_payments(

@@ -22,7 +22,6 @@ from .clearing import (
 from .errors import ContractionError, ValidationError
 from .fairness import FairnessSpec, fairness_constraint_block, gini_coefficient
 from .network import (
-    InterventionVector,
     RelativeLiabilityMatrix,
     SamplePath,
     SystemState,
@@ -34,12 +33,12 @@ from .network import (
 @dataclass(frozen=True, eq=False)
 class PolicyStepResult:
     """One round of the policy: realized totals, optimal clearing and
-    intervention, and the round reward (total payments)."""
+    intervention amounts, and the round reward (total payments)."""
 
     round: int
     totals: np.ndarray
     clearing: np.ndarray
-    intervention: InterventionVector
+    intervention: np.ndarray
     reward: float
     beta: np.ndarray
     gini: float | None = None
@@ -285,7 +284,7 @@ def lp_step(source: str, round_index: int, totals: np.ndarray,
         round=round_index,
         totals=totals.copy(),
         clearing=clearing,
-        intervention=InterventionVector(amounts=z, budget=float(budget), caps=caps),
+        intervention=z,
         reward=float(clearing.sum()),
         beta=matrix.row_sums.copy(),
         gini=None if weights is None else gini_coefficient(z, weights),

@@ -216,35 +216,6 @@ class RelativeLiabilityMatrix:
         return cls(entries=entries, row_sums=entries.sum(axis=1))
 
 
-@dataclass(frozen=True, eq=False)
-class InterventionVector:
-    """A budget-feasible allocation of external support."""
-
-    amounts: np.ndarray
-    budget: float
-    caps: np.ndarray
-
-    def __post_init__(self):
-        z = _vector(self.amounts, None, "amounts")
-        caps = _vector(self.caps, z.shape[0], "caps")
-        if self.budget < 0:
-            raise ValidationError("budget must be nonnegative")
-        if np.any(z < -CONSISTENCY_TOL):
-            raise ValidationError("intervention amounts must be nonnegative")
-        if np.any(z > caps + CONSISTENCY_TOL):
-            raise ValidationError("intervention amounts exceed caps")
-        if z.sum() > self.budget + CONSISTENCY_TOL:
-            raise ValidationError(
-                f"intervention total {z.sum()} exceeds budget {self.budget}"
-            )
-        object.__setattr__(self, "amounts", _freeze(z))
-        object.__setattr__(self, "caps", _freeze(caps))
-
-    @property
-    def n(self) -> int:
-        return self.amounts.shape[0]
-
-
 def advance_state(
     state: SystemState, clearing, shock: ShockRealization
 ) -> SystemState:

@@ -135,7 +135,7 @@ def _stack(all_steps: list[list[PolicyStepResult]]) -> Trace:
         rounds=np.array([s.round for s in all_steps[0]]),
         totals=field(lambda s: s.totals),
         cleared=field(lambda s: s.clearing),
-        interventions=field(lambda s: s.intervention.amounts),
+        interventions=field(lambda s: s.intervention),
         beta=field(lambda s: s.beta),
         rewards=field(lambda s: s.reward),
     )
@@ -312,7 +312,7 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
             if not primal.closed_form:
                 maximal = clear_fixed_point(matrix, state.totals,
                                             shock.external_assets,
-                                            result.intervention.amounts)
+                                            result.intervention)
                 gap = float(np.abs(result.clearing - maximal).max())
                 if not gap <= GAP_TOL:
                     raise CertificateError(

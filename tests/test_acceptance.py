@@ -134,7 +134,7 @@ def test_criterion_5_rounding_approximation_ratio():
             v_opt, _ = brute_force_discrete(start, path, budget, caps)
             assert v_rel >= v_opt - 1e-9  # relaxation dominance
             gamma = max(float(s.beta.max()) for s in steps)
-            schedule = [s.intervention.amounts for s in steps]
+            schedule = [s.intervention for s in steps]
             draws = np.zeros((200, rounds, n))
             for d in range(200):
                 actions, _ = sample_interventions(

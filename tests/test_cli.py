@@ -170,6 +170,8 @@ def gamma(**fields) -> dict:
         ("environment", gamma(counts=[[0, 1.5], [1, 0]])),
         ("environment", gamma(counts=[[0, -1], [1, 0]])),
         ("environment", gamma(out_counts=[1, 1, 1])),
+        ("budget", {"budget": float("inf"), "caps": 1.0}),
+        ("seed", {"seed": -1}),
     ],
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, command, field, overrides):
@@ -177,3 +179,10 @@ def test_bad_values_are_config_errors(tmp_path, capsys, command, field, override
     assert main([command, config]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys, command):
+    config = write_config(tmp_path)
+    assert main([command, config, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed")

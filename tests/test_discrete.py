@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynclear import (
     ContractionError,
@@ -11,11 +13,14 @@ from dynclear import (
     RelativeLiabilityMatrix,
     SystemState,
     ValidationError,
+    advance_state,
     aggregate_discrete,
     approximation_bound,
     brute_force_discrete,
+    clear_fixed_point,
     discretize_payments,
     enumerate_actions,
+    relative_matrix,
     sample_interventions,
     simulate_action_batch,
     simulate_discrete_policy,
@@ -23,7 +28,7 @@ from dynclear import (
 )
 from dynclear import discrete, load_config, run_experiment
 from dynclear.clearing import clear_stack
-from dynclear.network import relative_entries
+from dynclear.network import carry_forward, relative_entries
 
 from conftest import (
     deep_constant_proportion_path,
@@ -221,10 +226,10 @@ class TestBruteForce:
         np.testing.assert_array_equal(actions[0], [2])
 
     def test_search_guard(self):
+        # 11^3 = 1,331 actions, so 1,331^2 > 10^6 schedules over two rounds
         with pytest.raises(EnumerationLimitError):
             brute_force_discrete(
-                SystemState.empty(3), hub_path(2), budget=3.0, caps=3.0,
-                max_combinations=10,
+                SystemState.empty(3), hub_path(2), budget=30.0, caps=10.0
             )
 
     def test_enumerate_actions_respects_budget_and_caps(self):
@@ -234,14 +239,85 @@ class TestBruteForce:
         assert actions.max() <= 2
 
     def test_batch_simulator_agrees_with_scalar_path(self):
+        """Both players equal the per-state loop bit for bit, on general and
+        on default-heavy paths."""
         rng = np.random.default_rng(6)
-        path = random_general_path(rng, 3, 3)
-        start = SystemState.empty(3)
-        seqs = rng.integers(0, 2, size=(8, 3, 3))
-        batch = simulate_action_batch(start, path, seqs)
-        for k in range(8):
-            scalar, _ = simulate_discrete_policy(start, path, list(seqs[k]))
-            assert batch[k] == pytest.approx(scalar, abs=1e-7)
+        for case in range(40):
+            n, rounds = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            make_path = (random_general_path, deep_constant_proportion_path)[case % 2]
+            path = make_path(rng, n, rounds)
+            start = SystemState.empty(n)
+            seqs = rng.integers(0, 3, size=(4, rounds, n))
+            batch = simulate_action_batch(start, path, seqs)
+            for k in range(4):
+                value, reference = per_state_play(start, path, seqs[k])
+                scalar, steps = simulate_discrete_policy(start, path, seqs[k])
+                assert batch[k] == value and scalar == value
+                for step, (totals, clearing, beta) in zip(steps, reference):
+                    np.testing.assert_array_equal(step.totals, totals)
+                    np.testing.assert_array_equal(step.clearing, clearing)
+                    np.testing.assert_array_equal(step.beta, beta)
+
+
+def per_state_play(start, path, schedule):
+    """The loop the discrete simulation ran before the stacked player: one
+    validated state per round (``advance_state``, ``relative_matrix``) and
+    ``clear_fixed_point`` of its intervention.  Returns the value and each
+    round's (totals, clearing, beta)."""
+    state, clearing, rounds = start, np.zeros(start.n), []
+    for shock, z in zip(path, schedule):
+        state = advance_state(state, clearing, shock)
+        matrix = relative_matrix(state)
+        clearing = clear_fixed_point(matrix, state.totals,
+                                     shock.external_assets, np.asarray(z, float))
+        rounds.append((state.totals, clearing, matrix.row_sums))
+    return float(sum(float(c.sum()) for _, c, _ in rounds)), rounds
+
+
+class TestPlayer:
+    """Both public players check their schedule and start state."""
+
+    PLAYERS = {
+        "policy": simulate_discrete_policy,
+        "batch": lambda start, path, z: simulate_action_batch(start, path, z[None]),
+    }
+
+    @pytest.mark.parametrize("player", sorted(PLAYERS))
+    @pytest.mark.parametrize(
+        "n_start, schedule, match",
+        [(3, np.ones((3, 3)), "shape"), (3, np.ones((2, 4)), "shape"),
+         (3, -np.eye(2, 3), "nonnegative"), (4, np.ones((2, 3)), "node count")],
+        ids=["rounds", "nodes", "negative", "start"],
+    )
+    def test_bad_input_is_a_validation_error(self, player, n_start, schedule,
+                                             match):
+        with pytest.raises(ValidationError, match=match):
+            self.PLAYERS[player](SystemState.empty(n_start), hub_path(2), schedule)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), deep=st.booleans(),
+           n=st.integers(2, 5), rounds=st.integers(1, 4), k=st.integers(1, 4))
+    def test_totals_equal_external_plus_pairwise(self, seed, deep, n, rounds, k):
+        """Every state the stacked player carries, for every schedule of the
+        stack, passes the checks of ``SystemState``: totals = external +
+        pairwise to CONSISTENCY_TOL, both parts nonnegative."""
+        rng = np.random.default_rng(seed)
+        make_path = deep_constant_proportion_path if deep else random_general_path
+        path = make_path(rng, n, rounds)
+        seqs = rng.integers(0, 3, size=(k, rounds, n))
+        played = []
+
+        def recording(*args):
+            played.append(carry_forward(*args))
+            return played[-1]
+
+        with mock.patch.object(discrete, "carry_forward", side_effect=recording):
+            simulate_action_batch(SystemState.empty(n), path, seqs)
+        assert len(played) == rounds
+        for pairwise, external, totals in played:
+            for j in range(k):
+                SystemState(pairwise=pairwise[j], totals=totals[j],
+                            external=external[j])
 
 
 class TestRelaxationDominanceAndRatio:
@@ -286,7 +362,7 @@ class TestRelaxationDominanceAndRatio:
             draws = np.zeros((200, rounds, n))
             for d in range(200):
                 actions, _ = sample_interventions(
-                    [s.intervention.amounts for s in steps], caps, budget,
+                    [s.intervention for s in steps], caps, budget,
                     tau=1, rng=rng,
                 )
                 draws[d] = np.stack([a.amounts for a in actions])

@@ -182,7 +182,7 @@ class TestConstraintBlock:
             matrix, state.totals, hub_shock(1).external_assets, 2.0, 2.0,
             fairness=spec,
         )
-        z = step.intervention.amounts
+        z = step.intervention
         assert np.ptp(z) <= 1e-7
 
     def test_intermediate_cap_stays_feasible(self):

@@ -53,7 +53,7 @@ class TestPerRoundLp:
         matrix, totals, assets = hub_round_one()
         step = per_round_lp(matrix, totals, assets, budget=2.0, caps=2.0)
         assert step.reward == pytest.approx(5.0, abs=1e-7)
-        np.testing.assert_allclose(step.intervention.amounts, [2.0, 0.0, 0.0], atol=1e-7)
+        np.testing.assert_allclose(step.intervention, [2.0, 0.0, 0.0], atol=1e-7)
         np.testing.assert_allclose(step.clearing, [3.0, 1.0, 1.0], atol=1e-7)
 
     def test_zero_budget_reduces_to_clearing(self):
@@ -114,7 +114,7 @@ class TestRepairBound:
 
         step = self.perturbed(monkeypatch, edit)
         np.testing.assert_array_equal(step.clearing, [3.0, 1.0, 1.0])
-        assert step.intervention.amounts.sum() <= 2.0
+        assert step.intervention.sum() <= 2.0
 
 
 def chain_round(creditor: bool = False):
@@ -183,7 +183,7 @@ class TestKnapsackRoute:
         # v = (1.875, 1.75, 1.5, 1): node 0 takes its cap, node 1 the rest,
         # on top of the zero-intervention payments (1, 1.5, 1.75, 1.875)
         step = per_round_lp(*chain_round(), budget=1.5, caps=1.0)
-        np.testing.assert_array_equal(step.intervention.amounts, [1.0, 0.5, 0.0, 0.0])
+        np.testing.assert_array_equal(step.intervention, [1.0, 0.5, 0.0, 0.0])
         assert step.reward == pytest.approx(6.125 + 1.0 * 1.875 + 0.5 * 1.75)
 
     @settings(max_examples=80)
@@ -201,7 +201,7 @@ class TestKnapsackRoute:
             assert clearing.sum() == pytest.approx(best, rel=1e-9)
             step = per_round_lp(matrix, totals, assets, budget, caps)
             assert step.reward == pytest.approx(best, rel=1e-9)
-            amounts = step.intervention.amounts
+            amounts = step.intervention
             assert np.all((0.0 <= amounts) & (amounts <= caps))
             assert amounts.sum() <= budget
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dynclear import (
-    InterventionVector,
     RelativeLiabilityMatrix,
     SamplePath,
     ShockRealization,
@@ -181,16 +180,6 @@ def test_check_nonvanishing():
     full = RelativeLiabilityMatrix.from_entries([[0.0, 1.0], [0.0, 0.0]])
     assert not check_nonvanishing(full)
     assert check_nonvanishing(RelativeLiabilityMatrix.from_entries(np.zeros((3, 3))))
-
-
-def test_intervention_vector_validation():
-    InterventionVector(amounts=[1.0, 1.0], budget=2.0, caps=[1.0, 1.0])
-    with pytest.raises(ValidationError, match="budget"):
-        InterventionVector(amounts=[2.0, 1.0], budget=2.0, caps=[2.0, 2.0])
-    with pytest.raises(ValidationError, match="caps"):
-        InterventionVector(amounts=[2.0, 0.0], budget=3.0, caps=[1.0, 1.0])
-    with pytest.raises(ValidationError, match="nonnegative"):
-        InterventionVector(amounts=[-0.5, 0.0], budget=1.0, caps=[1.0, 1.0])
 
 
 def test_states_are_immutable():
