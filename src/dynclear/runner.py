@@ -3,6 +3,7 @@ collects traces, and emits reproducible CSV/JSON outputs."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -182,12 +183,12 @@ def summarize_scatter(trace: Trace) -> ScatterSummary:
     )
 
 
-def write_atomic(path: str, text: str) -> None:
+def write_atomic(path: str, *text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -195,11 +196,31 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(str, row)))  # str(float) is its repr
-    write_atomic(path, "\n".join(lines) + "\n")
+def _float_cells(*arrays: np.ndarray) -> list[list[str]]:
+    """Each float64 array's cells as ``str`` of its floats: one ``repr`` per
+    distinct bit pattern over all arrays, so ``-0.0`` and ``0.0`` stay apart."""
+    bits, inverse = np.unique(np.concatenate([a.ravel() for a in arrays])
+                              .view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    ends = np.cumsum([a.size for a in arrays[:-1]], dtype=int)
+    return [text[part].tolist() for part in np.split(inverse, ends)]
+
+
+def _cells(*columns) -> list[list[str]]:
+    """Cell strings: a float64 array's by :func:`_float_cells`, else ``str``."""
+    return [_float_cells(c)[0] if isinstance(c, np.ndarray) and c.dtype == float
+            else list(map(str, c)) for c in columns]
+
+
+def _write_csv(path: str, header: list[str], columns: list[list[str]]) -> None:
+    """Write a table given as columns of cell strings, one row per index.
+    Rows are joined a block at a time, so that no list of every row is held
+    beside the columns."""
+    rows = map(",".join, zip(*columns))
+    blocks = [",".join(header) + "\n"]
+    while block := list(itertools.islice(rows, 4096)):
+        blocks.append("\n".join(block) + "\n")
+    write_atomic(path, *blocks)
 
 
 PLOTS_README = """\
@@ -234,41 +255,46 @@ def emit_plot_data(
     standard error per round."""
     files: dict[str, str] = {}
 
-    def table(name: str, header: list[str], rows) -> None:
+    def table(name: str, header: list[str], columns: list[list[str]]) -> None:
         files[name] = os.path.join(out_dir, f"{name}.csv")
-        _write_csv(files[name], header, rows)
+        _write_csv(files[name], header, columns)
 
-    sample, t, node = np.indices(trace.cleared.shape)
-    columns = (sample, trace.rounds[t], node, trace.totals, trace.cleared,
-               trace.interventions,
-               np.broadcast_to(trace.rewards[..., None], trace.cleared.shape))
-    table("trace", ["sample", "t", "node", "P", "p_tilde", "z", "reward"],
-          zip(*(column.ravel().tolist() for column in columns)))
+    # one repr per distinct float of P, p_tilde, z and the reward, which is
+    # formatted per (sample, round) and then repeated on its n node rows
+    samples, _, n = trace.cleared.shape
+    *values, rewards = _float_cells(trace.totals, trace.cleared,
+                                    trace.interventions, trace.rewards)
     rounds = trace.rounds.tolist()
+    nodes = list(map(str, range(n)))
+    prefix = [f"{s},{t}" for s in range(samples) for t in rounds]
+    table("trace", ["sample", "t", "node", "P", "p_tilde", "z", "reward"],
+          [[p for p in prefix for _ in nodes], nodes * len(prefix), *values,
+           [r for r in rewards for _ in nodes]])
     table("rewards", ["t", "mean_reward", "stderr"],
-          zip(rounds, report.per_round_rewards, reward_stderr))
+          _cells(rounds, report.per_round_rewards, reward_stderr))
     mean_z = _per_round(trace.interventions.sum(axis=2)).mean(axis=1)
     table("interventions", ["t", "mean_total_interventions"],
-          zip(rounds, mean_z.tolist()))
+          _cells(rounds, mean_z))
     scatter = report.scatter
     table("scatter",
           ["node", "total_payments", "total_interventions", "mean_beta"],
-          zip(scatter.nodes.tolist(), scatter.total_payments.tolist(),
-              scatter.total_interventions.tolist(), scatter.mean_beta.tolist()))
+          _cells(scatter.nodes.tolist(), scatter.total_payments,
+                 scatter.total_interventions, scatter.mean_beta))
     if report.gini_per_round is not None:
         table("gini", ["t", "kind", "g", "gc_realized"],
-              [(t, report.fairness_kind, report.fairness_cap, g)
-               for t, g in zip(rounds, report.gini_per_round)])
+              _cells(rounds, [report.fairness_kind] * len(rounds),
+                     [report.fairness_cap] * len(rounds), report.gini_per_round))
     if report.rounding is not None:
         table("rounding",
               ["sample", "attempts", "feasible", "value_sol", "value_rel",
                "ratio", "bound"],
-              [(r.sample_index, r.attempts, int(r.feasible), r.value_sol,
-                r.value_rel, r.ratio, 1.0 - r.gamma_hat)
-               for r in report.rounding])
+              _cells(*zip(*[(r.sample_index, r.attempts, int(r.feasible),
+                             r.value_sol, r.value_rel, r.ratio, 1.0 - r.gamma_hat)
+                            for r in report.rounding])))
     if report.pof is not None:
         table("pof", ["value_unconstrained", "value_constrained", "pof"],
-              [(report.pof_unconstrained, report.pof_constrained, report.pof)])
+              _cells([report.pof_unconstrained], [report.pof_constrained],
+                     [report.pof]))
 
     path = os.path.join(out_dir, "PLOTS_README.md")
     write_atomic(path, PLOTS_README)

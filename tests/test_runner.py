@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -247,6 +249,180 @@ class TestOutputTables:
             first = open(os.path.join(dirs[0], name), "rb").read()
             second = open(os.path.join(dirs[1], name), "rb").read()
             assert first == second, f"{name} differs across thread counts"
+
+
+#: Float cells every writer test draws from, repeats included: signed zeros,
+#: the smallest subnormal, both exponent notations, infinities and two NaNs
+#: with different payloads.
+SPECIAL_FLOATS = (
+    -0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1, -2.5, 1 / 3, math.inf, -math.inf,
+    math.nan, float(np.array(0x7FF8000000000001, np.int64).view(np.float64)),
+)
+
+
+def _row_wise(header, columns) -> str:
+    """The text the row-wise writer gave: ``str`` of every value, rows
+    joined by commas."""
+    rows = [",".join(map(str, row)) for row in zip(*columns)]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+@st.composite
+def float_arrays(draw, size):
+    """A float array of ``size`` cells drawn with repeats from a small pool
+    of special and arbitrary floats."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                         min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size,
+                          max_size=size))
+    return np.array([pool[i] for i in picks], dtype=float)
+
+
+class TestColumnWriter:
+    """``_write_csv`` writes exactly the text of the row-wise writer it
+    replaced: ``str`` of every cell, one repr per distinct float."""
+
+    @settings(max_examples=60)
+    @given(data=st.data(), rows=st.integers(0, 12), floats=st.integers(1, 3))
+    def test_columns_match_row_wise_text(self, tmp_path_factory, data, rows,
+                                         floats):
+        arrays = [data.draw(float_arrays(rows)) for _ in range(floats)]
+        ints = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=rows,
+                                  max_size=rows))
+        kinds = data.draw(st.lists(st.sampled_from(["spatial", "standard"]),
+                                   min_size=rows, max_size=rows))
+        header = ["t", "kind", *(f"x{k}" for k in range(floats))]
+        path = str(tmp_path_factory.mktemp("table") / "table.csv")
+        runner._write_csv(path, header, runner._cells(ints, kinds, *arrays))
+        with open(path, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+        assert text == _row_wise(
+            header, [ints, kinds, *(a.tolist() for a in arrays)]
+        )
+        # arrays formatted together keep each one's cells apart
+        joint = runner._float_cells(*arrays)
+        assert joint == [list(map(str, a.tolist())) for a in arrays]
+
+    @settings(max_examples=30)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                                           st.integers(1, 4)))
+    def test_every_table_matches_row_wise_text(self, tmp_path_factory, data,
+                                               shape):
+        samples, rounds, n = shape
+        # finite z, so its per-round sums raise no invalid-value warning
+        finite = [x for x in SPECIAL_FLOATS if math.isfinite(x) and abs(x) < 1e6]
+        trace = Trace(
+            rounds=np.arange(1, rounds + 1),
+            totals=data.draw(float_arrays(samples * rounds * n)).reshape(shape),
+            cleared=data.draw(float_arrays(samples * rounds * n)).reshape(shape),
+            interventions=np.array(data.draw(st.lists(
+                st.sampled_from(finite), min_size=samples * rounds * n,
+                max_size=samples * rounds * n))).reshape(shape),
+            beta=np.zeros(shape),
+            rewards=data.draw(float_arrays(samples * rounds)).reshape(shape[:2]),
+        )
+        fit = runner.OlsFit(0.0, 0.0, 0.0, True)
+        scatter = runner.ScatterSummary(
+            nodes=np.arange(n), total_payments=data.draw(float_arrays(n)),
+            total_interventions=data.draw(float_arrays(n)),
+            mean_beta=data.draw(float_arrays(n)),
+            payments_fit=fit, connectivity_fit=fit,
+        )
+        per_round = data.draw(float_arrays(rounds)).tolist()
+        report = runner.SummaryReport(
+            mode="fractional", samples=samples, seed=0, budget=1.0,
+            horizon=rounds, total_value_mean=0.0, total_value_stderr=0.0,
+            per_round_rewards=tuple(per_round), scatter=scatter,
+            gini_per_round=tuple(data.draw(float_arrays(rounds)).tolist()),
+            fairness_kind="spatial", fairness_cap=0.5,
+        )
+        reward_stderr = data.draw(float_arrays(rounds)).tolist()
+        out_dir = str(tmp_path_factory.mktemp("out"))
+        files = runner.emit_plot_data(report, trace, out_dir, reward_stderr)
+
+        sample, t, node = np.indices(shape)
+        rewards = np.broadcast_to(trace.rewards[..., None], shape)
+        ts = trace.rounds.tolist()
+        mean_z = trace.interventions.sum(axis=2).T.mean(axis=1)
+        expected = {
+            "trace": (
+                ["sample", "t", "node", "P", "p_tilde", "z", "reward"],
+                [c.ravel().tolist() for c in (
+                    sample, trace.rounds[t], node, trace.totals, trace.cleared,
+                    trace.interventions, rewards)],
+            ),
+            "rewards": (["t", "mean_reward", "stderr"],
+                        [ts, per_round, reward_stderr]),
+            "interventions": (["t", "mean_total_interventions"],
+                              [ts, mean_z.tolist()]),
+            "scatter": (
+                ["node", "total_payments", "total_interventions", "mean_beta"],
+                [scatter.nodes.tolist(), scatter.total_payments.tolist(),
+                 scatter.total_interventions.tolist(), scatter.mean_beta.tolist()],
+            ),
+            "gini": (["t", "kind", "g", "gc_realized"],
+                     [ts, ["spatial"] * rounds, [0.5] * rounds,
+                      list(report.gini_per_round)]),
+        }
+        for name, (header, columns) in expected.items():
+            with open(files[name], encoding="utf-8", newline="") as handle:
+                assert handle.read() == _row_wise(header, columns), name
+
+
+#: sha256 of every file three runs write, recorded with the row-wise CSV
+#: writer, before the tables were written column by column: the shipped
+#: fractional config, and the hub replay of ``conftest.write_config`` in
+#: ``horizon_lp`` mode and in paired spatial-fairness mode.
+GOLDEN_DIGESTS = {
+    "three_node_fractional": {
+        "PLOTS_README.md": "7f98fed61f8e21f1410c1d0ea1f032362c1a45fbc1dc5c3af9803e623693c313",
+        "interventions.csv": "12c1b2c215674f8032109db81aaf7fc89a0fcc7d23ca5b1a32829b7f516eab6f",
+        "rewards.csv": "a554e7851c8520f47207b5c8703d60da132527d944f10f6777efb6ad72bf0a30",
+        "scatter.csv": "86dfc9c82e8ebf32ccd0c5876e8f77c5d0e34753e661532dd9afc8b39c1be4ac",
+        "summary.json": "d4f7e8bbde97f058407331f1204a289f7b7d9ae64faef1115556d39273f601e0",
+        "trace.csv": "4298db00bec20bd440cf71b61fc9e392e4086281b1c53bff5caf475d0c0c3eeb",
+    },
+    "hub_horizon_lp": {
+        "PLOTS_README.md": "7f98fed61f8e21f1410c1d0ea1f032362c1a45fbc1dc5c3af9803e623693c313",
+        "interventions.csv": "12c1b2c215674f8032109db81aaf7fc89a0fcc7d23ca5b1a32829b7f516eab6f",
+        "rewards.csv": "a554e7851c8520f47207b5c8703d60da132527d944f10f6777efb6ad72bf0a30",
+        "scatter.csv": "86dfc9c82e8ebf32ccd0c5876e8f77c5d0e34753e661532dd9afc8b39c1be4ac",
+        "summary.json": "521bb0ea5e9253901ead6ff6687be0a65a5914a48c5096beb096ac347e1b352a",
+        "trace.csv": "104d6076c8e438b23efc1d62be479ebb9a094e8e715fbf0773ecb5f858cf0a1e",
+    },
+    "hub_spatial_fairness": {
+        "PLOTS_README.md": "7f98fed61f8e21f1410c1d0ea1f032362c1a45fbc1dc5c3af9803e623693c313",
+        "gini.csv": "3446f3f7f71c253cf254e7524f1219be37854276d253c310a6d67dc297d2ddfd",
+        "interventions.csv": "12c1b2c215674f8032109db81aaf7fc89a0fcc7d23ca5b1a32829b7f516eab6f",
+        "pof.csv": "0b305189534f104c2a755a19e7286891932c81bc97ede63037e21e0e6cde92cb",
+        "rewards.csv": "9226c7cd0dbcd7fcdda0f619b2aa54051287ced25cf60cf312b51d17d679bb4c",
+        "scatter.csv": "3911cbe14da4cf9f223df7cd4ca671c6621836650c9fb728cca8e06b72546dc1",
+        "summary.json": "f23b40916c84f9a2fa50782c0368d83de462fee307036e10ec9fdec55317cbf7",
+        "trace.csv": "41b99669856f205bcc2a5446f3555478423277a8eb64ce1d4cd60ac101570ada",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_DIGESTS))
+def test_outputs_match_golden_digests(tmp_path, run):
+    if run == "three_node_fractional":
+        config = dataclasses.replace(
+            load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                     "three_node", "fractional.json")),
+            out_dir=str(tmp_path / "out"),
+        )
+    else:
+        overrides = (
+            {"mode": "horizon_lp"} if run == "hub_horizon_lp"
+            else {"fairness": {"kind": "spatial", "g": 0.5}, "paired_pof": True}
+        )
+        config = load_config(write_config(tmp_path, budget=2.0, **overrides))
+    _, files = run_experiment(config)
+    digests = {
+        os.path.basename(path): hashlib.sha256(open(path, "rb").read()).hexdigest()
+        for path in files.values()
+    }
+    assert digests == GOLDEN_DIGESTS[run]
 
 
 class TestHorizonLpMode:
