@@ -64,7 +64,7 @@ class LinearProgram:
         """The rows as dense ``(coefficients, "<=", rhs)`` tuples, built one
         at a time from the CSC arrays.  Read-only; it exists only for the
         benchmark tracer and for tests, and goes when tracing reads the CSC
-        arrays (ROADMAP item 3)."""
+        arrays (ROADMAP item 1)."""
         return _Rows(self)
 
 
@@ -231,13 +231,23 @@ def clear_stack(entries, totals, assets) -> np.ndarray:
     / ``(k, n)`` in and ``(k, n)`` out, by the fictitious-default algorithm
     (Eisenberg & Noe 2001).
 
-    From ``x = P`` the default set ``D`` takes every node whose inflow
-    ``A^T x + assets`` falls short of its total; ``x`` then solves
+    The default set ``D`` takes every node whose inflow ``A^T x + assets``
+    falls short of its total; ``x`` then solves
     ``(I - diag(d) A^T) x = d * assets + (1 - d) * P`` for the whole stack
     in one batched solve, until ``D`` stops growing (at most ``n`` rounds).
-    The result is exact up to the linear solves.  Raises
-    :class:`ContractionError` when a row sum reaches
-    ``1 - CONNECTIVITY_MARGIN`` or a block is singular.
+    The loop starts from ``x = P``.  When some node is short there and
+    ``c + A^T c < P`` holds at every node of the stack (otherwise the
+    all-default set cannot be the final one, since ``x_N >= c + A^T c``),
+    it restarts from ``min(P, x_N)``, where ``x_N`` is the solve with every
+    node in ``D``.  That start is still above the clearing vector ``x*``:
+    ``(I - A^T)(x_N - x*) >= 0`` because ``x* <= A^T x* + c``, and
+    ``(I - A^T)^{-1} >= 0``.  So every node short there is in the true
+    default set; when that is every node, ``x_N`` is returned without a
+    second solve.  Either start reaches the same final ``D`` and returns
+    that set's solve, the same expression on the same arrays, so the
+    result is bit for bit that of the start from ``P``, exact up to the
+    linear solves.  Raises :class:`ContractionError` when a row sum
+    reaches ``1 - CONNECTIVITY_MARGIN`` or a block is singular.
     """
     entries, totals, assets = (
         np.asarray(a, dtype=float) for a in (entries, totals, assets)
@@ -250,21 +260,31 @@ def clear_stack(entries, totals, assets) -> np.ndarray:
         )
     at = np.swapaxes(entries, -1, -2)
     eye = np.eye(totals.shape[-1])
+
+    def solve(d):
+        try:
+            return np.linalg.solve(
+                eye - d[..., :, None] * at,
+                (d * assets + (1.0 - d) * totals)[..., None],
+            )[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise ContractionError(f"singular default block: {exc}") from exc
+
+    warm = bool(((at @ assets[..., None])[..., 0] + assets < totals).all())
+    x_all = None  # x_N, once the warm start has solved it
     x = totals.copy()
     default = np.zeros(totals.shape, dtype=bool)
     while True:
         short = (at @ x[..., None])[..., 0] + assets < totals
         if not (short & ~default).any():
             return x
+        if warm and x_all is None:
+            x_all = solve(np.ones(totals.shape))
+            x = np.minimum(totals, x_all)
+            continue
         default |= short
-        d = default.astype(float)
-        try:
-            x = np.linalg.solve(
-                eye - d[..., :, None] * at,
-                (d * assets + (1.0 - d) * totals)[..., None],
-            )[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise ContractionError(f"singular default block: {exc}") from exc
+        x = x_all if x_all is not None and default.all() else solve(
+            default.astype(float))
 
 
 def clear_fixed_point(

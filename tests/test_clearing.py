@@ -6,6 +6,7 @@ from scipy.optimize import linprog
 
 import dynclear.clearing
 import dynclear.fractional
+import dynclear.network
 from dynclear import (
     ContractionError,
     FairnessSpec,
@@ -35,6 +36,7 @@ from conftest import (
     picard,
     random_clearing_instance,
     refused_hub_round,
+    sbm_round,
 )
 
 INF = float("inf")
@@ -442,6 +444,131 @@ def test_clearing_kernel_is_the_exact_greatest_fixed_point(stack, data):
     bad[j, 0, -1] = 1.0  # node 0 owes everything to node n - 1
     with pytest.raises(ContractionError):
         clear_stack(bad, totals, assets + z)
+
+
+def cold_clear_stack(entries, totals, assets):
+    """Reference for :func:`clear_stack`: the fictitious-default loop
+    started from ``x = P`` only, with no all-default start."""
+    entries, totals, assets = (
+        np.asarray(a, dtype=float) for a in (entries, totals, assets)
+    )
+    beta_max = float(entries.sum(axis=-1).max(initial=0.0))
+    if beta_max >= 1.0 - dynclear.network.CONNECTIVITY_MARGIN:
+        raise ContractionError(f"max connectivity {beta_max} is not < 1")
+    at = np.swapaxes(entries, -1, -2)
+    eye = np.eye(totals.shape[-1])
+    x = totals.copy()
+    default = np.zeros(totals.shape, dtype=bool)
+    while True:
+        short = (at @ x[..., None])[..., 0] + assets < totals
+        if not (short & ~default).any():
+            return x
+        default |= short
+        d = default.astype(float)
+        try:
+            x = np.linalg.solve(
+                eye - d[..., :, None] * at,
+                (d * assets + (1.0 - d) * totals)[..., None],
+            )[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise ContractionError(f"singular default block: {exc}") from exc
+
+
+def counted(clear, *stack):
+    """``(result or ContractionError, np.linalg.solve calls)`` of one
+    clearing call."""
+    calls = []
+    solve = np.linalg.solve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve",
+                      lambda *args: calls.append(1) or solve(*args))
+        try:
+            return clear(*stack), len(calls)
+        except ContractionError as exc:
+            return exc, len(calls)
+
+
+@st.composite
+def regime_stacks(draw):
+    """A stack of up to 4 instances on up to 40 nodes at one asset level or
+    at mixed ones, from 0 (every node defaults) to 20 (most pay in full);
+    or with assets scaled to just inside the all-default gate
+    ``c + A^T c < P``, where the final default set is often partial.  Some
+    nodes owe nothing, and now and then a row sum is 1."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instances = [random_clearing_instance(rng, n) for _ in range(k)]
+    entries = np.stack([matrix.entries for matrix, _, _ in instances])
+    totals = np.stack([t for _, t, _ in instances])
+    assets = rng.uniform(0.0, 1.0, (k, n))
+    level = st.sampled_from((0.0, 0.5, 1.0, 2.0, 5.0, 20.0))
+    regime = draw(st.sampled_from(("one level", "mixed levels", "near the gate")))
+    if regime == "near the gate":
+        inflow = (np.swapaxes(entries, -1, -2) @ assets[..., None])[..., 0] + assets
+        assets *= (totals / inflow).min() * rng.uniform(0.5, 1.0)
+    elif regime == "mixed levels":
+        assets *= np.array(draw(st.lists(level, min_size=k, max_size=k)))[:, None]
+    else:
+        assets *= draw(level)
+    owe_nothing = rng.random((k, n)) < draw(st.sampled_from((0.0, 0.2)))
+    totals[owe_nothing] = 0.0
+    entries[owe_nothing] = 0.0
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        entries[-1, 0] = 0.0
+        entries[-1, 0, -1] = 1.0  # node 0 owes everything to node n - 1
+    return entries, totals, assets
+
+
+@settings(max_examples=300)
+@given(regime_stacks())
+def test_clear_stack_is_the_cold_start_bit_for_bit(stack):
+    cold, cold_solves = counted(cold_clear_stack, *stack)
+    warm, warm_solves = counted(clear_stack, *stack)
+    if isinstance(cold, ContractionError):
+        assert isinstance(warm, ContractionError)
+    else:
+        assert np.array_equal(warm, cold)
+    assert warm_solves <= cold_solves + 1
+    entries, totals, assets = stack
+    if not np.all(np.swapaxes(entries, -1, -2) @ assets[..., None]
+                  + assets[..., None] < totals[..., None]):
+        assert warm_solves == cold_solves  # the gate fails: start from P
+
+
+def test_an_all_default_round_clears_in_one_solve():
+    state, matrix, assets = sbm_round(np.random.default_rng(3), 100, asset_level=0.0)
+    stack = matrix.entries[None], state.totals[None], assets[None]
+    cleared, solves = counted(clear_stack, *stack)
+    cold, cold_solves = counted(cold_clear_stack, *stack)
+    assert solves == 1 and cold_solves > 1
+    assert np.array_equal(cleared, cold)
+    inflow = matrix.entries.T @ cleared[0] + assets
+    assert np.all(inflow < state.totals)  # every node is in default
+
+
+def test_the_all_default_start_is_clipped_to_the_totals():
+    # x_N = (1.5, 1.5) is above P = (1, 1.5): started from x_N itself, no
+    # node would be short and the loop would return x_N
+    entries = np.array([[[0.0, 0.9], [0.9, 0.0]]])
+    stack = entries, np.array([[1.0, 1.5]]), np.full((1, 2), 0.15)
+    cleared, solves = counted(clear_stack, *stack)
+    assert solves == 2
+    assert np.array_equal(cleared, cold_clear_stack(*stack))
+    np.testing.assert_allclose(cleared, [[1.0, 1.05]], rtol=1e-15)
+
+
+def test_no_solve_when_no_node_is_short_at_the_totals():
+    # c + A^T c = 0.285 < P passes the gate, yet A^T P + c = 1.05 >= P
+    mutual = np.array([[[0.0, 0.9], [0.9, 0.0]]])
+    matrix, totals, _ = random_clearing_instance(np.random.default_rng(4), 6)
+    for stack in (
+        (mutual, np.ones((1, 2)), np.full((1, 2), 0.15)),
+        (matrix.entries[None], totals[None], totals[None] + 1.0),
+    ):
+        cleared, solves = counted(clear_stack, *stack)
+        assert solves == 0
+        assert np.array_equal(cleared, stack[1])
 
 
 def test_property_tests_run_under_the_derandomized_profile():
