@@ -73,11 +73,9 @@ from .fractional import (
 from .horizon import (
     ConstantProportionCertificate,
     MyopicReport,
-    PrefixFormulation,
     check_constant_proportions,
     solve_horizon_dual,
     solve_horizon_primal,
-    solve_prefix_oneshot,
     verify_myopic_optimality,
 )
 from .network import (
@@ -112,7 +110,6 @@ __all__ = [
     "MyopicGapError",
     "MyopicReport",
     "PolicyStepResult",
-    "PrefixFormulation",
     "RelativeLiabilityMatrix",
     "ReplayEnvironment",
     "ReplayFormatError",
@@ -158,7 +155,6 @@ __all__ = [
     "solve_horizon_dual",
     "solve_horizon_primal",
     "solve_lp",
-    "solve_prefix_oneshot",
     "spatial_weights",
     "standard_weights",
     "substream",

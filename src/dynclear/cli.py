@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .config import build_environment, check_minimum, load_config
+from .config import build_environment, check_integer_caps, check_minimum, load_config
 from .discrete import brute_force_discrete
 from .errors import ConfigError, DynclearError, ReplayFormatError
 from .fractional import sample_paths
@@ -76,6 +76,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
+    check_integer_caps(config.caps)
     env = build_environment(config)
     _, paths = sample_paths(env, config.samples, config.seed, config.horizon)
     start = SystemState.empty(env.n)

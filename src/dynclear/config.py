@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import DEFAULT_RETRIES
+from .discrete import DEFAULT_RETRIES, _integer_caps
 from .environments import (
     EnvironmentModel,
     GammaEnvironment,
@@ -19,7 +19,7 @@ from .environments import (
     SbmParams,
     load_replay,
 )
-from .errors import ConfigError, DynclearError
+from .errors import ConfigError, DynclearError, ValidationError
 from .fairness import KINDS as FAIRNESS_KINDS
 from .fairness import FairnessBudget, FairnessSpec
 
@@ -74,6 +74,15 @@ def _check_numbers(value, path: str, lo: float, hi: float) -> None:
 def _check_finite(value, path: str) -> None:
     if not np.all(np.isfinite(value)):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
+
+
+def check_integer_caps(caps) -> None:
+    """Raise :class:`ConfigError` on ``caps`` unless every cap is an integer,
+    as discrete interventions and the oracle's enumeration need."""
+    try:
+        _integer_caps(np.asarray(caps, dtype=float))
+    except ValidationError as exc:
+        raise ConfigError(f"caps: {exc}") from exc
 
 
 #: Least value of each integer run field.
@@ -147,6 +156,8 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
         caps = budget
     _check_numbers(caps, "caps", 0.0, math.inf)
     _check_finite(caps, "caps")
+    if mode == "discrete":
+        check_integer_caps(caps)
     horizon = _optional(data, "horizon", int, "")
     if horizon is not None:
         check_minimum("horizon", horizon)

@@ -1,6 +1,6 @@
 """Horizon-wide formulations available when liability proportions are
 time-constant: the constant-proportion certificate, the whole-horizon primal
-LP with its verified dual, the prefix-payment one-shot reformulation, and the
+LP with its verified dual and its closed-form route, and the
 sequential-equals-horizon consistency check."""
 
 from __future__ import annotations
@@ -44,21 +44,6 @@ class ConstantProportionCertificate:
     def __post_init__(self):
         object.__setattr__(self, "zeta", _freeze(np.asarray(self.zeta, float)))
 
-    @property
-    def n(self) -> int:
-        return self.zeta.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class PrefixFormulation:
-    """Cumulative view of a schedule: running payments, interventions,
-    assets and liabilities, all nondecreasing in the round."""
-
-    cumulative_payments: np.ndarray      # (T, n)
-    cumulative_interventions: np.ndarray # (T, n)
-    cumulative_assets: np.ndarray        # (T, n)
-    cumulative_liabilities: np.ndarray   # (T, n)
-
 
 @dataclass(frozen=True, eq=False)
 class DualSolution:
@@ -89,7 +74,6 @@ class HorizonSolution:
     value: float
     clearing: np.ndarray       # (T, n)
     interventions: np.ndarray  # (T, n)
-    rewards: tuple[float, ...]
     dual: DualSolution
     closed_form: bool
 
@@ -138,12 +122,11 @@ def _require_valid(certificate: ConstantProportionCertificate):
 
 
 def _prefix_data(path: SamplePath):
+    """``(c, h)``, each (T, n): round t's external assets, liabilities owed by t."""
     b = np.stack([s.external_liabilities for s in path])
     l = np.stack([s.internal_liabilities.sum(axis=1) for s in path])
     c = np.stack([s.external_assets for s in path])
-    h = np.cumsum(b + l, axis=0)
-    f = np.cumsum(c, axis=0)
-    return c, h, f
+    return c, np.cumsum(b + l, axis=0)
 
 
 def _dual_point(lam, mu, nu, xi, h, c, budget, caps, zeta):
@@ -185,34 +168,23 @@ def _verified_dual(sol, h, c, budget, caps, zeta) -> DualSolution:
     return dual
 
 
-def _round_rows(rounds: int, zeta: np.ndarray, row0: int) -> list:
-    """COO blocks, from row ``row0``, of the default rows ``(I - zeta^T)
-    x(t) - z(t)`` and then the budget rows ``1^T z(t)`` over ``[x | z]``."""
-    n = zeta.shape[0]
-    tn = rounds * n
-    eye = np.eye(rounds)
-    return [
-        kron_coo(eye, np.eye(n) - zeta.T, row0, 0),
-        kron_coo(eye, -np.eye(n), row0, tn),
-        kron_coo(eye, np.ones((1, n)), row0 + tn, tn),
-    ]
-
-
-def _horizon_lp(
-    path: SamplePath, budget: float, caps: np.ndarray, zeta: np.ndarray
-) -> LinearProgram:
+def _horizon_lp(c: np.ndarray, h: np.ndarray, budget: float, caps: np.ndarray,
+                zeta: np.ndarray) -> LinearProgram:
     """The horizon primal over ``[P_tilde(1..T) | Z(1..T)]``: maximize
     ``sum_t 1^T P_tilde(t)`` subject to the prefix rows
     ``sum_{t' <= t} P_tilde(t') <= h(t)``, the default rows
     ``(I - zeta^T) P_tilde(t) - Z(t) <= c(t)`` and the budgets
-    ``1^T Z(t) <= B``, with ``Z(t) <= caps``."""
-    rounds, n = len(path), path.n
-    c, h, _ = _prefix_data(path)
+    ``1^T Z(t) <= B``, with ``Z(t) <= caps``; ``c`` and ``h`` are
+    :func:`_prefix_data`'s."""
+    rounds, n = c.shape
     tn = rounds * n
     objective = np.repeat([1.0, 0.0], tn)
+    eye = np.eye(rounds)
     triplets = [
         kron_coo(np.tril(np.ones((rounds, rounds))), np.eye(n)),
-        *_round_rows(rounds, zeta, tn),
+        kron_coo(eye, np.eye(n) - zeta.T, tn, 0),
+        kron_coo(eye, -np.eye(n), tn, tn),
+        kron_coo(eye, np.ones((1, n)), 2 * tn, tn),
     ]
     rhs = np.concatenate([h.ravel(), c.ravel(), np.full(rounds, float(budget))])
     upper = np.concatenate([np.full(tn, np.inf), np.tile(caps, rounds)])
@@ -268,7 +240,6 @@ def _closed_form_horizon(
         value=value,
         clearing=clearing,
         interventions=np.tile(z, (rounds, 1)),
-        rewards=tuple(float(r.sum()) for r in clearing),
         dual=dual,
         closed_form=True,
     )
@@ -280,19 +251,17 @@ def _solve_horizon(
     """The horizon primal by :func:`_closed_form_horizon`, or, when that
     route refuses, by HiGHS on :func:`_horizon_lp` with its dual read from
     the marginals (:func:`_verified_dual`)."""
-    c, h, _ = _prefix_data(path)
+    c, h = _prefix_data(path)
     solution = _closed_form_horizon(c, h, budget, caps, zeta)
     if solution is not None:
         return solution
-    rounds, n = len(path), path.n
+    rounds, n = c.shape
     tn = rounds * n
-    sol = solve_optimal(_horizon_lp(path, budget, caps, zeta), "horizon LP")
-    clearing = sol.primal[:tn].reshape(rounds, n)
+    sol = solve_optimal(_horizon_lp(c, h, budget, caps, zeta), "horizon LP")
     return HorizonSolution(
         value=float(sol.objective_value),
-        clearing=clearing,
+        clearing=sol.primal[:tn].reshape(rounds, n),
         interventions=sol.primal[tn:].reshape(rounds, n),
-        rewards=tuple(float(r.sum()) for r in clearing),
         dual=_verified_dual(sol, h, c, budget, caps, zeta),
         closed_form=False,
     )
@@ -332,68 +301,6 @@ def solve_horizon_dual(
     Strong duality holds to ``KNAPSACK_GAP_TOL`` or to solver precision.
     """
     return solve_horizon_primal(path, budget, caps, certificate).dual
-
-
-@dataclass(frozen=True, eq=False)
-class PrefixSolution:
-    value: float
-    prefix: PrefixFormulation
-    clearing: np.ndarray       # (T, n), recovered differences
-    interventions: np.ndarray  # (T, n), recovered differences
-    rewards: tuple[float, ...]
-
-
-def solve_prefix_oneshot(
-    path: SamplePath,
-    budget: float,
-    caps,
-    certificate: ConstantProportionCertificate,
-) -> PrefixSolution:
-    """The horizon problem as a single static clearing LP over cumulative
-    payments, with the weighted objective ``sum_t 1^T Q(t)`` (equivalently
-    ``sum_s (T - s + 1) * reward(s)``, since ``Q(t)`` sums the payments of
-    rounds ``s <= t``: earlier rounds weigh more).
-
-    The vectorized problem has block-diagonal proportions, prefix assets and
-    liabilities, staircase budgets ``1^T W(t) <= t B`` and caps
-    ``W(t) <= t L``.  Per-round schedules are recovered by differencing;
-    differences below ``-1e-9`` indicate a genuine failure and raise.
-    """
-    _require_valid(certificate)
-    caps = broadcast_caps(caps, path.n)
-    rounds, n = len(path), path.n
-    c, h, f = _prefix_data(path)
-    zeta = certificate.zeta
-    tn = rounds * n  # variables: [Q(1..T) | W(1..T)]
-    objective = np.repeat([1.0, 0.0], tn)
-    # default: (I - zeta^T) Q(t) - W(t) <= f(t); staircase: 1^T W(t) <= t B
-    triplets = _round_rows(rounds, zeta, 0)
-    steps = np.arange(1, rounds + 1)
-    rhs = np.concatenate([f.ravel(), float(budget) * steps])
-    upper = np.concatenate([h.ravel(), np.outer(steps, caps).ravel()])
-    sol = solve_optimal(leq_program(objective, triplets, rhs, upper), "prefix LP")
-    q = sol.primal[:tn].reshape(rounds, n)
-    w = sol.primal[tn:].reshape(rounds, n)
-    clearing = np.diff(q, axis=0, prepend=np.zeros((1, n)))
-    if clearing.min(initial=0.0) < -1e-9:
-        raise SolverError(
-            f"recovered per-round payments dip to {clearing.min()}; "
-            "prefix recovery failed"
-        )
-    clearing = np.clip(clearing, 0.0, None)
-    interventions = np.diff(w, axis=0, prepend=np.zeros((1, n)))
-    return PrefixSolution(
-        value=float(clearing.sum()),
-        prefix=PrefixFormulation(
-            cumulative_payments=q,
-            cumulative_interventions=w,
-            cumulative_assets=f,
-            cumulative_liabilities=h,
-        ),
-        clearing=clearing,
-        interventions=interventions,
-        rewards=tuple(float(r.sum()) for r in clearing),
-    )
 
 
 def verify_myopic_optimality(path: SamplePath, budget: float, caps) -> MyopicReport:

@@ -184,9 +184,14 @@ def summarize_scatter(trace: Trace) -> ScatterSummary:
 
 
 def write_atomic(path: str, *text: str) -> None:
+    """Write ``text`` to ``path`` by a rename, so no reader sees a partial
+    file, with the mode ``open(path, "w")`` gives, not ``mkstemp``'s 0600."""
     directory = os.path.dirname(path) or "."
+    umask = os.umask(0)  # the umask is read only by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(text)
         os.replace(tmp, path)

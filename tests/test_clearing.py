@@ -25,7 +25,6 @@ from dynclear import (
     sample_sbm_round,
     solve_horizon_primal,
     solve_lp,
-    solve_prefix_oneshot,
 )
 from dynclear.clearing import clear_stack, dense_coo, leq_program
 from dynclear.fractional import _allocation_lp
@@ -55,9 +54,9 @@ def hub_round_one():
     return relative_matrix(state), state.totals, hub_shock(1).external_assets
 
 
-def _hub_horizon(solve, budget=1.0, caps=1.0):
+def _hub_horizon():
     path = hub_path(2)
-    return solve(path, budget, caps, check_constant_proportions(path))
+    return solve_horizon_primal(path, 3.0, 2.0, check_constant_proportions(path))
 
 
 #: Every LP builder of the package, called on the hub instance (the
@@ -66,8 +65,7 @@ def _hub_horizon(solve, budget=1.0, caps=1.0):
 BUILDERS = {
     "per_round_lp": lambda: per_round_lp(*refused_hub_round(), budget=1.0, caps=1.0),
     "clear_lp": lambda: clear_lp(*hub_round_one()),
-    "solve_horizon_primal": lambda: _hub_horizon(solve_horizon_primal, 3.0, 2.0),
-    "solve_prefix_oneshot": lambda: _hub_horizon(solve_prefix_oneshot),
+    "solve_horizon_primal": _hub_horizon,
 }
 
 

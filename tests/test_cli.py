@@ -50,6 +50,17 @@ def test_validate_rejects_infinite_caps(tmp_path, capsys, caps):
     assert "caps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, mode", [
+    ("validate", "discrete"), ("run", "discrete"),
+    ("oracle", "discrete"), ("oracle", "fractional"),
+])
+def test_non_integer_caps_are_a_config_error(tmp_path, capsys, command, mode):
+    # discrete interventions and the oracle's enumeration are integral
+    config = write_config(tmp_path, mode=mode, caps=1.5)
+    assert main([command, config]) == 2
+    assert "caps" in capsys.readouterr().err
+
+
 def test_validate_missing_replay_file(tmp_path, capsys):
     config = write_config(tmp_path)
     os.unlink(os.path.join(tmp_path, "internal.csv"))

@@ -14,7 +14,6 @@ from dynclear import (
     relative_matrix,
     solve_horizon_dual,
     solve_horizon_primal,
-    solve_prefix_oneshot,
     value_given_sample_path,
     verify_myopic_optimality,
 )
@@ -89,7 +88,7 @@ class TestHorizonPrimal:
         cert = check_constant_proportions(path)
         solution = solve_horizon_primal(path, 2.0, 2.0, cert)
         assert solution.value == pytest.approx(10.0, abs=1e-6)
-        assert solution.rewards == pytest.approx((5.0, 5.0), abs=1e-6)
+        assert solution.clearing.sum(axis=1) == pytest.approx((5.0, 5.0), abs=1e-6)
 
     def test_hub_zero_budget(self):
         path = hub_path(2)
@@ -156,7 +155,7 @@ class TestHorizonDual:
 def reference_primal_rows(path, budget, zeta):
     """The horizon primal's constraint rows built one row at a time."""
     rounds, n = len(path), path.n
-    c, h, _ = _prefix_data(path)
+    c, h = _prefix_data(path)
     dim = 2 * rounds * n
     rows = []
     for t in range(rounds):
@@ -178,25 +177,6 @@ def reference_primal_rows(path, budget, zeta):
     return rows
 
 
-def reference_prefix_rows(path, budget, zeta):
-    """The prefix one-shot LP's constraint rows built one row at a time."""
-    rounds, n = len(path), path.n
-    _, _, f = _prefix_data(path)
-    dim = 2 * rounds * n
-    rows = []
-    for t in range(rounds):
-        for i in range(n):
-            row = np.zeros(dim)
-            row[t * n : (t + 1) * n] = (np.eye(n) - zeta.T)[i]
-            row[rounds * n + t * n + i] = -1.0
-            rows.append((row, "<=", float(f[t, i])))
-    for t in range(rounds):
-        row = np.zeros(dim)
-        row[rounds * n + t * n : rounds * n + (t + 1) * n] = 1.0
-        rows.append((row, "<=", float(budget) * (t + 1)))
-    return rows
-
-
 def reference_dual_value(path, budget, caps, zeta) -> float:
     """The dual of the horizon primal built and solved as its own LP:
     minimize ``h.lam + c.mu + B sum(nu) + caps.sum(xi)`` over nonnegative
@@ -204,7 +184,7 @@ def reference_dual_value(path, budget, caps, zeta) -> float:
     and ``xi(t) + nu(t) - mu(t) >= 0``, each >= row written as its negated
     <= row."""
     rounds, n = len(path), path.n
-    c, h, _ = _prefix_data(path)
+    c, h = _prefix_data(path)
     # variable layout: [lam (T*n) | mu (T*n) | nu (T) | xi (T*n)], all >= 0
     base_mu, base_nu = rounds * n, 2 * rounds * n
     base_xi = base_nu + rounds
@@ -257,7 +237,8 @@ class TestDualCertificate:
             path, budget, caps = random_instance(rng)
             cert = check_constant_proportions(path)
             expected = reference_primal_rows(path, budget, cert.zeta)
-            rows = _horizon_lp(path, budget, caps, cert.zeta).constraints
+            lp = _horizon_lp(*_prefix_data(path), budget, caps, cert.zeta)
+            rows = lp.constraints
             assert len(rows) == len(expected)
             for (row, rel, rhs), (ref_row, ref_rel, ref_rhs) in zip(rows, expected):
                 assert np.array_equal(row, ref_row)
@@ -338,7 +319,7 @@ def counted_lps(monkeypatch) -> list:
 
 
 def highs_value(path, budget, caps, zeta) -> float:
-    lp = _horizon_lp(path, budget, caps, zeta)
+    lp = _horizon_lp(*_prefix_data(path), budget, caps, zeta)
     return solve_optimal(lp, "horizon LP").objective_value
 
 
@@ -377,7 +358,7 @@ def test_the_closed_form_route_certifies_only_attainable_values(seed):
     # LP can exceed every policy's value; the route must refuse those paths
     path, budget, caps = redrawn_asset_instance(seed)
     cert = check_constant_proportions(path)
-    c, h, _ = _prefix_data(path)
+    c, h = _prefix_data(path)
     solution = _closed_form_horizon(c, h, budget, caps, cert.zeta)
     sequential, _ = value_given_sample_path(
         SystemState.empty(path.n), path, budget, caps
@@ -398,65 +379,6 @@ def test_a_node_turning_solvent_sends_the_path_to_highs(monkeypatch):
     solution = solve_horizon_primal(path, 3.0, 2.0, check_constant_proportions(path))
     assert len(lps) == 1 and not solution.closed_form
     assert solution.value == pytest.approx(10.0, abs=1e-6)
-
-
-class TestPrefixOneShot:
-    def test_hub_budget_two_recovers_per_round_rewards(self):
-        path = hub_path(2)
-        cert = check_constant_proportions(path)
-        solution = solve_prefix_oneshot(path, 2.0, 2.0, cert)
-        assert solution.value == pytest.approx(10.0, abs=1e-6)
-        assert solution.rewards == pytest.approx((5.0, 5.0), abs=1e-6)
-        assert np.all(np.diff(solution.prefix.cumulative_payments, axis=0) >= -1e-9)
-
-    def test_hub_zero_budget(self):
-        path = hub_path(2)
-        cert = check_constant_proportions(path)
-        solution = solve_prefix_oneshot(path, 0.0, 0.0, cert)
-        assert solution.rewards == pytest.approx((5 / 3, 5 / 3), abs=1e-6)
-
-    def test_single_round_matches_the_horizon_primal(self):
-        path = hub_path(1)
-        cert = check_constant_proportions(path)
-        one_shot = solve_prefix_oneshot(path, 1.0, 1.0, cert)
-        primal = solve_horizon_primal(path, 1.0, 1.0, cert)
-        assert one_shot.value == pytest.approx(primal.value, abs=1e-7)
-
-    def test_weighted_objective_picks_the_same_schedule(self):
-        # the prefix objective weights round s by T - s + 1; on a
-        # unique-optimum instance the recovered schedule matches the
-        # plain-sum optimum
-        path = hub_path(2)
-        cert = check_constant_proportions(path)
-        primal = solve_horizon_primal(path, 2.0, 2.0, cert)
-        prefix = solve_prefix_oneshot(path, 2.0, 2.0, cert)
-        np.testing.assert_allclose(prefix.clearing, primal.clearing, atol=1e-6)
-
-    def test_rows_match_the_row_by_row_build(self, monkeypatch):
-        lps = []
-        solve = clearing.solve_lp
-        monkeypatch.setattr(clearing, "solve_lp", lambda lp: lps.append(lp) or solve(lp))
-        rng = np.random.default_rng(56)
-        for _ in range(5):
-            path, budget, caps = random_instance(rng)
-            cert = check_constant_proportions(path)
-            solve_prefix_oneshot(path, budget, caps, cert)
-            expected = reference_prefix_rows(path, budget, cert.zeta)
-            rows = lps[-1].constraints
-            assert len(rows) == len(expected)
-            for (row, rel, rhs), (ref_row, ref_rel, ref_rhs) in zip(rows, expected):
-                assert np.array_equal(row, ref_row)
-                assert (rel, rhs) == (ref_rel, ref_rhs)
-
-    def test_prefix_quantities_are_cumulative(self):
-        rng = np.random.default_rng(51)
-        path = deep_constant_proportion_path(rng, 3, 3)
-        cert = check_constant_proportions(path)
-        solution = solve_prefix_oneshot(path, 2.0, np.array([1.0, 2.0, 1.0]), cert)
-        q = solution.prefix.cumulative_payments
-        h = solution.prefix.cumulative_liabilities
-        assert np.all(np.diff(h, axis=0) >= 0)
-        assert np.all(q <= h + 1e-9)
 
 
 class TestMyopicOptimality:

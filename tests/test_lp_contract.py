@@ -14,7 +14,6 @@ from dynclear import (
     clearing_lp_model,
     per_round_lp,
     solve_horizon_primal,
-    solve_prefix_oneshot,
 )
 from dynclear import clearing
 from dynclear.fractional import _allocation_lp
@@ -99,7 +98,7 @@ def dense_per_round(matrix, totals, assets, budget, caps, spec):
 
 def dense_horizon(path, budget, caps, zeta):
     rounds, n = len(path), path.n
-    c, h, _ = _prefix_data(path)
+    c, h = _prefix_data(path)
     tn = rounds * n
     lhs = np.zeros((2 * tn + rounds, 2 * tn))
     lhs[:tn, :tn] = np.kron(np.tril(np.ones((rounds, rounds))), np.eye(n))
@@ -108,20 +107,6 @@ def dense_horizon(path, budget, caps, zeta):
     lhs[2 * tn :, tn:] = np.kron(np.eye(rounds), np.ones((1, n)))
     rhs = np.concatenate([h.ravel(), c.ravel(), np.full(rounds, float(budget))])
     upper = np.concatenate([np.full(tn, np.inf), np.tile(caps, rounds)])
-    return np.repeat([1.0, 0.0], tn), lhs, rhs, upper
-
-
-def dense_prefix(path, budget, caps, zeta):
-    rounds, n = len(path), path.n
-    _, h, f = _prefix_data(path)
-    tn = rounds * n
-    lhs = np.zeros((tn + rounds, 2 * tn))
-    lhs[:tn, :tn] = np.kron(np.eye(rounds), np.eye(n) - zeta.T)
-    lhs[:tn, tn:] = -np.eye(tn)
-    lhs[tn:, tn:] = np.kron(np.eye(rounds), np.ones((1, n)))
-    steps = np.arange(1, rounds + 1)
-    rhs = np.concatenate([f.ravel(), float(budget) * steps])
-    upper = np.concatenate([h.ravel(), np.outer(steps, caps).ravel()])
     return np.repeat([1.0, 0.0], tn), lhs, rhs, upper
 
 
@@ -162,18 +147,8 @@ def horizon_instances(draw):
 def test_horizon_lp_arrays_equal_the_dense_scan(instance):
     path, budget, caps = instance
     cert = check_constant_proportions(path)
-    lp = _horizon_lp(path, budget, caps, cert.zeta)
+    lp = _horizon_lp(*_prefix_data(path), budget, caps, cert.zeta)
     assert_same_lp(lp, *dense_horizon(path, budget, caps, cert.zeta))
-
-
-@settings(max_examples=25)
-@given(horizon_instances())
-def test_prefix_lp_arrays_equal_the_dense_scan(instance):
-    path, budget, caps = instance
-    cert = check_constant_proportions(path)
-    with pytest.MonkeyPatch.context() as mp:
-        lp = capture(mp, lambda: solve_prefix_oneshot(path, budget, caps, cert))
-    assert_same_lp(lp, *dense_prefix(path, budget, caps, cert.zeta))
 
 
 @settings(max_examples=25)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -276,6 +277,19 @@ def float_arrays(draw, size):
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size,
                           max_size=size))
     return np.array([pool[i] for i in picks], dtype=float)
+
+
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "plain", "w", encoding="utf-8"):
+            pass
+        runner.write_atomic(str(tmp_path / "atomic"), "x")
+    finally:
+        os.umask(umask)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("plain", "atomic")]
+    assert modes[1] == modes[0]
 
 
 class TestColumnWriter:
