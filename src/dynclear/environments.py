@@ -5,6 +5,8 @@ deterministic replay of recorded rounds."""
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,6 +228,10 @@ class ReplayEnvironment(EnvironmentModel):
         return max(s.shock_norm() for s in self.shocks)
 
 
+_INTERNAL_HEADER = ["t", "i", "j", "amount"]
+_EXTERNAL_HEADER = ["t", "i", "b", "c"]
+
+
 def _read_rows(path: str, expected_header: list[str]):
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -251,20 +257,15 @@ def _read_rows(path: str, expected_header: list[str]):
             yield lineno, row
 
 
-def load_replay(internal_csv: str, external_csv: str) -> ReplayEnvironment:
-    """Build a replay environment from two CSV files.
-
-    ``internal_csv`` holds ``t,i,j,amount`` rows (1-based rounds, 0-based
-    node ids); missing triples mean zero.  ``external_csv`` holds
-    ``t,i,b,c`` rows.  Every parse problem is reported with its line number;
-    non-positive external liabilities are rejected.
-    """
+def _parse_rows(internal_csv: str, external_csv: str):
+    """``(l, b, c)`` of a replay, parsed and checked one row at a time; every
+    problem raises :class:`ReplayFormatError` naming its file and line."""
     internal: dict[tuple[int, int, int], float] = {}
     external: dict[tuple[int, int], tuple[float, float]] = {}
     max_node = -1
     max_round = 0
 
-    for lineno, row in _read_rows(internal_csv, ["t", "i", "j", "amount"]):
+    for lineno, row in _read_rows(internal_csv, _INTERNAL_HEADER):
         try:
             t, i, j = int(row[0]), int(row[1]), int(row[2])
             amount = float(row[3])
@@ -278,11 +279,15 @@ def load_replay(internal_csv: str, external_csv: str) -> ReplayEnvironment:
             raise ReplayFormatError(internal_csv, lineno, "self-liability not allowed")
         if amount < 0:
             raise ReplayFormatError(internal_csv, lineno, "amount must be >= 0")
+        if not math.isfinite(amount):
+            raise ReplayFormatError(
+                internal_csv, lineno, f"amount {amount} is not finite"
+            )
         internal[(t, i, j)] = internal.get((t, i, j), 0.0) + amount
         max_node = max(max_node, i, j)
         max_round = max(max_round, t)
 
-    for lineno, row in _read_rows(external_csv, ["t", "i", "b", "c"]):
+    for lineno, row in _read_rows(external_csv, _EXTERNAL_HEADER):
         try:
             t, i = int(row[0]), int(row[1])
             b, c = float(row[2]), float(row[3])
@@ -301,6 +306,10 @@ def load_replay(internal_csv: str, external_csv: str) -> ReplayEnvironment:
             raise ReplayFormatError(external_csv, lineno, "assets must be >= 0")
         if (t, i) in external:
             raise ReplayFormatError(external_csv, lineno, f"duplicate entry ({t},{i})")
+        if not (math.isfinite(b) and math.isfinite(c)):
+            raise ReplayFormatError(
+                external_csv, lineno, f"external entry ({b}, {c}) is not finite"
+            )
         external[(t, i)] = (b, c)
         max_node = max(max_node, i)
         max_round = max(max_round, t)
@@ -325,10 +334,87 @@ def load_replay(internal_csv: str, external_csv: str) -> ReplayEnvironment:
     l = np.zeros((max_round, n, n))
     for (t, i, j), amount in internal.items():
         l[t - 1, i, j] = amount
+    return l, b, c
+
+
+def _read_columns(path: str, header: list[str]):
+    """The body of a replay file as one structured array from a single
+    ``np.loadtxt`` call (int64 ids and rounds, float64 values), or None when
+    the file cannot be opened, its header is wrong, or loadtxt refuses the
+    body.  A body of line breaks only is an empty array: loadtxt would warn
+    that it holds no data."""
+    dtype = np.dtype([(name, np.int64 if name in ("t", "i", "j") else np.float64)
+                      for name in header])
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)  # the header row exactly as _read_rows reads it
+            if [h.strip() for h in next(reader, [])] != header:
+                return None
+            body = handle.read()
+        if not body.strip("\r\n"):
+            return np.zeros(0, dtype=dtype)
+        return np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                          quotechar='"', ndmin=1, dtype=dtype)
+    except (OSError, ValueError, csv.Error):
+        return None
+
+
+def _load_columns(internal_csv: str, external_csv: str):
+    """``(l, b, c)`` of a replay parsed by :func:`_read_columns`, or None
+    unless every row passes every check of :func:`_parse_rows`, which then
+    loads or rejects the files itself.  ``l`` sums duplicate triples in file
+    order onto zeros, as the row route does."""
+    internal = _read_columns(internal_csv, _INTERNAL_HEADER)
+    external = _read_columns(external_csv, _EXTERNAL_HEADER)
+    if internal is None or external is None:
+        return None
+    t, i, j, amount = (internal[name] for name in _INTERNAL_HEADER)
+    et, ei, eb, ec = (external[name] for name in _EXTERNAL_HEADER)
+    if not (np.all((t >= 1) & (i >= 0) & (j >= 0) & (i != j))
+            and np.all(np.isfinite(amount) & (amount >= 0))
+            and np.all((et >= 1) & (ei >= 0))
+            and np.all(np.isfinite(eb) & (eb >= DEFAULT_B_FLOOR))
+            and np.all(np.isfinite(ec) & (ec >= 0))):
+        return None
+    rounds = int(max(t.max(initial=0), et.max(initial=0)))
+    n = int(max(i.max(initial=-1), j.max(initial=-1), ei.max(initial=-1))) + 1
+    # one external row per (round, node): as many rows as pairs, each seen
+    if rounds == 0 or et.size != rounds * n:
+        return None
+    seen = np.zeros((rounds, n), dtype=bool)
+    seen[et - 1, ei] = True
+    if not seen.all():
+        return None
+    b = np.zeros((rounds, n))
+    c = np.zeros((rounds, n))
+    b[et - 1, ei] = eb
+    c[et - 1, ei] = ec
+    l = np.zeros((rounds, n, n))
+    np.add.at(l, (t - 1, i, j), amount)
+    return l, b, c
+
+
+def load_replay(internal_csv: str, external_csv: str) -> ReplayEnvironment:
+    """Build a replay environment from two CSV files.
+
+    ``internal_csv`` holds ``t,i,j,amount`` rows (1-based rounds, 0-based
+    node ids); missing triples mean zero and repeated triples are summed in
+    file order.  ``external_csv`` holds exactly one ``t,i,b,c`` row per
+    round and node, with ``b >= DEFAULT_B_FLOOR`` and ``c >= 0``.  Blank
+    lines are skipped and quoted cells accepted.  Every bad row, a
+    non-finite value included, is reported with its file and line number.
+
+    Files that ``np.loadtxt`` reads and that pass every check are loaded
+    through it in a few array operations; any other file goes through the
+    row-by-row parser, which alone writes error messages.  Both routes
+    return the same arrays bit for bit.
+    """
+    arrays = _load_columns(internal_csv, external_csv)
+    l, b, c = arrays if arrays is not None else _parse_rows(internal_csv, external_csv)
     return ReplayEnvironment(shocks=tuple(
         ShockRealization(
             round=t + 1, external_liabilities=b[t], external_assets=c[t],
             internal_liabilities=l[t],
         )
-        for t in range(max_round)
+        for t in range(len(b))
     ))

@@ -68,6 +68,23 @@ def test_validate_missing_replay_file(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("column", ["amount", "b", "c"])
+def test_validate_rejects_a_non_finite_replay_value(tmp_path, capsys, column, value):
+    # the loader names the line; ShockRealization would name none (exit 3)
+    config = write_config(tmp_path)
+    name, row = ("internal.csv", 2) if column == "amount" else ("external.csv", 3)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    cells = lines[row - 1].split(",")
+    cells[{"amount": 3, "b": 2, "c": 3}[column]] = value
+    lines[row - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate", config]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}:{row}: " in err and "not finite" in err
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     config = write_config(tmp_path, budget=2.0)
     assert main(["run", config]) == 0
