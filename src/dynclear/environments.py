@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,13 +52,16 @@ class EnvironmentModel:
 class SbmParams:
     """Core-periphery blockmodel parameters: block sizes, the 2x2 directed
     edge probabilities ((CC, CP), (PC, PP)), the exponential rate shared by
-    internal and external liabilities, and a constant asset level."""
+    internal and external liabilities, and a constant asset level.
+    ``edge_probs`` is the read-only n x n matrix of those probabilities per
+    node pair, 0 on the diagonal, built once here for every round drawn."""
 
     n_core: int
     n_periphery: int
     block_probs: np.ndarray
     liability_rate: float = 1.0
     asset_level: float = 0.0
+    edge_probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         probs = np.asarray(self.block_probs, dtype=float)
@@ -73,6 +76,11 @@ class SbmParams:
         if self.asset_level < 0:
             raise ValidationError("asset_level must be nonnegative")
         object.__setattr__(self, "block_probs", probs)
+        block = np.where(np.arange(self.n) < self.n_core, 0, 1)
+        edges = probs[block[:, None], block[None, :]]
+        np.fill_diagonal(edges, 0.0)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edge_probs", edges)
 
     @property
     def n(self) -> int:
@@ -86,11 +94,7 @@ def sample_sbm_round(
     mass exponential on present edges, exponential external liabilities
     floored at ``DEFAULT_B_FLOOR``, constant external assets."""
     n = params.n
-    core = np.arange(n) < params.n_core
-    block = np.where(core, 0, 1)
-    probs = params.block_probs[block[:, None], block[None, :]]
-    np.fill_diagonal(probs, 0.0)
-    present = rng.random((n, n)) < probs
+    present = rng.random((n, n)) < params.edge_probs
     scale = 1.0 / params.liability_rate
     internal = np.where(present, rng.exponential(scale, size=(n, n)), 0.0)
     np.fill_diagonal(internal, 0.0)
@@ -243,18 +247,38 @@ def _read_rows(path: str, expected_header: list[str]):
             header = next(reader)
         except StopIteration:
             raise ReplayFormatError(path, 1, "missing header row") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         if [h.strip() for h in header] != expected_header:
             raise ReplayFormatError(
                 path, 1, f"expected header {','.join(expected_header)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ReplayFormatError(
-                    path, lineno, f"expected {len(expected_header)} fields"
-                )
-            yield lineno, row
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(expected_header):
+                    raise ReplayFormatError(
+                        path, lineno, f"expected {len(expected_header)} fields"
+                    )
+                yield lineno, row
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str) -> ReplayFormatError:
+    """The error for a replay file that is not UTF-8 text, at the line of
+    its first undecodable byte (the reader decodes ahead of the rows)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ReplayFormatError(
+            path, data.count(b"\n", 0, exc.start) + 1,
+            f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})",
+        )
+    return ReplayFormatError(path, 0, "not UTF-8 text")  # changed since read
 
 
 def _parse_rows(internal_csv: str, external_csv: str):
@@ -317,20 +341,21 @@ def _parse_rows(internal_csv: str, external_csv: str):
     if max_round == 0:
         raise ReplayFormatError(external_csv, 1, "no rounds found")
     n = max_node + 1
-    seen = np.zeros((max_round, n), dtype=bool)
+    # the entries are distinct pairs in range: all are there iff they count
+    # rounds x n, and the first missing one is where the sorted pairs first
+    # leave the sequence (1, 0), (1, 1), ..., checked before any allocation
+    if len(external) != max_round * n:
+        k = next((k for k, key in enumerate(sorted(external))
+                  if key != (k // n + 1, k % n)), len(external))
+        raise ReplayFormatError(
+            external_csv, 1,
+            f"missing external entry for round {k // n + 1}, node {k % n} "
+            "(external liabilities must be strictly positive)",
+        )
     b = np.zeros((max_round, n))
     c = np.zeros((max_round, n))
     for (t, i), entry in external.items():
         b[t - 1, i], c[t - 1, i] = entry
-        seen[t - 1, i] = True
-    missing = np.argwhere(~seen)  # in (round, node) order
-    if missing.size:
-        t, i = missing[0]
-        raise ReplayFormatError(
-            external_csv, 1,
-            f"missing external entry for round {t + 1}, node {i} "
-            "(external liabilities must be strictly positive)",
-        )
     l = np.zeros((max_round, n, n))
     for (t, i, j), amount in internal.items():
         l[t - 1, i, j] = amount

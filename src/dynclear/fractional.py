@@ -22,6 +22,7 @@ from .clearing import (
 from .errors import ContractionError, ValidationError
 from .fairness import FairnessSpec, fairness_constraint_block, gini_coefficient
 from .network import (
+    CONNECTIVITY_MARGIN,
     RelativeLiabilityMatrix,
     SamplePath,
     SystemState,
@@ -199,7 +200,44 @@ def _knapsack_round(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
                     assets: np.ndarray, budget: float, caps: np.ndarray):
     """``(clearing, Z)`` solving the fairness-free per-round LP when the
     intervention leaves the zero-intervention default set ``D`` as it is,
-    and None when that cannot be certified.
+    and None when that cannot be certified (see :func:`_certify_default_set`).
+
+    Under the all-default gate of :func:`clear_stack` (every row sum below
+    ``1 - CONNECTIVITY_MARGIN`` and ``c + A^T c < P`` at every node) the
+    round is first certified on ``D = N`` without clearing it: weak duality
+    makes a certificate valid whatever ``D`` it was built on.  Otherwise,
+    or when that is refused, ``D`` comes from :func:`clear_stack` at
+    ``Z = 0``; when it is every node, the attempt already made on it is the
+    answer.  On ``D = N`` both attempts are the same expressions on the
+    same arrays, so the result is bit for bit that of clearing first.  The
+    first attempt can only certify a round whose ``D`` is smaller on the
+    boundary where some node's all-default payment ``x_N`` lies within
+    ``LP_REPAIR_TOL`` above its total; the step is then still optimal.
+    """
+    entries = matrix.entries
+    gate = (float(entries.sum(axis=-1).max(initial=0.0))
+            < 1.0 - CONNECTIVITY_MARGIN
+            and bool(np.all(entries.T @ assets + assets < totals)))
+    if gate:
+        certified = _certify_default_set(matrix, totals, assets, budget, caps,
+                                         np.ones(matrix.n, dtype=bool))
+        if certified is not None:
+            return certified
+    try:
+        cleared = clear_stack(entries[None], totals[None], assets[None])[0]
+    except ContractionError:  # a row sum of 1: the LP is still well posed
+        return None
+    short = entries.T @ cleared + assets < totals
+    if gate and short.all():
+        return None  # refused on D = N above
+    return _certify_default_set(matrix, totals, assets, budget, caps, short)
+
+
+def _certify_default_set(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
+                         assets: np.ndarray, budget: float, caps: np.ndarray,
+                         short: np.ndarray):
+    """``(clearing, Z)`` of the knapsack on the default set ``D`` that the
+    mask ``short`` marks, or None when its LP certificate fails.
 
     While ``D`` is fixed, a unit given to node ``i`` in ``D`` raises total
     payments by ``v_i = [(I - A_DD)^-1 1]_i``, so ``Z`` fills the caps of
@@ -211,14 +249,10 @@ def _knapsack_round(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
     ``D`` and 0 on ``S``, the threshold ``mu`` of :func:`fill_caps`,
     ``gamma = max(0, y - mu)`` and
     ``alpha = max(0, 1 - (I - A) y)``, which is dual feasible whenever
-    ``y >= 0``: by weak duality ``(x, Z)`` is then optimal.
+    ``y >= 0``: by weak duality ``(x, Z)`` is then optimal, whichever ``D``
+    it was built on.
     """
     entries = matrix.entries
-    try:
-        cleared = clear_stack(entries[None], totals[None], assets[None])[0]
-    except ContractionError:  # a row sum of 1: the LP is still well posed
-        return None
-    short = entries.T @ cleared + assets < totals
     defaults, solvent = np.flatnonzero(short), np.flatnonzero(~short)
     eye = np.eye(defaults.size)
     inner = entries[np.ix_(defaults, defaults)]

@@ -85,6 +85,18 @@ def test_validate_rejects_a_non_finite_replay_value(tmp_path, capsys, column, va
     assert f"{name}:{row}: " in err and "not finite" in err
 
 
+def test_validate_rejects_a_replay_that_is_not_utf8(tmp_path, capsys):
+    # both loader routes used to let a raw UnicodeDecodeError out (exit 1)
+    config = write_config(tmp_path)
+    path = tmp_path / "internal.csv"
+    lines = path.read_bytes().splitlines()
+    lines[2] = lines[2][:-1] + b"\xff"  # the amount of row 3
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["validate", config]) == 2
+    err = capsys.readouterr().err
+    assert "internal.csv:3: not UTF-8 text: byte 0xff" in err
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     config = write_config(tmp_path, budget=2.0)
     assert main(["run", config]) == 0

@@ -165,6 +165,67 @@ class TestSampleInterventions:
         assert exhausted > 0 and zero_caps > 0
 
 
+@st.composite
+def rounding_inputs(draw, budget_covers_caps: bool):
+    """``(schedule, caps, budget)``: 1 to 5 rounds of 1 to 8 nodes with
+    integer caps 0 to 3 and fractional amounts in ``[0, caps]``, some of
+    them whole; the budget covers the caps' sum, or falls short of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, rounds = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    caps = rng.integers(0, 4, n).astype(float)
+    schedule = rng.uniform(0.0, 1.0, (rounds, n)) * caps
+    whole = rng.random((rounds, n)) < 0.2
+    schedule[whole] = np.floor(schedule[whole])
+    total = float(caps.sum())
+    budget = (total + draw(st.sampled_from((0.0, 0.5, 3.0))) if budget_covers_caps
+              else float(draw(st.integers(0, max(0, int(total) - 1)))))
+    return list(schedule), caps, budget
+
+
+class TestRoundingProperties:
+    """Binomial rounding under the budget: never redrawn where the caps fit
+    in it, and each round's flag always tells the truth."""
+
+    SEEDS = 500
+
+    @settings(max_examples=25)
+    @given(rounding_inputs(budget_covers_caps=True))
+    def test_unredrawn_where_the_caps_fit_and_unbiased(self, inputs):
+        schedule, caps, budget = inputs
+        frac = np.asarray(schedule)
+        total = np.zeros_like(frac)
+        for seed in range(self.SEEDS):
+            actions, attempts = sample_interventions(
+                schedule, caps, budget, rng=np.random.default_rng(seed))
+            amounts = np.array([a.amounts for a in actions])
+            assert attempts == 1
+            assert all(a.feasible for a in actions)
+            assert np.all((0 <= amounts) & (amounts <= caps))
+            total += amounts
+        # each mean is of SEEDS Bin(L, p) draws: within 5 of its standard
+        # errors sqrt(L p (1 - p) / SEEDS), exact where p is 0 or 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.clip(np.where(caps > 0, frac / caps, 0.0), 0.0, 1.0)
+        stderr = np.sqrt(caps * p * (1.0 - p) / self.SEEDS)
+        assert np.all(np.abs(total / self.SEEDS - frac) <= 5.0 * stderr + 1e-12)
+
+    @settings(max_examples=60)
+    @given(rounding_inputs(budget_covers_caps=False), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_a_round_flagged_feasible_is_within_the_budget(self, inputs, tau, seed):
+        # no mean is asserted here: redrawing over-budget schedules biases it
+        schedule, caps, budget = inputs
+        actions, attempts = sample_interventions(
+            schedule, caps, budget, tau=tau, rng=np.random.default_rng(seed))
+        assert 1 <= attempts <= tau
+        for action in actions:
+            spent = int(action.amounts.sum())
+            assert action.feasible == (spent <= budget + discrete.BUDGET_TOL)
+            assert np.all(action.amounts <= caps)
+        if attempts < tau:
+            assert all(a.feasible for a in actions)
+
+
 class TestHubDiscretePipeline:
     def test_rounding_is_deterministic_when_optimum_is_integral(self, hub_env):
         mean, reports = aggregate_discrete(

@@ -16,6 +16,8 @@ from dynclear import (
     sample_sbm_round,
 )
 
+from dynclear.network import DEFAULT_B_FLOOR
+
 from conftest import write_hub_replay
 
 
@@ -139,6 +141,40 @@ class TestSbm:
             counts.append(int((core > 0).sum()))
         expected = 0.6 * 10 * 9  # directed pairs inside the core
         assert abs(np.mean(counts) - expected) <= 0.1 * expected
+
+    @staticmethod
+    def rebuilt_probs_round(params, rng):
+        """``sample_sbm_round`` as it stood when it rebuilt the n x n edge
+        probabilities on every call: the shock's three arrays."""
+        n = params.n
+        block = np.where(np.arange(n) < params.n_core, 0, 1)
+        probs = params.block_probs[block[:, None], block[None, :]]
+        np.fill_diagonal(probs, 0.0)
+        present = rng.random((n, n)) < probs
+        scale = 1.0 / params.liability_rate
+        internal = np.where(present, rng.exponential(scale, size=(n, n)), 0.0)
+        np.fill_diagonal(internal, 0.0)
+        b = np.maximum(rng.exponential(scale, size=n), DEFAULT_B_FLOOR)
+        return internal, b, np.full(n, params.asset_level)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"n_core": 0, "n_periphery": 7, "liability_rate": 2.5},
+        {"n_core": 5, "n_periphery": 0, "asset_level": 0.5},
+        {"n_core": 3, "n_periphery": 60, "block_probs": [[1.0, 0.0], [0.2, 0.9]]},
+    ])
+    def test_rounds_equal_rebuilding_the_probabilities_bit_for_bit(self, overrides):
+        params = paper_sbm_params(**overrides)
+        assert not params.edge_probs.flags.writeable
+        for seed in range(5):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):  # later rounds check the draw order too
+                shock = sample_sbm_round(params, rng)
+                internal, b, c = self.rebuilt_probs_round(params, reference)
+                for got, want in ((shock.internal_liabilities, internal),
+                                  (shock.external_liabilities, b),
+                                  (shock.external_assets, c)):
+                    assert got.tobytes() == want.tobytes()
 
     def test_environment_sampling_contract(self):
         env = SbmEnvironment(params=paper_sbm_params(), horizon=10)

@@ -21,12 +21,15 @@ from dynclear import (
     substream,
     value_given_sample_path,
 )
-from dynclear.clearing import solve_optimal
+from dynclear.clearing import LP_REPAIR_TOL, clear_stack, solve_optimal
 from dynclear.environments import EnvironmentModel, SbmEnvironment, SbmParams
+from dynclear.errors import ContractionError
 from dynclear.fractional import (
+    KNAPSACK_GAP_TOL,
     _allocation_lp,
     _knapsack_round,
     broadcast_caps,
+    fill_caps,
     once_per_distinct_path,
     ordered_map,
     sample_paths,
@@ -216,6 +219,129 @@ class TestKnapsackRoute:
                    for b in np.linspace(0.0, top, 9)]
         for low, high in zip(rewards, rewards[1:]):
             assert high >= low - 1e-9
+
+
+def reference_knapsack_round(matrix, totals, assets, budget, caps):
+    """:func:`_knapsack_round` as it stood before it tried ``D = N`` first:
+    the default set always comes from clearing at ``Z = 0``."""
+    entries = matrix.entries
+    try:
+        cleared = clear_stack(entries[None], totals[None], assets[None])[0]
+    except ContractionError:
+        return None
+    short = entries.T @ cleared + assets < totals
+    defaults, solvent = np.flatnonzero(short), np.flatnonzero(~short)
+    eye = np.eye(defaults.size)
+    inner = entries[np.ix_(defaults, defaults)]
+    v = np.linalg.solve(eye - inner, np.ones(defaults.size))
+    z = np.zeros(matrix.n)
+    z[defaults], mu = fill_caps(v, caps[defaults], budget)
+    x = totals.copy()
+    x[defaults] = np.linalg.solve(
+        eye - inner.T,
+        assets[defaults] + z[defaults]
+        + entries[np.ix_(solvent, defaults)].T @ totals[solvent],
+    )
+    tol = LP_REPAIR_TOL
+    feasible = (
+        np.all((-tol <= x) & (x <= totals + tol))
+        and np.all(x - entries.T @ x - z <= assets + tol)
+        and z.sum() <= budget + tol
+    )
+    y = np.zeros(matrix.n)
+    y[defaults] = v
+    alpha = np.maximum(0.0, 1.0 - (y - entries @ y))
+    dual = (assets @ y + budget * mu + totals @ alpha
+            + caps @ np.maximum(0.0, y - mu))
+    primal = float(x.sum())
+    if not (feasible and np.all(y >= 0.0)
+            and abs(dual - primal) <= KNAPSACK_GAP_TOL * max(1.0, primal)):
+        return None
+    return x, z
+
+
+@st.composite
+def knapsack_instances(draw):
+    """``(matrix, totals, assets, budget, caps)``: an :func:`sbm_rounds`
+    round, or one with random positive assets scaled to just inside the
+    all-default gate ``c + A^T c < P``, where the default set at ``Z = 0``
+    is often partial; with a budget from none to past the caps, where
+    rounds are refused."""
+    matrix, totals, assets, caps = draw(sbm_rounds())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        assets = rng.uniform(0.1, 1.0, matrix.n)
+        assets *= ((totals / (matrix.entries.T @ assets + assets)).min()
+                   * rng.uniform(0.5, 1.0))
+    caps = broadcast_caps(caps, matrix.n)
+    budget = draw(st.floats(0.0, 1.2)) * float(caps.sum())
+    return matrix, totals, assets, budget, caps
+
+
+def bits(result):
+    return None if result is None else [a.tobytes() for a in result]
+
+
+def counted_calls(monkeypatch, fn, *args):
+    """``(result, clear_stack calls, np.linalg.solve calls)`` of one call."""
+    calls = {"clear_stack": 0, "solve": 0}
+
+    def count(name, real):
+        def wrapper(*a):
+            calls[name] += 1
+            return real(*a)
+        return wrapper
+
+    monkeypatch.setattr(dynclear.fractional, "clear_stack",
+                        count("clear_stack", dynclear.fractional.clear_stack))
+    monkeypatch.setattr(np.linalg, "solve", count("solve", np.linalg.solve))
+    result = fn(*args)
+    monkeypatch.undo()
+    return result, calls["clear_stack"], calls["solve"]
+
+
+class TestAllDefaultFirst:
+    """The knapsack route tries ``D = N`` before clearing at ``Z = 0``, with
+    every result bit for bit that of clearing first."""
+
+    @settings(max_examples=300)
+    @given(knapsack_instances())
+    def test_results_equal_clearing_first_bit_for_bit(self, instance):
+        assert bits(_knapsack_round(*instance)) == bits(
+            reference_knapsack_round(*instance))
+
+    def test_a_certified_all_default_round_makes_two_solves(self, monkeypatch):
+        matrix, totals, assets = chain_round()
+        args = matrix, totals, assets, 1.5, np.ones(4)
+        result, clears, solves = counted_calls(monkeypatch, _knapsack_round, *args)
+        assert result is not None and (clears, solves) == (0, 2)
+        assert bits(result) == bits(reference_knapsack_round(*args))
+
+    def test_a_refused_all_default_round_makes_no_more_solves(self, monkeypatch):
+        # round 1 of the unconstrained run of configs/synthetic_fairness.json:
+        # no assets, so every node defaults at Z = 0, and B = L = 50 turns
+        # some solvent, so the round is refused (and goes to HiGHS)
+        env = SbmEnvironment(
+            SbmParams(10, 40, [[0.6, 0.35], [0.35, 0.1]]), horizon=10)
+        shock = env.sample_path(1, 1, substream(0, 0)).shocks[0]
+        state = advance_state(SystemState.empty(50), np.zeros(50), shock)
+        matrix = relative_matrix(state)
+        args = matrix, state.totals, shock.external_assets, 50.0, np.full(50, 50.0)
+        cleared = clear_stack(matrix.entries[None], state.totals[None],
+                              shock.external_assets[None])[0]
+        assert np.all(matrix.entries.T @ cleared < state.totals)  # D = N
+        result, clears, solves = counted_calls(monkeypatch, _knapsack_round, *args)
+        _, _, reference_solves = counted_calls(
+            monkeypatch, reference_knapsack_round, *args)
+        assert result is None and clears == 1
+        assert solves <= reference_solves == 3
+
+    def test_a_row_sum_of_one_is_left_to_highs(self):
+        # D = N alone would certify Z = (0.25, 0), but clearing refuses a
+        # row sum of 1, and so does the gate
+        args = *non_contracting_round(), 0.25, np.ones(2)
+        assert reference_knapsack_round(*args) is None
+        assert _knapsack_round(*args) is None
 
 
 class TestValueGivenSamplePath:

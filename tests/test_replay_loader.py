@@ -4,6 +4,7 @@ row-by-row loader as it stood before the loadtxt route existed."""
 
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,3 +396,42 @@ def test_plain_files_take_the_loadtxt_route(tmp_path, monkeypatch):
         for name in ("internal_liabilities", "external_liabilities", "external_assets"):
             assert np.array_equal(getattr(loaded, name).view(np.int64),
                                   getattr(written, name).view(np.int64))
+
+
+@pytest.mark.parametrize("name, line, text", [
+    ("internal", 1, b"t,i,j,amount\xff"),
+    ("internal", 3, b"1,0,2,\xff"),
+    ("external", 5, b"2,0,1,\xc3"),  # a truncated two-byte sequence
+])
+def test_a_file_that_is_not_utf8_is_a_format_error(tmp_path, name, line, text):
+    files = write_hub_replay(tmp_path)
+    path = files[name == "external"]
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    lines[line - 1] = text
+    with open(path, "wb") as handle:
+        handle.write(b"\n".join(lines) + b"\n")
+    assert environments._load_columns(*files) is None
+    for load in (environments._parse_rows, load_replay):
+        with pytest.raises(ReplayFormatError, match="not UTF-8 text") as caught:
+            load(*files)
+        assert (caught.value.path, caught.value.line) == (path, line)
+
+
+def test_a_missing_external_entry_is_found_without_round_by_node_arrays(tmp_path):
+    # the largest id sets n = 1,000,001: (rounds, n) arrays seen, b and c
+    # alone would take 17 MB before the same error
+    internal, external = tmp_path / "internal.csv", tmp_path / "external.csv"
+    internal.write_text("t,i,j,amount\n")
+    external.write_text("t,i,b,c\n1,0,1,0\n1,1000000,1,0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ReplayFormatError) as caught:
+            load_replay(str(internal), str(external))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == (
+        f"{external}:1: missing external entry for round 1, node 1 "
+        "(external liabilities must be strictly positive)")
+    assert peak < 1_000_000
