@@ -17,6 +17,13 @@ INF = float("inf")
 #: Agreement required between the LP and fixed-point clearing routes.
 ROUTE_AGREEMENT_TOL = 1e-6
 
+#: Largest gap between a primal value and the objective of its dual
+#: certificate, relative to the primal value (or 1 when that is smaller), at
+#: which the primal counts as optimal: for every HiGHS solve
+#: (:func:`solve_optimal`) and for the knapsack routes of
+#: :mod:`fractional` and :mod:`horizon`.
+KNAPSACK_GAP_TOL = 1e-9
+
 #: Largest clip or rescale applied to an LP primal before it counts as a
 #: solver failure: the HiGHS primal feasibility tolerance.
 LP_REPAIR_TOL = 1e-7
@@ -32,8 +39,9 @@ HIGHS_OPTIONS = {"output_flag": False, "presolve": "off",
 PRIMAL_SIMPLEX, DUAL_SIMPLEX = 4, 1
 
 #: The solves of one LP as ``(simplex_strategy, from_scratch)``, each run
-#: only when the one before it stalls: primal simplex from the all-slack
-#: basis, dual simplex resumed from primal's basis, dual simplex afresh.
+#: only when the one before it stalls: primal simplex from the LP's start
+#: basis (all-slack unless it carries one), dual simplex resumed from
+#: primal's basis, dual simplex afresh from the all-slack basis.
 SOLVES = ((PRIMAL_SIMPLEX, False), (DUAL_SIMPLEX, False), (DUAL_SIMPLEX, True))
 
 
@@ -46,6 +54,12 @@ class LinearProgram:
     nonzeros ``value[start[j]:start[j + 1]]`` in the rows
     ``index[start[j]:start[j + 1]]``, ascending.  Build one with
     :func:`leq_program`, which checks shapes and bounds.
+
+    ``basis`` is HiGHS's start basis, None for the all-slack one: column
+    ``basis[0, k]`` starts basic in place of the slack of row
+    ``basis[1, k]``, which starts tight at its rhs, while every other
+    column starts at 0 and every other slack stays basic.  The builder
+    vouches that this is a feasible, nonsingular vertex.
     """
 
     objective: np.ndarray  # (d,)
@@ -54,6 +68,7 @@ class LinearProgram:
     value: np.ndarray      # (nnz,)
     rhs: np.ndarray        # (m,)
     upper: np.ndarray      # (d,)
+    basis: np.ndarray | None = None  # (2, k) int: (column, row) pairs
 
     @property
     def n_variables(self) -> int:
@@ -122,16 +137,19 @@ class _HighsResult(NamedTuple):
 
 
 def _highs(cost, start, index, value, row_lower, row_upper,
-           col_lower, col_upper) -> _HighsResult:
+           col_lower, col_upper, basis=None) -> _HighsResult:
     """``min cost @ x`` s.t. ``row_lower <= A x <= row_upper`` and
     ``col_lower <= x <= col_upper``, with ``A`` given as CSC arrays
     ``(start, index, value)``: the one call into the HiGHS binding that
     scipy bundles (private, imported on first use).
 
-    Primal simplex runs first (see README, "Numerical conventions").  When
-    it ends in any status but optimal, infeasible or unbounded, dual simplex
-    resumes from its basis; when that stalls too, the solver state is
-    cleared and dual simplex solves once more from scratch (``SOLVES``).
+    Primal simplex runs first, from the all-slack basis or from the start
+    ``basis`` of :class:`LinearProgram`, whose tight rows sit at
+    ``row_upper`` and nonbasic columns at ``col_lower`` (see README,
+    "Numerical conventions").  When it ends in any status but optimal,
+    infeasible or unbounded, dual simplex resumes from its basis; when that
+    stalls too, the solver state is cleared and dual simplex solves once
+    more from scratch (``SOLVES``).
     """
     from scipy.optimize._highspy import _core
 
@@ -158,6 +176,18 @@ def _highs(cost, start, index, value, row_lower, row_upper,
         highs.setOptionValue(key, option)
     if highs.passModel(model) == _core.HighsStatus.kError:
         return _HighsResult("failed", "HiGHS rejected the model", 0)
+    if basis is not None:
+        status = _core.HighsBasisStatus
+        col_status = [status.kLower] * len(cost)
+        row_status = [status.kBasic] * len(row_upper)
+        for column, row in basis.T.tolist():
+            col_status[column] = status.kBasic
+            row_status[row] = status.kUpper
+        crash = _core.HighsBasis()
+        crash.col_status, crash.row_status = col_status, row_status
+        crash.valid = True
+        if highs.setBasis(crash) != _core.HighsStatus.kOk:
+            return _HighsResult("failed", "HiGHS rejected the start basis", 0)
     iterations = 0
     for strategy, from_scratch in SOLVES:
         if from_scratch:
@@ -194,19 +224,18 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     The CSC arrays, ``rhs`` and ``upper`` go to HiGHS as they are, with
     ``-inf`` as every row's lower bound and ``0`` as every column's.  HiGHS
-    runs without presolve, by primal simplex from the all-slack basis, a
-    feasible vertex of every LP the package builds (see README, "Numerical
-    conventions").  Numerical failure is reported through
-    ``status='failed'``, never raised; a non-optimal solution carries the
-    backend's account in ``message``.  Output is deterministic for
+    runs without presolve, by primal simplex from the LP's start basis or
+    else the all-slack one, each a feasible vertex of the LPs that use it
+    (see README, "Numerical conventions").  Numerical failure is reported
+    through ``status='failed'``, never raised; a non-optimal solution
+    carries the backend's account in ``message``.  Output is deterministic for
     identical input.
     """
-    try:
-        res = _highs(
-            -lp.objective,  # HiGHS minimizes
+    args = (-lp.objective,  # HiGHS minimizes
             lp.start, lp.index, lp.value, np.full(lp.rhs.shape, -INF), lp.rhs,
-            np.zeros(lp.n_variables), lp.upper,
-        )
+            np.zeros(lp.n_variables), lp.upper)
+    try:
+        res = _highs(*args) if lp.basis is None else _highs(*args, lp.basis)
     except Exception as exc:  # defensive: backend bugs become a status
         return LpSolution(status="failed", primal=None, dual=None,
                           objective_value=None,
@@ -330,11 +359,13 @@ def kron_coo(a, b, row0: int = 0, col0: int = 0):
     return rows.ravel(), cols.ravel(), (va[:, None] * vb).ravel()
 
 
-def leq_program(objective, triplets, rhs, upper) -> LinearProgram:
+def leq_program(objective, triplets, rhs, upper, basis=None) -> LinearProgram:
     """``max objective @ x`` subject to ``A x <= rhs`` and ``0 <= x <= upper``
     (``inf`` allowed), with ``A`` given as COO blocks ``(rows, cols,
     values)`` that hold each entry at most once: the one COO -> CSC step of
-    the package.
+    the package.  ``basis`` is the optional start basis of
+    :class:`LinearProgram`, its (column, row) pairs as a ``(2, k)`` array
+    of distinct columns and distinct rows.
 
     Exact zeros are dropped and the rest sorted by (column, row), the order
     a column-wise scan of the dense matrix gives.  Shapes, indices and
@@ -363,17 +394,43 @@ def leq_program(objective, triplets, rhs, upper) -> LinearProgram:
     start = np.zeros(d + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=d), out=start[1:])
     return LinearProgram(objective, start, rows.astype(np.int32), values[keep],
-                         rhs, upper)
+                         rhs, upper, basis)
 
 
 def solve_optimal(lp: LinearProgram, what: str) -> LpSolution:
-    """:func:`solve_lp`, raising :class:`SolverError` with the backend's
-    message when the status is not optimal; ``what`` names the LP."""
+    """:func:`solve_lp`, certified optimal; ``what`` names the LP.
+
+    Raises :class:`SolverError` with the backend's message when the status
+    is not optimal, and when the marginals do not prove the primal optimal:
+    the row duals ``y`` and upper-bound duals ``w`` must be dual feasible,
+    ``y >= 0``, ``w >= 0`` and ``A^T y + w >= objective``, to
+    ``LP_REPAIR_TOL``, and the dual objective ``rhs @ y + upper @ w`` over
+    the finite bounds must match ``objective @ x`` to ``KNAPSACK_GAP_TOL``,
+    relative to it (or to 1 when it is smaller).
+    """
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise SolverError(
             f"{what} returned status {sol.status}: {sol.message}",
             status=sol.status,
+        )
+    y, w = sol.dual, sol.bound_duals_upper
+    cols = np.repeat(np.arange(lp.n_variables), np.diff(lp.start))
+    reduced = np.bincount(cols, lp.value * y[lp.index], lp.n_variables) + w
+    breach = float(np.concatenate([-y, -w, lp.objective - reduced]).max(
+        initial=0.0))
+    if not breach <= LP_REPAIR_TOL:  # NaN counts as a failure too
+        raise SolverError(
+            f"{what} marginals violate dual feasibility by {breach:.3g}, "
+            f"beyond LP_REPAIR_TOL={LP_REPAIR_TOL:g}"
+        )
+    finite = np.isfinite(lp.upper)
+    primal = float(lp.objective @ sol.primal)
+    gap = abs(float(lp.rhs @ y + lp.upper[finite] @ w[finite]) - primal)
+    if not gap <= KNAPSACK_GAP_TOL * max(1.0, abs(primal)):
+        raise SolverError(
+            f"{what} primal and dual objectives differ by {gap:.3g}, beyond "
+            f"KNAPSACK_GAP_TOL={KNAPSACK_GAP_TOL:g} relative"
         )
     return sol
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clearing import (
+    KNAPSACK_GAP_TOL,
     LP_REPAIR_TOL,
     LinearProgram,
     SolverError,
@@ -112,13 +113,6 @@ def _onto_budget(z: np.ndarray, budget: float, source: str) -> np.ndarray:
     return z
 
 
-#: Largest gap between a knapsack route's primal value and the objective of
-#: its dual certificate, relative to the primal value (or 1 when that is
-#: smaller), at which the route's step counts as optimal: the per-round
-#: route here and the whole-horizon one of :mod:`horizon`.
-KNAPSACK_GAP_TOL = 1e-9
-
-
 def per_round_lp(
     matrix: RelativeLiabilityMatrix,
     totals,
@@ -173,9 +167,19 @@ def _allocation_lp(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
     """The per-round LP over ``(P_tilde, Z)`` and the slacks of a fairness
     ``block`` (none when None): maximize ``1^T P_tilde`` subject to
     ``(I - A^T) P_tilde - Z <= c``, ``1^T Z <= B`` and the block's rows,
-    with ``P_tilde <= totals`` and ``Z <= caps``."""
+    with ``P_tilde <= totals`` and ``Z <= caps``.
+
+    With a block the LP carries a start basis: the slack ``varpi_k`` of pair
+    ``{i < j}`` starts basic in place of its row's slack (the row tight)
+    when ``kappa_i >= kappa_j``, with ``kappa = beta + A beta`` (``beta``
+    the row sums) the first terms of the Katz centrality ``(I - A)^-1 1``.  At ``x = 0``
+    that is a feasible vertex like the all-slack one, and a triangular
+    basis, since each such ``varpi_k`` has -1 in its own row and its
+    cap-row entry meets the cap row's basic slack (see README, "Numerical
+    conventions")."""
     n = matrix.n
     n_slack = block.n_slacks if block is not None else 0
+    basis = None
     objective = np.concatenate([np.ones(n), np.zeros(n + n_slack)])
     k = np.arange(n)
     triplets = [
@@ -192,8 +196,13 @@ def _allocation_lp(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
                      (n + 1 + e, 2 * n + e, np.full(n_slack, -1.0)),
                      (np.full(n_slack, n + 1 + n_slack), 2 * n + e, block.cap_slack)]
         rhs = np.concatenate([rhs, block.rhs])
+        beta = matrix.row_sums
+        centrality = beta + matrix.entries @ beta
+        ii, jj = np.array(block.edges, dtype=np.intp).reshape(-1, 2).T
+        tight = np.flatnonzero(centrality[ii] >= centrality[jj])
+        basis = np.stack([2 * n + tight, n + 1 + tight])
     upper = np.concatenate([totals, caps, np.full(n_slack, np.inf)])
-    return leq_program(objective, triplets, rhs, upper)
+    return leq_program(objective, triplets, rhs, upper, basis)
 
 
 def _knapsack_round(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
@@ -307,12 +316,14 @@ def lp_step(source: str, round_index: int, totals: np.ndarray,
 
     The clearing is clipped into ``[0, totals]``, the intervention into
     ``[0, caps]`` and rescaled onto ``budget``; a repair larger than
-    ``LP_REPAIR_TOL`` raises :class:`SolverError` naming ``source``.  The
+    ``LP_REPAIR_TOL`` raises :class:`SolverError` naming ``source``.  After
+    the clip every intervention of at most ``LP_REPAIR_TOL`` (solver noise
+    such as ``6e-15``, and the LP's ``-0.0``) is set to exactly 0.  The
     Gini of the intervention is recorded when fairness ``weights`` are given.
     """
     clearing = _repair(clearing, 0.0, totals, "clearing", source)
-    # + 0.0 turns the LP's -0.0 into 0.0 whatever the memory layout of caps
-    z = _repair(z, 0.0, caps, "intervention", source) + 0.0
+    z = _repair(z, 0.0, caps, "intervention", source)
+    z[z <= LP_REPAIR_TOL] = 0.0
     z = _onto_budget(z, budget, source)
     return PolicyStepResult(
         round=round_index,

@@ -68,6 +68,18 @@ BUILDERS = {
     "solve_horizon_primal": _hub_horizon,
 }
 
+#: The builders again, each on an instance whose optimum has a row dual and
+#: an upper-bound dual of at least 0.1 (one unit given to the hub's node 0
+#: makes node 1 solvent while nodes 0 and 2 default), plus the per-round LP
+#: with a fairness block, the one LP that carries a start basis.
+CERTIFIED_BUILDERS = {
+    **BUILDERS,
+    "clear_lp": lambda: clear_lp(*refused_hub_round(), np.array([1.0, 0.0, 0.0])),
+    "per_round_lp_fair": lambda: per_round_lp(
+        *refused_hub_round(), budget=1.0, caps=1.0,
+        fairness=FairnessSpec(kind="spatial", budget=0.5)),
+}
+
 
 class TestSolveLp:
     def test_simple_maximum(self):
@@ -305,6 +317,76 @@ class TestSolveLp:
         monkeypatch.setattr(dynclear.clearing, "_highs", broken)
         with pytest.raises(SolverError, match="status failed: ValueError: boom"):
             BUILDERS[builder]()
+
+    @pytest.mark.parametrize("corrupt", [-1.0, 0.0, np.nan])
+    @pytest.mark.parametrize("marginal", ["dual", "bound_duals_upper"])
+    @pytest.mark.parametrize("builder", sorted(CERTIFIED_BUILDERS))
+    def test_a_corrupted_marginal_is_refused(self, monkeypatch, builder,
+                                             marginal, corrupt):
+        # the largest row dual and the largest upper-bound dual each price a
+        # column whose reduced cost is 0 at the optimum: negating, dropping
+        # or blanking either breaks dual feasibility
+        solve = dynclear.clearing.solve_lp
+
+        def corrupted(lp):
+            sol = solve(lp)
+            values = getattr(sol, marginal)
+            k = int(np.argmax(values))
+            assert values[k] >= 0.1
+            values[k] *= corrupt
+            return sol
+
+        CERTIFIED_BUILDERS[builder]()
+        monkeypatch.setattr(dynclear.clearing, "solve_lp", corrupted)
+        with pytest.raises(SolverError, match="violate dual feasibility"):
+            CERTIFIED_BUILDERS[builder]()
+
+    @pytest.mark.parametrize("builder", sorted(CERTIFIED_BUILDERS))
+    def test_a_primal_short_of_the_optimum_is_refused(self, monkeypatch, builder):
+        solve = dynclear.clearing.solve_lp
+
+        def halved(lp):
+            sol = solve(lp)
+            sol.primal[:] *= 0.5
+            return sol
+
+        monkeypatch.setattr(dynclear.clearing, "solve_lp", halved)
+        with pytest.raises(SolverError, match="primal and dual objectives differ"):
+            CERTIFIED_BUILDERS[builder]()
+
+    def test_every_start_basis_is_accepted(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        statuses = []
+
+        class Recording(_core._Highs):
+            def setBasis(self, *args):
+                statuses.append(super().setBasis(*args))
+                return statuses[-1]
+
+        monkeypatch.setattr(_core, "_Highs", Recording)
+        rng = np.random.default_rng(12)
+        for kind in ("standard", "spatial", "property"):
+            for n in (3, 8, 20):
+                state, matrix, assets = sbm_round(rng, n, rounds=2)
+                spec = FairnessSpec(kind=kind, budget=0.4,
+                                    q=rng.random(n) if kind == "property" else None)
+                per_round_lp(matrix, state.totals, assets, 2.0, 1.0, fairness=spec)
+        # LPs without a fairness block reach HiGHS with no start
+        for build in BUILDERS.values():
+            build()
+        assert statuses == [_core.HighsStatus.kOk] * 9
+
+    def test_a_refused_start_basis_is_a_failed_status(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        class Refusing(_core._Highs):
+            def setBasis(self, *args):
+                return _core.HighsStatus.kError
+
+        monkeypatch.setattr(_core, "_Highs", Refusing)
+        with pytest.raises(SolverError, match="rejected the start basis"):
+            CERTIFIED_BUILDERS["per_round_lp_fair"]()
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):

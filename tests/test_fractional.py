@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynclear.clearing
 from dynclear import (
+    FairnessSpec,
     RelativeLiabilityMatrix,
     SamplePath,
     ShockRealization,
@@ -24,12 +25,14 @@ from dynclear import (
 from dynclear.clearing import LP_REPAIR_TOL, clear_stack, solve_optimal
 from dynclear.environments import EnvironmentModel, SbmEnvironment, SbmParams
 from dynclear.errors import ContractionError
+from dynclear.fairness import fairness_constraint_block, spatial_weights
 from dynclear.fractional import (
     KNAPSACK_GAP_TOL,
     _allocation_lp,
     _knapsack_round,
     broadcast_caps,
     fill_caps,
+    lp_step,
     once_per_distinct_path,
     ordered_map,
     sample_paths,
@@ -118,6 +121,59 @@ class TestRepairBound:
         step = self.perturbed(monkeypatch, edit)
         np.testing.assert_array_equal(step.clearing, [3.0, 1.0, 1.0])
         assert step.intervention.sum() <= 2.0
+
+    def test_solver_noise_in_the_intervention_is_snapped_to_zero(self):
+        z = np.array([1.0, 2e-15, LP_REPAIR_TOL, -0.0, 2 * LP_REPAIR_TOL])
+        step = lp_step("test LP", 0, np.full(5, 3.0),
+                       RelativeLiabilityMatrix.from_entries(np.zeros((5, 5))),
+                       np.ones(5), z, 3.0, np.full(5, 2.0))
+        assert step.intervention.tolist() == [1.0, 0.0, 0.0, 0.0, 2 * LP_REPAIR_TOL]
+        assert not np.signbit(step.intervention).any()
+
+
+class TestStartBasis:
+    """The Gini-capped per-round LP starts HiGHS from a basis in which each
+    pair's slack is basic when its first node is the more central one."""
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 40),
+           kind=st.sampled_from(("spatial", "standard", "property")),
+           g=st.sampled_from((0.1, 0.5, 0.9)))
+    def test_the_start_reaches_the_all_slack_optimum(self, seed, n, kind, g):
+        rng = np.random.default_rng(seed)
+        state, matrix, assets = sbm_round(rng, n, rounds=2)
+        budget, caps = float(rng.uniform(0.5, 5.0)), rng.uniform(0.2, 1.5, n)
+        spec = FairnessSpec(kind=kind, budget=g,
+                            q=rng.random(n) if kind == "property" else None)
+        weights = spec.weights_for(matrix)
+        lp = _allocation_lp(matrix, state.totals, assets, budget, caps,
+                            fairness_constraint_block(weights, g))
+        assert lp.basis is not None
+        crash = solve_optimal(lp, "crash-started LP")
+        all_slack = solve_optimal(dataclasses.replace(lp, basis=None),
+                                  "all-slack LP")
+        assert crash.objective_value == pytest.approx(all_slack.objective_value,
+                                                      rel=1e-9)
+        step = lp_step("crash-started LP", 0, state.totals, matrix,
+                       crash.primal[:n], crash.primal[n : 2 * n], budget, caps,
+                       weights)
+        assert step.gini <= g + 1e-7
+        assert step.intervention.sum() <= budget + 1e-9  # a rescale's rounding
+        assert np.all(step.intervention <= caps)
+
+    def test_a_spatial_round_of_100_nodes_takes_under_half_the_iterations(self):
+        # 863 iterations against 3,019 from the all-slack basis
+        state, matrix, assets = sbm_round(np.random.default_rng(2), 100, rounds=2,
+                                          asset_level=0.0)
+        block = fairness_constraint_block(spatial_weights(matrix), 0.5)
+        lp = _allocation_lp(matrix, state.totals, assets, 50.0, np.full(100, 50.0),
+                            block)
+        crash = solve_optimal(lp, "crash-started LP")
+        all_slack = solve_optimal(dataclasses.replace(lp, basis=None),
+                                  "all-slack LP")
+        assert crash.iterations < all_slack.iterations / 2
+        assert crash.objective_value == pytest.approx(all_slack.objective_value,
+                                                      rel=1e-9)
 
 
 def chain_round(creditor: bool = False):

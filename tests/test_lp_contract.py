@@ -16,6 +16,7 @@ from dynclear import (
     solve_horizon_primal,
 )
 from dynclear import clearing
+from dynclear.fairness import fairness_constraint_block
 from dynclear.fractional import _allocation_lp
 from dynclear.horizon import _horizon_lp, _prefix_data
 
@@ -132,6 +133,46 @@ def test_per_round_lp_arrays_equal_the_dense_scan(seed, n, kind, g):
                 matrix, state.totals, assets, budget, caps, fairness=spec))
     assert_same_lp(lp, *dense_per_round(
         matrix, state.totals, assets, budget, caps, spec))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
+       kind=st.sampled_from(KINDS), g=st.sampled_from((0.0, 0.3, 1.0)))
+def test_the_start_basis_is_a_feasible_nonsingular_vertex(seed, n, kind, g):
+    rng = np.random.default_rng(seed)
+    state, matrix, assets = sbm_round(rng, n, rounds=2)
+    budget, caps = float(rng.uniform(0.0, 3.0)), rng.uniform(0.2, 1.5, n)
+    spec = None if kind is None else FairnessSpec(
+        kind=kind, budget=g, q=rng.random(n) if kind == "property" else None,
+    )
+    block = None
+    if spec is not None:
+        block = fairness_constraint_block(spec.weights_for(matrix), g)
+    lp = _allocation_lp(matrix, state.totals, assets, budget, caps, block)
+    if block is None:
+        assert lp.basis is None
+        return
+    # pair k's slack, column 2n + k, replaces the slack of its row n + 1 + k
+    # exactly when its first node is at least as central as its second
+    beta = matrix.row_sums
+    centrality = beta + matrix.entries @ beta
+    pairs = np.array(block.edges, dtype=int).reshape(-1, 2)
+    columns, rows = lp.basis
+    np.testing.assert_array_equal(
+        columns - 2 * n,
+        np.flatnonzero(centrality[pairs[:, 0]] >= centrality[pairs[:, 1]]))
+    np.testing.assert_array_equal(rows, columns - n + 1)
+    # the basic columns: those of the basis and the slacks of the other rows
+    _, lhs, rhs, _ = dense_per_round(matrix, state.totals, assets, budget,
+                                     caps, spec)
+    m = rhs.size
+    basic = np.hstack([lhs[:, columns], np.delete(np.eye(m), rows, axis=1)])
+    assert np.linalg.matrix_rank(basic) == m
+    values = np.linalg.solve(basic, rhs)  # every nonbasic variable at 0
+    np.testing.assert_allclose(values[: columns.size], 0.0, atol=1e-12)
+    np.testing.assert_allclose(values[columns.size :], np.delete(rhs, rows),
+                               atol=1e-12)
+    assert np.all(rhs >= 0.0)
 
 
 @st.composite

@@ -406,13 +406,13 @@ GOLDEN_DIGESTS = {
     },
     "hub_spatial_fairness": {
         "PLOTS_README.md": "7f98fed61f8e21f1410c1d0ea1f032362c1a45fbc1dc5c3af9803e623693c313",
-        "gini.csv": "3446f3f7f71c253cf254e7524f1219be37854276d253c310a6d67dc297d2ddfd",
+        "gini.csv": "2ac4152eb5ab0918ff6005713b49795af485bc5dad3de800a03fde1bd2b91b34",
         "interventions.csv": "12c1b2c215674f8032109db81aaf7fc89a0fcc7d23ca5b1a32829b7f516eab6f",
         "pof.csv": "0b305189534f104c2a755a19e7286891932c81bc97ede63037e21e0e6cde92cb",
         "rewards.csv": "9226c7cd0dbcd7fcdda0f619b2aa54051287ced25cf60cf312b51d17d679bb4c",
-        "scatter.csv": "3911cbe14da4cf9f223df7cd4ca671c6621836650c9fb728cca8e06b72546dc1",
-        "summary.json": "f23b40916c84f9a2fa50782c0368d83de462fee307036e10ec9fdec55317cbf7",
-        "trace.csv": "41b99669856f205bcc2a5446f3555478423277a8eb64ce1d4cd60ac101570ada",
+        "scatter.csv": "24780ea6d010a7bc8c216f63492d3e671f006fb4c0fff48a92ae8e0c1501740e",
+        "summary.json": "5e524366119c9d39880fb6f0d23ad9c997b5223d4418ce41b1688afac829911e",
+        "trace.csv": "20cca30aa7340c29784b65302528d71373446a14e9f94cc22a988f0319c61ae4",
     },
 }
 
