@@ -51,7 +51,6 @@ from .errors import (
     ValidationError,
 )
 from .fairness import (
-    FairnessBudget,
     FairnessSpec,
     FairnessWeights,
     fairness_constraint_block,
@@ -101,7 +100,6 @@ __all__ = [
     "EnumerationLimitError",
     "EnvironmentModel",
     "ExperimentConfig",
-    "FairnessBudget",
     "FairnessSpec",
     "FairnessWeights",
     "GammaEnvironment",

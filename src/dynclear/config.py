@@ -21,7 +21,7 @@ from .environments import (
 )
 from .errors import ConfigError, DynclearError, ValidationError
 from .fairness import KINDS as FAIRNESS_KINDS
-from .fairness import FairnessBudget, FairnessSpec
+from .fairness import FairnessSpec
 
 MODES = ("zero_input", "fractional", "discrete", "horizon_lp")
 
@@ -194,7 +194,7 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
         masked = _optional(fair_data, "masked", bool, "fairness.", default=True)
         fairness = FairnessSpec(
             kind=kind,
-            budget=FairnessBudget(g),
+            g=g,
             q=None if q is None else np.asarray(q, dtype=float),
             masked=masked,
         )

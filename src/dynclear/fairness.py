@@ -4,6 +4,7 @@ price-of-fairness accounting."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,25 +42,17 @@ class FairnessWeights:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        ii, jj = np.nonzero(self.weights)
-        return list(zip(ii.tolist(), jj.tolist()))
-
     def node_mass(self) -> np.ndarray:
         """Per-node normalizer ``s_i = sum_j (w_ij + w_ji)``."""
         return self.weights.sum(axis=1) + self.weights.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class FairnessBudget:
-    """Per-round inequality cap ``g`` in [0, 1], constant across rounds."""
-
-    g: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.g <= 1.0:
-            raise ValidationError(f"fairness cap must lie in [0, 1], got {self.g}")
+def _check_cap(g) -> float:
+    """The inequality cap ``g`` as a float, refusing anything but a real
+    number (a bool included) in [0, 1]."""
+    if isinstance(g, bool) or not isinstance(g, numbers.Real) or not 0.0 <= g <= 1.0:
+        raise ValidationError(f"fairness cap must be a number in [0, 1], got {g!r}")
+    return float(g)
 
 
 def standard_weights(n: int) -> FairnessWeights:
@@ -82,7 +75,7 @@ def property_weights(
     By default only pairs connected by a positive relative liability count
     (``masked=True``); the unmasked variant penalizes every attribute gap.
     """
-    q = _vector(q, None, "q")
+    q = _vector(q, None if matrix is None else matrix.n, "q")
     if np.any(q < 0) or np.any(q > 1):
         raise ValidationError("attribute values must lie in [0, 1]")
     w = np.abs(q[:, None] - q[None, :])
@@ -96,27 +89,23 @@ def property_weights(
 
 @dataclass(frozen=True)
 class FairnessSpec:
-    """How to build the round's weights and cap; weights that depend on the
+    """How to build the round's weights, and the per-round inequality cap
+    ``g`` in [0, 1], constant across rounds; weights that depend on the
     liability structure are re-derived every round."""
 
     kind: str
-    budget: FairnessBudget
+    g: float
     q: np.ndarray | None = None
     masked: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown fairness kind {self.kind!r}")
-        if isinstance(self.budget, (int, float)):
-            object.__setattr__(self, "budget", FairnessBudget(float(self.budget)))
+        object.__setattr__(self, "g", _check_cap(self.g))
         if self.kind == "property":
             if self.q is None:
                 raise ValidationError("property fairness needs an attribute vector")
             object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-
-    @property
-    def g(self) -> float:
-        return self.budget.g
 
     def weights_for(self, matrix: RelativeLiabilityMatrix) -> FairnessWeights:
         if self.kind == "standard":
@@ -147,26 +136,38 @@ def gini_coefficient(interventions, weights: FairnessWeights) -> float:
 @dataclass(frozen=True, eq=False)
 class FairnessBlock:
     """LP rows over the stacked variables ``(Z, varpi)``: one slack per
-    unordered pair ``{i, j}`` (``i < j``) with ``w_ij + w_ji > 0``, its one
-    row ``Z_i - Z_j - varpi_ij <= 0``, and one aggregate cap row.  All rows
-    are <= with zero right-hand sides; slacks are bounded below by 0 and
-    unbounded above.  ``E`` below counts unordered pairs, so a symmetric
-    weight matrix gets half the slacks of its ordered edge set."""
+    unordered pair ``k = {i, j}`` (``i < j``) with ``w'_k = w_ij + w_ji > 0``,
+    its one row ``Z_i - Z_j - varpi_k <= 0``, and one aggregate cap row
+    ``cap_z @ Z + 2 w' @ varpi <= 0``.  Every right-hand side is zero;
+    slacks are bounded below by 0 and unbounded above.  ``E`` below counts
+    unordered pairs, so a symmetric weight matrix gets half the slacks of
+    its ordered edge set."""
 
-    edges: tuple[tuple[int, int], ...]
-    z_rows: np.ndarray     # (E + 1, n)
-    cap_slack: np.ndarray  # (E,): the cap row's slack coefficients 2 w'
-    rhs: np.ndarray        # (E + 1,)
+    first: np.ndarray        # (E,): pair k's node i
+    second: np.ndarray       # (E,): pair k's node j > i
+    pair_weight: np.ndarray  # (E,): w'_k
+    cap_z: np.ndarray        # (n,): the cap row's Z coefficients
 
     @property
     def n_slacks(self) -> int:
-        return len(self.edges)
+        return self.first.size
 
-    @property
-    def slack_rows(self) -> np.ndarray:
-        """The (E + 1, E) slack coefficients as a dense matrix, for
-        inspection; ``per_round_lp`` emits their nonzeros directly."""
-        return np.vstack([-np.eye(self.n_slacks), self.cap_slack])
+    def triplets(self, row0: int, z0: int, slack0: int):
+        """COO triplets ``(rows, cols, values)`` of the block's ``E + 1``
+        rows, pair rows first and the cap row last, starting at row
+        ``row0``, with ``Z`` at columns ``z0 ..`` and ``varpi`` at
+        ``slack0 ..``."""
+        e, n = self.n_slacks, self.cap_z.size
+        pair = row0 + np.arange(e)
+        slack = slack0 + np.arange(e)
+        cap = np.full(n + e, row0 + e)
+        return (
+            np.concatenate([pair, pair, pair, cap]),
+            np.concatenate([z0 + self.first, z0 + self.second, slack,
+                            z0 + np.arange(n), slack]),
+            np.concatenate([np.ones(e), np.full(2 * e, -1.0), self.cap_z,
+                            2.0 * self.pair_weight]),
+        )
 
 
 def fairness_constraint_block(weights: FairnessWeights, g: float) -> FairnessBlock:
@@ -178,27 +179,18 @@ def fairness_constraint_block(weights: FairnessWeights, g: float) -> FairnessBlo
     the cap row into ``sum w'_ij |Z_i - Z_j| <= g s^T Z``, and any larger
     slack only tightens it (``w' >= 0``): the block's feasible set,
     projected onto ``Z``, is exactly ``GC(Z) <= g``, with one row per pair
-    where a two-sided ``varpi >= |Z_i - Z_j|`` needs two."""
-    if not 0.0 <= g <= 1.0:
-        raise ValidationError(f"fairness cap must lie in [0, 1], got {g}")
-    n = weights.n
+    where a two-sided ``varpi >= |Z_i - Z_j|`` needs two.  The cap row's
+    ``Z`` coefficients are ``-g s - (F - S)``, where ``F_i`` sums ``w'_k``
+    over the pairs whose first node is ``i`` and ``S_j`` over those whose
+    second node is ``j``, each by ``np.bincount`` in pair order."""
+    g = _check_cap(g)
     pair_w = weights.weights + weights.weights.T
-    ii, jj = np.nonzero(np.triu(pair_w, k=1))
-    e = ii.size
-    k = np.arange(e)
-    w = pair_w[ii, jj]
-    z_rows = np.zeros((e + 1, n))
-    # Z_i - Z_j <= varpi_k
-    z_rows[k, ii] = 1.0
-    z_rows[k, jj] = -1.0
-    # sum_k w'_k (2 varpi_k - Z_i + Z_j) - g s^T Z <= 0
-    z_rows[-1] = -g * weights.node_mass() - w @ z_rows[:e]
-    return FairnessBlock(
-        edges=tuple(zip(ii.tolist(), jj.tolist())),
-        z_rows=z_rows,
-        cap_slack=2.0 * w,
-        rhs=np.zeros(e + 1),
-    )
+    first, second = np.nonzero(np.triu(pair_w, k=1))
+    w = pair_w[first, second]
+    signed = (np.bincount(first, w, minlength=weights.n)
+              - np.bincount(second, w, minlength=weights.n))
+    return FairnessBlock(first=first, second=second, pair_weight=w,
+                         cap_z=-g * weights.node_mass() - signed)
 
 
 def price_of_fairness(v_unconstrained: float, v_constrained: float) -> float:

@@ -191,15 +191,11 @@ def _allocation_lp(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
     ]
     rhs = np.append(assets, float(budget))
     if block is not None:
-        e = np.arange(n_slack)  # -varpi_k in pair row k, 2 w'_k varpi_k in the cap row
-        triplets += [dense_coo(block.z_rows, n + 1, n),
-                     (n + 1 + e, 2 * n + e, np.full(n_slack, -1.0)),
-                     (np.full(n_slack, n + 1 + n_slack), 2 * n + e, block.cap_slack)]
-        rhs = np.concatenate([rhs, block.rhs])
+        triplets.append(block.triplets(n + 1, n, 2 * n))
+        rhs = np.concatenate([rhs, np.zeros(n_slack + 1)])
         beta = matrix.row_sums
         centrality = beta + matrix.entries @ beta
-        ii, jj = np.array(block.edges, dtype=np.intp).reshape(-1, 2).T
-        tight = np.flatnonzero(centrality[ii] >= centrality[jj])
+        tight = np.flatnonzero(centrality[block.first] >= centrality[block.second])
         basis = np.stack([2 * n + tight, n + 1 + tight])
     upper = np.concatenate([totals, caps, np.full(n_slack, np.inf)])
     return leq_program(objective, triplets, rhs, upper, basis)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from dynclear import (
-    FairnessBudget,
     FairnessSpec,
     SamplePath,
     SbmEnvironment,
@@ -180,7 +179,7 @@ def test_criterion_7_fairness_band_on_synthetic_network():
         )
         env = SbmEnvironment(params=params, horizon=10)
         start = SystemState.empty(50)
-        spec = FairnessSpec(kind="spatial", budget=FairnessBudget(0.5))
+        spec = FairnessSpec(kind="spatial", g=0.5)
         constrained = sampled_runs(
             env, start, 10, 50.0, 50.0, fairness=spec, seed=0
         )

@@ -77,7 +77,7 @@ CERTIFIED_BUILDERS = {
     "clear_lp": lambda: clear_lp(*refused_hub_round(), np.array([1.0, 0.0, 0.0])),
     "per_round_lp_fair": lambda: per_round_lp(
         *refused_hub_round(), budget=1.0, caps=1.0,
-        fairness=FairnessSpec(kind="spatial", budget=0.5)),
+        fairness=FairnessSpec(kind="spatial", g=0.5)),
 }
 
 
@@ -272,9 +272,9 @@ class TestSolveLp:
             g = float(rng.uniform(0.1, 0.6))
             specs = [
                 None,
-                FairnessSpec(kind="standard", budget=g),
-                FairnessSpec(kind="spatial", budget=g),
-                FairnessSpec(kind="property", budget=g, q=rng.random(n)),
+                FairnessSpec(kind="standard", g=g),
+                FairnessSpec(kind="spatial", g=g),
+                FairnessSpec(kind="property", g=g, q=rng.random(n)),
             ]
             for spec in specs:
                 if spec is None:  # the knapsack route may need no LP
@@ -369,7 +369,7 @@ class TestSolveLp:
         for kind in ("standard", "spatial", "property"):
             for n in (3, 8, 20):
                 state, matrix, assets = sbm_round(rng, n, rounds=2)
-                spec = FairnessSpec(kind=kind, budget=0.4,
+                spec = FairnessSpec(kind=kind, g=0.4,
                                     q=rng.random(n) if kind == "property" else None)
                 per_round_lp(matrix, state.totals, assets, 2.0, 1.0, fairness=spec)
         # LPs without a fairness block reach HiGHS with no start

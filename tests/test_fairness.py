@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from dynclear import (
-    FairnessBudget,
     FairnessSpec,
     FairnessWeights,
     SamplePath,
@@ -34,14 +33,14 @@ def hub_matrix():
 class TestWeights:
     def test_standard_weights_are_all_pairs(self):
         w = standard_weights(3)
-        assert len(w.edges) == 6
+        assert np.count_nonzero(w.weights) == 6
         np.testing.assert_allclose(np.diag(w.weights), 0.0)
         np.testing.assert_allclose(w.node_mass(), 4.0)
 
     def test_spatial_weights_follow_liability_shares(self):
         matrix, _ = hub_matrix()
         w = spatial_weights(matrix)
-        assert w.edges == [(0, 1), (0, 2)]
+        assert np.argwhere(w.weights).tolist() == [[0, 1], [0, 2]]
         assert w.weights[0, 1] == pytest.approx(1 / 3)
 
     def test_property_weights_masked_and_not(self):
@@ -54,13 +53,31 @@ class TestWeights:
         assert unmasked.weights[1, 0] == pytest.approx(0.8)
         assert unmasked.weights[0, 2] == 0.0  # equal attribute
 
+    def test_property_weights_check_the_length_of_q(self):
+        matrix, state = hub_matrix()
+        # one entry used to broadcast to all-zero weights, dropping the cap
+        with pytest.raises(ValidationError, match="q has length 1, expected 3"):
+            property_weights([0.5], matrix)
+        with pytest.raises(ValidationError, match="q has length 2, expected 3"):
+            property_weights([0.1, 0.9], matrix, masked=False)
+        spec = FairnessSpec(kind="property", g=0.0, q=[0.5])
+        with pytest.raises(ValidationError, match="q has length 1, expected 3"):
+            per_round_lp(matrix, state.totals, hub_shock(1).external_assets,
+                         1.0, 1.0, fairness=spec)
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValidationError):
             FairnessWeights(kind="standard", weights=[[0.0, -1.0], [0.0, 0.0]])
 
-    def test_budget_range(self):
-        with pytest.raises(ValidationError):
-            FairnessBudget(1.5)
+    @pytest.mark.parametrize("g", [1.5, -0.1, float("nan"), "0.5", True, None])
+    def test_cap_must_be_a_number_in_the_unit_interval(self, g):
+        with pytest.raises(ValidationError, match="fairness cap"):
+            FairnessSpec(kind="spatial", g=g)
+
+    def test_cap_is_held_as_a_float(self):
+        spec = FairnessSpec(kind="spatial", g=np.float32(0.5))
+        assert type(spec.g) is float and spec.g == 0.5
+        assert FairnessSpec(kind="standard", g=1).g == 1.0
 
 
 class TestGiniCoefficient:
@@ -102,23 +119,35 @@ class TestGiniCoefficient:
             assert -1e-12 <= value <= 1.0 + 1e-12
 
 
+def block_rows(block, n):
+    """The block's ``E + 1`` rows over ``(Z, varpi)`` as a dense matrix,
+    read from its triplets."""
+    rows, cols, values = block.triplets(0, 0, n)
+    dense = np.zeros((block.n_slacks + 1, n + block.n_slacks))
+    np.add.at(dense, (rows, cols), values)
+    return dense
+
+
 class TestConstraintBlock:
     def test_block_shape(self):
         matrix, _ = hub_matrix()
-        w = spatial_weights(matrix)
-        block = fairness_constraint_block(w, 0.5)
-        assert block.z_rows.shape == (2 + 1, 3)
-        assert block.slack_rows.shape == (3, 2)
-        np.testing.assert_allclose(block.rhs, 0.0)
+        block = fairness_constraint_block(spatial_weights(matrix), 0.5)
+        assert block.first.tolist() == [0, 0]
+        assert block.second.tolist() == [1, 2]
+        assert block.pair_weight.shape == (2,) and block.cap_z.shape == (3,)
+        rows, cols, values = block.triplets(4, 10, 20)
+        assert set(rows.tolist()) == {4, 5, 6}  # E pair rows, then the cap row
+        assert set(cols.tolist()) == {10, 11, 12, 20, 21}
+        assert rows.shape == cols.shape == values.shape == (3 * 2 + 3 + 2,)
 
     def test_symmetric_pairs_share_one_slack(self):
         for n in range(2, 7):
             block = fairness_constraint_block(standard_weights(n), 0.5)
             e = n * (n - 1) // 2
             assert block.n_slacks == e
-            assert block.z_rows.shape == (e + 1, n)
-            assert block.slack_rows.shape == (e + 1, e)
-            assert all(i < j for i, j in block.edges)
+            assert block.second.shape == block.pair_weight.shape == (e,)
+            assert np.all(block.first < block.second)
+            assert block_rows(block, n).shape == (e + 1, n + e)
 
     def test_cap_row_weights_are_pair_sums(self):
         rng = np.random.default_rng(8)
@@ -132,18 +161,21 @@ class TestConstraintBlock:
                 (i, j) for i in range(n) for j in range(i + 1, n)
                 if w[i, j] + w[j, i] > 0
             }
-            assert set(block.edges) == pairs
+            edges = list(zip(block.first.tolist(), block.second.tolist()))
+            assert set(edges) == pairs
+            dense = block_rows(block, n)
             cap_z = -0.3 * weights.node_mass()
-            for k, (i, j) in enumerate(block.edges):
-                assert block.slack_rows[-1, k] == 2 * (w[i, j] + w[j, i])
+            for k, (i, j) in enumerate(edges):
+                assert block.pair_weight[k] == w[i, j] + w[j, i]
+                assert dense[-1, n + k] == 2 * (w[i, j] + w[j, i])
                 # pair row k: Z_i - Z_j - varpi_k <= 0
-                assert block.z_rows[k, i] == 1.0 and block.z_rows[k, j] == -1.0
-                assert np.count_nonzero(block.z_rows[k]) == 2
-                assert block.slack_rows[k, k] == -1.0
-                assert np.count_nonzero(block.slack_rows[k]) == 1
+                assert dense[k, i] == 1.0 and dense[k, j] == -1.0
+                assert dense[k, n + k] == -1.0
+                assert np.count_nonzero(dense[k]) == 3
                 cap_z[i] -= w[i, j] + w[j, i]
                 cap_z[j] += w[i, j] + w[j, i]
-            np.testing.assert_allclose(block.z_rows[-1], cap_z, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(dense[-1, :n], block.cap_z)
+            np.testing.assert_allclose(block.cap_z, cap_z, rtol=0, atol=1e-12)
 
     def test_cap_row_at_the_tight_slacks_is_the_weighted_gap(self):
         # |d| = 2 max(0, d) - d: at varpi = max(0, Z_i - Z_j) the cap row
@@ -157,19 +189,17 @@ class TestConstraintBlock:
             g = float(rng.uniform(0, 1))
             block = fairness_constraint_block(weights, g)
             z = rng.uniform(0, 3, n)
-            ii, jj = np.array(block.edges, dtype=int).reshape(-1, 2).T
-            varpi = np.maximum(0.0, z[ii] - z[jj])
-            cap = block.z_rows[-1] @ z + block.slack_rows[-1] @ varpi
+            varpi = np.maximum(0.0, z[block.first] - z[block.second])
+            rows = block_rows(block, n) @ np.concatenate([z, varpi])
             gap = float(np.sum(w * np.abs(z[:, None] - z[None, :])))
-            assert cap == pytest.approx(
+            assert rows[-1] == pytest.approx(
                 gap - g * weights.node_mass() @ z, rel=0, abs=1e-12
             )
             # and the pair rows hold with equality or slack at varpi
-            pair = block.z_rows[:-1] @ z + block.slack_rows[:-1] @ varpi
-            assert pair.max(initial=0.0) <= 1e-12
+            assert rows[:-1].max(initial=0.0) <= 1e-12
 
     def test_unit_cap_never_binds(self):
-        spec = FairnessSpec(kind="standard", budget=FairnessBudget(1.0))
+        spec = FairnessSpec(kind="standard", g=1.0)
         value, _ = value_given_sample_path(
             SystemState.empty(3), hub_path(2), 2.0, 2.0, fairness=spec
         )
@@ -177,7 +207,7 @@ class TestConstraintBlock:
 
     def test_zero_cap_forces_equal_allocations(self):
         matrix, state = hub_matrix()
-        spec = FairnessSpec(kind="standard", budget=FairnessBudget(0.0))
+        spec = FairnessSpec(kind="standard", g=0.0)
         step = per_round_lp(
             matrix, state.totals, hub_shock(1).external_assets, 2.0, 2.0,
             fairness=spec,
@@ -187,7 +217,7 @@ class TestConstraintBlock:
 
     def test_intermediate_cap_stays_feasible(self):
         matrix, state = hub_matrix()
-        spec = FairnessSpec(kind="spatial", budget=FairnessBudget(0.5))
+        spec = FairnessSpec(kind="spatial", g=0.5)
         step = per_round_lp(
             matrix, state.totals, hub_shock(1).external_assets, 2.0, 2.0,
             fairness=spec,
@@ -201,7 +231,7 @@ class TestConstraintBlock:
             path = random_general_path(rng, n, 1)
             g = float(rng.choice([0.2, 0.5, 0.8]))
             kind = str(rng.choice(["standard", "spatial"]))
-            spec = FairnessSpec(kind=kind, budget=FairnessBudget(g))
+            spec = FairnessSpec(kind=kind, g=g)
             _, steps = value_given_sample_path(
                 SystemState.empty(n), path, float(rng.integers(1, 4)),
                 float(rng.integers(1, 4)), fairness=spec,
@@ -220,7 +250,7 @@ class TestConstraintBlock:
             )
             fair = per_round_lp(
                 matrix, state.totals, path.shocks[0].external_assets, 2.0, 2.0,
-                fairness=FairnessSpec(kind="standard", budget=FairnessBudget(0.3)),
+                fairness=FairnessSpec(kind="standard", g=0.3),
             )
             assert fair.reward <= free.reward + 1e-7
 
@@ -246,7 +276,7 @@ class TestPriceOfFairness:
         path = SamplePath(shocks=(shock,))
         start = SystemState.empty(2)
         v_free, _ = value_given_sample_path(start, path, 2.0, 2.0)
-        spec = FairnessSpec(kind="standard", budget=FairnessBudget(0.0))
+        spec = FairnessSpec(kind="standard", g=0.0)
         v_fair, _ = value_given_sample_path(start, path, 2.0, 2.0, fairness=spec)
         pof = price_of_fairness(v_free, v_fair)
         assert pof > 1.0 + 1e-6
@@ -260,7 +290,7 @@ class TestPriceOfFairness:
             path = random_general_path(rng, n, 1)
             start = SystemState.empty(n)
             v_free, _ = value_given_sample_path(start, path, 2.0, 2.0)
-            spec = FairnessSpec(kind="standard", budget=FairnessBudget(0.4))
+            spec = FairnessSpec(kind="standard", g=0.4)
             v_fair, _ = value_given_sample_path(start, path, 2.0, 2.0, fairness=spec)
             assert price_of_fairness(v_free, v_fair) >= 1.0 - 1e-9
 
@@ -269,7 +299,7 @@ def ordered_edge_reference(matrix, totals, assets, budget, caps, weights, g):
     """Optimal payments of the per-round LP with one slack per ordered edge
     and weight ``w_ij`` in the cap row, solved through scipy's dense route."""
     n = matrix.n
-    edges = weights.edges
+    edges = np.argwhere(weights.weights).tolist()
     e = len(edges)
     dim = 2 * n + e
     rows = [np.concatenate([np.eye(n) - matrix.entries.T, -np.eye(n),
@@ -322,7 +352,7 @@ class TestMergedBlockEquivalence:
                 budget = float(rng.uniform(0.5, 3.0))
                 caps = rng.uniform(0.2, 2.0, n)
                 spec = FairnessSpec(
-                    kind=kind, budget=FairnessBudget(g),
+                    kind=kind, g=g,
                     q=None if q is None else rng.uniform(0, 1, n),
                     masked=masked,
                 )
@@ -347,7 +377,7 @@ def fairness_rounds(draw):
     g = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, allow_subnormal=False))
     kind = draw(st.sampled_from(["standard", "spatial", "property"]))
     spec = FairnessSpec(
-        kind=kind, budget=FairnessBudget(g),
+        kind=kind, g=g,
         q=rng.uniform(0, 1, n) if kind == "property" else None,
         masked=draw(st.booleans()),
     )

@@ -98,20 +98,35 @@ class TestRepairBound:
         return per_round_lp(matrix, totals, assets, budget=2.0, caps=2.0)
 
     def test_clearing_above_totals_raises(self, monkeypatch):
-        with pytest.raises(SolverError):
-            self.perturbed(monkeypatch, lambda x: x.__setitem__(0, x[0] + 1e-3))
+        def edit(x):  # moves payment from node 1 to node 0, same objective
+            x[0] += 1e-3
+            x[1] -= 1e-3
+
+        with pytest.raises(SolverError, match="put the clearing 0.001 outside"):
+            self.perturbed(monkeypatch, edit)
 
     def test_negative_intervention_raises(self, monkeypatch):
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="put the intervention 0.001 outside"):
             self.perturbed(monkeypatch, lambda x: x.__setitem__(4, -1e-3))
 
     def test_budget_overrun_raises(self, monkeypatch):
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="spent 0.001 over the budget"):
             self.perturbed(monkeypatch, lambda x: x.__setitem__(4, 1e-3))
 
-    def test_nan_primal_raises(self, monkeypatch):
-        with pytest.raises(SolverError):
-            self.perturbed(monkeypatch, lambda x: x.__setitem__(1, np.nan))
+    def test_a_primal_off_the_optimum_is_refused_before_the_repair(
+            self, monkeypatch):
+        for edit in (lambda x: x.__setitem__(0, x[0] + 1e-3),
+                     lambda x: x.__setitem__(1, np.nan)):
+            with pytest.raises(SolverError,
+                               match="primal and dual objectives differ"):
+                self.perturbed(monkeypatch, edit)
+
+    def test_nan_primal_raises(self):
+        matrix, totals, _ = refused_hub_round()
+        clearing = np.array([3.0, np.nan, 1.0])
+        with pytest.raises(SolverError, match="put the clearing nan outside"):
+            lp_step("test LP", 0, totals, matrix, clearing, np.zeros(3), 2.0,
+                    np.full(3, 2.0))
 
     def test_noise_within_tolerance_is_repaired(self, monkeypatch):
         def edit(x):
@@ -143,7 +158,7 @@ class TestStartBasis:
         rng = np.random.default_rng(seed)
         state, matrix, assets = sbm_round(rng, n, rounds=2)
         budget, caps = float(rng.uniform(0.5, 5.0)), rng.uniform(0.2, 1.5, n)
-        spec = FairnessSpec(kind=kind, budget=g,
+        spec = FairnessSpec(kind=kind, g=g,
                             q=rng.random(n) if kind == "property" else None)
         weights = spec.weights_for(matrix)
         lp = _allocation_lp(matrix, state.totals, assets, budget, caps,

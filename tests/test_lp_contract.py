@@ -16,7 +16,7 @@ from dynclear import (
     solve_horizon_primal,
 )
 from dynclear import clearing
-from dynclear.fairness import fairness_constraint_block
+from dynclear.fairness import fairness_constraint_block, standard_weights
 from dynclear.fractional import _allocation_lp
 from dynclear.horizon import _horizon_lp, _prefix_data
 
@@ -62,7 +62,11 @@ def assert_same_lp(lp, objective, lhs, rhs, upper):
 
 
 def dense_fairness_rows(weights, g):
-    """The fairness block's dense ``(z_rows, slack_rows)``."""
+    """The fairness block's dense ``(z_rows, slack_rows)``.  The cap row's
+    ``Z`` coefficients are ``-g s - (F - S)``, with ``F`` and ``S`` summed
+    pair by pair over first and second nodes, the order the block sums them
+    in; that sum agrees with the dense product ``w' @ z_rows[:E]`` to
+    rounding."""
     n = weights.n
     pair_w = weights.weights + weights.weights.T
     ii, jj = np.nonzero(np.triu(pair_w, k=1))
@@ -74,7 +78,14 @@ def dense_fairness_rows(weights, g):
     z_rows[k, ii] = 1.0
     z_rows[k, jj] = -1.0
     slack_rows[k, k] = -1.0
-    z_rows[-1] = -g * weights.node_mass() - w @ z_rows[:e]
+    firsts, seconds = np.zeros(n), np.zeros(n)
+    for i, j, w_k in zip(ii, jj, w):
+        firsts[i] += w_k
+        seconds[j] += w_k
+    z_rows[-1] = -g * weights.node_mass() - (firsts - seconds)
+    product = -g * weights.node_mass() - w @ z_rows[:e]
+    assert np.abs(z_rows[-1] - product).max(initial=0.0) <= (
+        1e-14 * np.abs(product).max(initial=0.0))
     slack_rows[-1] = 2.0 * w
     return z_rows, slack_rows
 
@@ -123,7 +134,7 @@ def test_per_round_lp_arrays_equal_the_dense_scan(seed, n, kind, g):
     budget = float(rng.uniform(0.0, 3.0))
     caps = rng.uniform(0.2, 1.5, n)
     spec = None if kind is None else FairnessSpec(
-        kind=kind, budget=g, q=rng.random(n) if kind == "property" else None,
+        kind=kind, g=g, q=rng.random(n) if kind == "property" else None,
     )
     if spec is None:  # the knapsack route solves most of these without an LP
         lp = _allocation_lp(matrix, state.totals, assets, budget, caps)
@@ -143,7 +154,7 @@ def test_the_start_basis_is_a_feasible_nonsingular_vertex(seed, n, kind, g):
     state, matrix, assets = sbm_round(rng, n, rounds=2)
     budget, caps = float(rng.uniform(0.0, 3.0)), rng.uniform(0.2, 1.5, n)
     spec = None if kind is None else FairnessSpec(
-        kind=kind, budget=g, q=rng.random(n) if kind == "property" else None,
+        kind=kind, g=g, q=rng.random(n) if kind == "property" else None,
     )
     block = None
     if spec is not None:
@@ -156,11 +167,10 @@ def test_the_start_basis_is_a_feasible_nonsingular_vertex(seed, n, kind, g):
     # exactly when its first node is at least as central as its second
     beta = matrix.row_sums
     centrality = beta + matrix.entries @ beta
-    pairs = np.array(block.edges, dtype=int).reshape(-1, 2)
     columns, rows = lp.basis
     np.testing.assert_array_equal(
         columns - 2 * n,
-        np.flatnonzero(centrality[pairs[:, 0]] >= centrality[pairs[:, 1]]))
+        np.flatnonzero(centrality[block.first] >= centrality[block.second]))
     np.testing.assert_array_equal(rows, columns - n + 1)
     # the basic columns: those of the basis and the slacks of the other rows
     _, lhs, rhs, _ = dense_per_round(matrix, state.totals, assets, budget,
@@ -205,7 +215,7 @@ def test_clearing_lp_arrays_equal_the_dense_scan(seed, n):
 def test_constraint_rows_view_matches_the_arrays():
     rng = np.random.default_rng(7)
     state, matrix, assets = sbm_round(rng, 8, rounds=2)
-    spec = FairnessSpec(kind="spatial", budget=0.3)
+    spec = FairnessSpec(kind="spatial", g=0.3)
     with pytest.MonkeyPatch.context() as mp:
         lp = capture(mp, lambda: per_round_lp(
             matrix, state.totals, assets, 2.0, 1.0, fairness=spec))
@@ -222,6 +232,11 @@ def test_constraint_rows_view_matches_the_arrays():
 #: dense constraint matrices of these two LPs alone are about 514 and
 #: 643 MB.
 BUILD_PEAK_MB = 40
+
+#: Traced allocation allowed while the standard-weight per-round LP at
+#: n = 200 (19,900 pairs) is built: a dense (E + 1) x n array of the block
+#: alone would take 32 MB.
+STANDARD_BLOCK_PEAK_MB = 12
 
 
 def build_peak_mb(monkeypatch, build) -> float:
@@ -248,7 +263,21 @@ def test_the_spatial_fairness_lp_at_200_nodes_is_built_sparse(monkeypatch):
         np.random.default_rng(1), 200, rounds=3,
         block_probs=((0.9, 0.4), (0.4, 0.05)),
     )
-    spec = FairnessSpec(kind="spatial", budget=0.3)
+    spec = FairnessSpec(kind="spatial", g=0.3)
     peak = build_peak_mb(monkeypatch, lambda: per_round_lp(
         matrix, state.totals, assets, 5.0, 2.0, fairness=spec))
     assert peak < BUILD_PEAK_MB
+
+
+def test_the_standard_fairness_lp_at_200_nodes_holds_no_pair_by_node_array():
+    state, matrix, assets = sbm_round(np.random.default_rng(1), 200, rounds=3)
+    caps = np.full(200, 2.0)
+    tracemalloc.start()
+    try:
+        block = fairness_constraint_block(standard_weights(200), 0.3)
+        lp = _allocation_lp(matrix, state.totals, assets, 5.0, caps, block)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert block.n_slacks == 19_900 and lp.rhs.size == 200 + 1 + 19_901
+    assert peak < STANDARD_BLOCK_PEAK_MB
