@@ -5,7 +5,6 @@ algorithm and by linear program, plus the generic LP contract both routes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,9 +18,7 @@ ROUTE_AGREEMENT_TOL = 1e-6
 
 #: Largest gap between a primal value and the objective of its dual
 #: certificate, relative to the primal value (or 1 when that is smaller), at
-#: which the primal counts as optimal: for every HiGHS solve
-#: (:func:`solve_optimal`) and for the knapsack routes of
-#: :mod:`fractional` and :mod:`horizon`.
+#: which the primal counts as optimal (:func:`gap_closes`).
 KNAPSACK_GAP_TOL = 1e-9
 
 #: Largest clip or rescale applied to an LP primal before it counts as a
@@ -116,55 +113,43 @@ class LpSolution:
     """
 
     status: str  # optimal | infeasible | unbounded | failed
-    primal: np.ndarray | None
-    dual: np.ndarray | None
-    objective_value: float | None
+    primal: np.ndarray | None = None
+    dual: np.ndarray | None = None
+    objective_value: float | None = None
     message: str | None = None  # the solver's account of a non-optimal status
     iterations: int = 0  # simplex iterations, over every solve after a stall
     bound_duals_upper: np.ndarray | None = None
 
 
-class _HighsResult(NamedTuple):
-    """One :func:`_highs` call in HiGHS's minimize convention."""
+def _highs(lp: LinearProgram) -> LpSolution:
+    """Solve ``lp`` with the HiGHS binding that scipy bundles (private,
+    imported on first use): the one call into HiGHS.
 
-    status: str  # optimal | infeasible | unbounded | failed
-    message: str | None
-    iterations: int
-    x: np.ndarray | None = None
-    objective: float | None = None
-    row_dual: np.ndarray | None = None
-    upper_dual: np.ndarray | None = None  # reduced costs of columns at upper
-
-
-def _highs(cost, start, index, value, row_lower, row_upper,
-           col_lower, col_upper, basis=None) -> _HighsResult:
-    """``min cost @ x`` s.t. ``row_lower <= A x <= row_upper`` and
-    ``col_lower <= x <= col_upper``, with ``A`` given as CSC arrays
-    ``(start, index, value)``: the one call into the HiGHS binding that
-    scipy bundles (private, imported on first use).
-
-    Primal simplex runs first, from the all-slack basis or from the start
-    ``basis`` of :class:`LinearProgram`, whose tight rows sit at
-    ``row_upper`` and nonbasic columns at ``col_lower`` (see README,
-    "Numerical conventions").  When it ends in any status but optimal,
-    infeasible or unbounded, dual simplex resumes from its basis; when that
-    stalls too, the solver state is cleared and dual simplex solves once
-    more from scratch (``SOLVES``).
+    HiGHS minimizes, so it gets the negated objective, with ``-inf`` as
+    every row's lower bound and 0 as every column's; its duals are negated
+    back into the maximize convention of :class:`LpSolution`.  Primal
+    simplex runs first, from the all-slack basis or from ``lp.basis``,
+    whose tight rows sit at their rhs and nonbasic columns at 0 (see
+    README, "Numerical conventions").  When it ends in any status but
+    optimal, infeasible or unbounded, dual simplex resumes from its basis;
+    when that stalls too, the solver state is cleared and dual simplex
+    solves once more from scratch (``SOLVES``).
     """
     from scipy.optimize._highspy import _core
 
+    d, m = lp.n_variables, lp.rhs.shape[0]
     model = _core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = len(cost)
-    model.num_row_ = model.a_matrix_.num_row_ = len(row_upper)
+    model.num_col_ = model.a_matrix_.num_col_ = d
+    model.num_row_ = model.a_matrix_.num_row_ = m
     model.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = index
-    model.a_matrix_.value_ = value
-    model.col_cost_ = cost
-    model.col_lower_ = col_lower
-    model.col_upper_ = col_upper
-    model.row_lower_ = row_lower
-    model.row_upper_ = row_upper
+    model.a_matrix_.start_ = lp.start
+    model.a_matrix_.index_ = lp.index
+    model.a_matrix_.value_ = lp.value
+    model.col_cost_ = -lp.objective
+    model.col_lower_ = np.zeros(d)
+    model.col_upper_ = lp.upper
+    model.row_lower_ = np.full(m, -INF)
+    model.row_upper_ = lp.rhs
     status_names = {
         _core.HighsModelStatus.kOptimal: "optimal",
         _core.HighsModelStatus.kInfeasible: "infeasible",
@@ -175,19 +160,19 @@ def _highs(cost, start, index, value, row_lower, row_upper,
     for key, option in HIGHS_OPTIONS.items():
         highs.setOptionValue(key, option)
     if highs.passModel(model) == _core.HighsStatus.kError:
-        return _HighsResult("failed", "HiGHS rejected the model", 0)
-    if basis is not None:
+        return LpSolution("failed", message="HiGHS rejected the model")
+    if lp.basis is not None:
         status = _core.HighsBasisStatus
-        col_status = [status.kLower] * len(cost)
-        row_status = [status.kBasic] * len(row_upper)
-        for column, row in basis.T.tolist():
+        col_status = [status.kLower] * d
+        row_status = [status.kBasic] * m
+        for column, row in lp.basis.T.tolist():
             col_status[column] = status.kBasic
             row_status[row] = status.kUpper
         crash = _core.HighsBasis()
         crash.col_status, crash.row_status = col_status, row_status
         crash.valid = True
         if highs.setBasis(crash) != _core.HighsStatus.kOk:
-            return _HighsResult("failed", "HiGHS rejected the start basis", 0)
+            return LpSolution("failed", message="HiGHS rejected the start basis")
     iterations = 0
     for strategy, from_scratch in SOLVES:
         if from_scratch:
@@ -206,53 +191,34 @@ def _highs(cost, start, index, value, row_lower, row_upper,
             "primal_status is "
             f"{highs.solutionStatusToString(info.primal_solution_status)}"
         )
-        return _HighsResult(status, message, iterations)
+        return LpSolution(status, message=message, iterations=iterations)
     solution = highs.getSolution()
     col_status = np.array(highs.getBasis().col_status, dtype=np.int8)
-    return _HighsResult(
-        "optimal", None, iterations,
-        x=np.array(solution.col_value),
-        objective=info.objective_function_value,
-        row_dual=np.array(solution.row_dual),
-        upper_dual=np.where(col_status == int(_core.HighsBasisStatus.kUpper),
-                            np.array(solution.col_dual), 0.0),
+    at_upper = col_status == int(_core.HighsBasisStatus.kUpper)
+    return LpSolution(
+        status="optimal",
+        primal=np.array(solution.col_value),
+        dual=-np.array(solution.row_dual),
+        objective_value=float(-info.objective_function_value),
+        iterations=iterations,
+        bound_duals_upper=-np.where(at_upper, np.array(solution.col_dual), 0.0),
     )
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a :class:`LinearProgram` and return primal and dual values.
 
-    The CSC arrays, ``rhs`` and ``upper`` go to HiGHS as they are, with
-    ``-inf`` as every row's lower bound and ``0`` as every column's.  HiGHS
-    runs without presolve, by primal simplex from the LP's start basis or
-    else the all-slack one, each a feasible vertex of the LPs that use it
-    (see README, "Numerical conventions").  Numerical failure is reported
-    through ``status='failed'``, never raised; a non-optimal solution
-    carries the backend's account in ``message``.  Output is deterministic for
-    identical input.
+    HiGHS runs without presolve, by primal simplex from the LP's start basis
+    or else the all-slack one, each a feasible vertex of the LPs that use it
+    (:func:`_highs`; see README, "Numerical conventions").  Numerical
+    failure is reported through ``status='failed'``, never raised; a
+    non-optimal solution carries the backend's account in ``message``.
+    Output is deterministic for identical input.
     """
-    args = (-lp.objective,  # HiGHS minimizes
-            lp.start, lp.index, lp.value, np.full(lp.rhs.shape, -INF), lp.rhs,
-            np.zeros(lp.n_variables), lp.upper)
     try:
-        res = _highs(*args) if lp.basis is None else _highs(*args, lp.basis)
+        return _highs(lp)
     except Exception as exc:  # defensive: backend bugs become a status
-        return LpSolution(status="failed", primal=None, dual=None,
-                          objective_value=None,
-                          message=f"{type(exc).__name__}: {exc}")
-    if res.status != "optimal":
-        return LpSolution(status=res.status, primal=None, dual=None,
-                          objective_value=None, message=res.message,
-                          iterations=res.iterations)
-    # negating HiGHS's minimize-convention duals gives maximize-convention ones
-    return LpSolution(
-        status="optimal",
-        primal=res.x,
-        dual=-res.row_dual,
-        objective_value=float(-res.objective),
-        iterations=res.iterations,
-        bound_duals_upper=-res.upper_dual,
-    )
+        return LpSolution("failed", message=f"{type(exc).__name__}: {exc}")
 
 
 def clear_stack(entries, totals, assets) -> np.ndarray:
@@ -316,6 +282,28 @@ def clear_stack(entries, totals, assets) -> np.ndarray:
             default.astype(float))
 
 
+def round_arrays(matrix: RelativeLiabilityMatrix, totals, assets,
+                 interventions=None) -> tuple[np.ndarray, ...]:
+    """``(totals, assets, interventions)`` of one round on ``matrix`` as float
+    vectors of length ``n``, with zero interventions when None: the one input
+    check of every round solver.  Raises :class:`ValidationError` naming the
+    first array of another shape, or with an entry that is NaN, infinite or
+    negative."""
+    n = matrix.n
+    z = np.zeros(n) if interventions is None else interventions
+    checked = []
+    for name, a in (("totals", totals), ("assets", assets), ("interventions", z)):
+        a = np.asarray(a, dtype=float)
+        if a.shape != (n,):
+            raise ValidationError(f"{name} has shape {a.shape}, expected ({n},)")
+        ok = (0.0 <= a) & (a < INF)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValidationError(f"{name}[{i}] = {a[i]} is not finite and >= 0")
+        checked.append(a)
+    return tuple(checked)
+
+
 def clear_fixed_point(
     matrix: RelativeLiabilityMatrix,
     totals,
@@ -325,19 +313,10 @@ def clear_fixed_point(
     """Maximal clearing vector: the greatest fixed point of
     ``x = P ^ (A^T x + c + Z)``, computed exactly by :func:`clear_stack`.
 
-    Requires strictly substochastic rows (raises :class:`ContractionError`
-    otherwise).
+    Inputs are checked by :func:`round_arrays`.  Requires strictly
+    substochastic rows (raises :class:`ContractionError` otherwise).
     """
-    totals = np.asarray(totals, dtype=float)
-    assets = np.asarray(assets, dtype=float)
-    n = matrix.n
-    if totals.shape != (n,) or assets.shape != (n,):
-        raise ValidationError("totals/assets dimension mismatch with matrix")
-    z = np.zeros(n) if interventions is None else np.asarray(interventions, float)
-    if z.shape != (n,):
-        raise ValidationError("interventions dimension mismatch with matrix")
-    if np.any(totals < 0) or np.any(assets < 0) or np.any(z < 0):
-        raise ValidationError("totals, assets and interventions must be >= 0")
+    totals, assets, z = round_arrays(matrix, totals, assets, interventions)
     return clear_stack(matrix.entries[None], totals[None], (assets + z)[None])[0]
 
 
@@ -426,13 +405,22 @@ def solve_optimal(lp: LinearProgram, what: str) -> LpSolution:
         )
     finite = np.isfinite(lp.upper)
     primal = float(lp.objective @ sol.primal)
-    gap = abs(float(lp.rhs @ y + lp.upper[finite] @ w[finite]) - primal)
-    if not gap <= KNAPSACK_GAP_TOL * max(1.0, abs(primal)):
+    dual = float(lp.rhs @ y + lp.upper[finite] @ w[finite])
+    if not gap_closes(dual, primal):
         raise SolverError(
-            f"{what} primal and dual objectives differ by {gap:.3g}, beyond "
+            f"{what} primal and dual objectives differ by "
+            f"{abs(dual - primal):.3g}, beyond "
             f"KNAPSACK_GAP_TOL={KNAPSACK_GAP_TOL:g} relative"
         )
     return sol
+
+
+def gap_closes(dual: float, primal: float) -> bool:
+    """Whether a dual objective proves a primal value optimal: the gap
+    ``|dual - primal|`` is at most ``KNAPSACK_GAP_TOL`` times ``|primal|``
+    (or 1 when that is smaller), NaN counting as a failure.  The one
+    acceptance rule of every duality certificate in the package."""
+    return abs(dual - primal) <= KNAPSACK_GAP_TOL * max(1.0, abs(primal))
 
 
 def clearing_lp_model(
@@ -440,13 +428,12 @@ def clearing_lp_model(
 ) -> LinearProgram:
     """The clearing problem as a :class:`LinearProgram` over the payment
     vector: maximize total payments subject to the default constraint, with
-    the solvency constraint expressed through the variable upper bounds."""
+    the solvency constraint expressed through the variable upper bounds.
+    Inputs are checked by :func:`round_arrays`."""
+    totals, assets, z = round_arrays(matrix, totals, assets, interventions)
     n = matrix.n
-    z = np.zeros(n) if interventions is None else np.asarray(interventions, float)
-    return leq_program(
-        np.ones(n), [dense_coo(np.eye(n) - matrix.entries.T)],
-        np.asarray(assets, dtype=float) + z, np.asarray(totals, dtype=float),
-    )
+    return leq_program(np.ones(n), [dense_coo(np.eye(n) - matrix.entries.T)],
+                       assets + z, totals)
 
 
 def clear_lp(
@@ -454,9 +441,5 @@ def clear_lp(
 ) -> np.ndarray:
     """Maximal clearing vector by linear program; agrees with
     :func:`clear_fixed_point` to within ``ROUTE_AGREEMENT_TOL``."""
-    totals = np.asarray(totals, dtype=float)
-    assets = np.asarray(assets, dtype=float)
-    if np.any(totals < 0) or np.any(assets < 0):
-        raise ValidationError("totals and assets must be >= 0")
     model = clearing_lp_model(matrix, totals, assets, interventions)
     return solve_optimal(model, "clearing LP").primal

@@ -25,12 +25,9 @@ class FairnessWeights:
     weights.
     """
 
-    kind: str
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown fairness kind {self.kind!r}")
         w = _matrix(self.weights, None, "weights")
         if np.any(w < 0):
             raise ValidationError("fairness weights must be nonnegative")
@@ -58,13 +55,13 @@ def _check_cap(g) -> float:
 def standard_weights(n: int) -> FairnessWeights:
     """All off-diagonal pairs weighted 1: the classic inequality measure."""
     w = np.ones((n, n)) - np.eye(n)
-    return FairnessWeights(kind="standard", weights=w)
+    return FairnessWeights(weights=w)
 
 
 def spatial_weights(matrix: RelativeLiabilityMatrix) -> FairnessWeights:
     """Pairs weighted by relative liabilities, so inequality between
     strongly tied nodes costs more."""
-    return FairnessWeights(kind="spatial", weights=matrix.entries)
+    return FairnessWeights(weights=matrix.entries)
 
 
 def property_weights(
@@ -84,7 +81,7 @@ def property_weights(
         if matrix is None:
             raise ValidationError("masked property weights need a liability matrix")
         w = w * (matrix.entries > 0)
-    return FairnessWeights(kind="property", weights=w)
+    return FairnessWeights(weights=w)
 
 
 @dataclass(frozen=True)

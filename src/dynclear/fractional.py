@@ -11,13 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clearing import (
-    KNAPSACK_GAP_TOL,
     LP_REPAIR_TOL,
     LinearProgram,
     SolverError,
     clear_stack,
     dense_coo,
+    gap_closes,
     leq_program,
+    round_arrays,
     solve_optimal,
 )
 from .errors import ContractionError, ValidationError
@@ -134,13 +135,14 @@ def per_round_lp(
     is raised as :class:`SolverError`.  Either way the clearing is clipped
     into its bounds and the intervention rescaled onto the budget; a repair
     larger than ``LP_REPAIR_TOL`` is raised as :class:`SolverError` too.
+    The arrays are checked by :func:`round_arrays`, and a budget that is
+    not finite and >= 0 raises :class:`ValidationError`.
     """
-    totals = np.asarray(totals, dtype=float)
-    assets = np.asarray(assets, dtype=float)
+    totals, assets, _ = round_arrays(matrix, totals, assets)
     n = matrix.n
     caps = broadcast_caps(caps, n)
-    if budget < 0:
-        raise ValidationError("budget must be nonnegative")
+    if not 0.0 <= budget < np.inf:
+        raise ValidationError(f"budget = {budget} is not finite and >= 0")
 
     fair_weights = block = None
     if fairness is None:
@@ -249,8 +251,8 @@ def _certify_default_set(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
     ``D`` by decreasing ``v`` (:func:`fill_caps`), and ``D`` pays ``x_D``
     solving ``(I - A_DD^T) x_D = c_D + Z_D + A_SD^T P_S`` while the solvent
     set ``S`` pays ``P_S``.  The step is returned only when ``(x, Z)`` is
-    feasible to ``LP_REPAIR_TOL`` and its value matches, to
-    ``KNAPSACK_GAP_TOL``, the objective of the dual point ``y = v`` on
+    feasible to ``LP_REPAIR_TOL`` and its value matches, by
+    :func:`gap_closes`, the objective of the dual point ``y = v`` on
     ``D`` and 0 on ``S``, the threshold ``mu`` of :func:`fill_caps`,
     ``gamma = max(0, y - mu)`` and
     ``alpha = max(0, 1 - (I - A) y)``, which is dual feasible whenever
@@ -279,11 +281,12 @@ def _certify_default_set(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
     y = np.zeros(matrix.n)
     y[defaults] = v
     alpha = np.maximum(0.0, 1.0 - (y - entries @ y))
+    gamma = np.maximum(0.0, y - mu)
+    # an infinite cap has gamma = 0 and adds 0, not inf * 0
     dual = (assets @ y + budget * mu + totals @ alpha
-            + caps @ np.maximum(0.0, y - mu))
+            + np.where(gamma > 0.0, caps, 0.0) @ gamma)
     primal = float(x.sum())
-    if not (feasible and np.all(y >= 0.0)
-            and abs(dual - primal) <= KNAPSACK_GAP_TOL * max(1.0, primal)):
+    if not (feasible and np.all(y >= 0.0) and gap_closes(dual, primal)):
         return None
     return x, z
 

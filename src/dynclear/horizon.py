@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clearing import (
-    KNAPSACK_GAP_TOL,
     LP_REPAIR_TOL,
     LinearProgram,
+    gap_closes,
     kron_coo,
     leq_program,
     solve_optimal,
@@ -200,8 +200,8 @@ def _closed_form_horizon(
     feasible to ``LP_REPAIR_TOL`` (``P_tilde >= 0``, the prefix and default
     rows, the budget) and the dual point ``lam = 0``, ``mu(t) = v``,
     ``nu(t) = nu``, ``xi(t) = max(0, v - nu)`` is dual feasible to
-    ``LP_REPAIR_TOL`` with an objective matching the primal value to
-    ``KNAPSACK_GAP_TOL``: by weak duality the step is then optimal.
+    ``LP_REPAIR_TOL`` with an objective matching the primal value by
+    :func:`gap_closes`: by weak duality the step is then optimal.
 
     A certified schedule is also the maximal clearing of every replayed
     round: with ``P(t) = h(t) - sum_{t' < t} P_tilde(t')`` the prefix rows
@@ -226,8 +226,7 @@ def _closed_form_horizon(
         np.tile(np.maximum(0.0, v - nu), (rounds, 1)), h, c, budget, caps, zeta,
     )
     value = float(clearing.sum())
-    if not (feasible and breach <= tol
-            and abs(dual.value - value) <= KNAPSACK_GAP_TOL * max(1.0, value)):
+    if not (feasible and breach <= tol and gap_closes(dual.value, value)):
         return None
     return HorizonSolution(
         value=value,

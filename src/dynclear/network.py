@@ -9,7 +9,7 @@ executed.  ``SystemState`` is the post-shock, pre-clearing view of a round;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,16 +191,16 @@ class SystemState:
 
 @dataclass(frozen=True, eq=False)
 class RelativeLiabilityMatrix:
-    """Row-normalized outstanding liabilities and their row sums."""
+    """Row-normalized outstanding liabilities and their row sums, which are
+    derived from ``entries``."""
 
     entries: np.ndarray
-    row_sums: np.ndarray
+    row_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
         a = _matrix(self.entries, None, "entries")
-        beta = _vector(self.row_sums, a.shape[0], "row_sums")
+        object.__setattr__(self, "row_sums", _freeze(a.sum(axis=1)))
         object.__setattr__(self, "entries", _freeze(a))
-        object.__setattr__(self, "row_sums", _freeze(beta))
 
     @property
     def n(self) -> int:
@@ -212,8 +212,7 @@ class RelativeLiabilityMatrix:
 
     @classmethod
     def from_entries(cls, entries) -> "RelativeLiabilityMatrix":
-        entries = np.asarray(entries, dtype=float)
-        return cls(entries=entries, row_sums=entries.sum(axis=1))
+        return cls(entries=entries)
 
 
 def advance_state(
@@ -269,7 +268,7 @@ def relative_matrix(state: SystemState) -> RelativeLiabilityMatrix:
     """Row-normalize the state's pairwise liabilities; zero-total rows map
     to all-zero rows."""
     entries = relative_entries(state.pairwise, state.totals)
-    return RelativeLiabilityMatrix(entries=entries, row_sums=entries.sum(axis=-1))
+    return RelativeLiabilityMatrix(entries=entries)
 
 
 def check_nonvanishing(matrix: RelativeLiabilityMatrix) -> bool:

@@ -35,6 +35,7 @@ from dynclear import (
     value_given_sample_path,
 )
 from dynclear.cli import main as cli_main
+from dynclear.clearing import ROUTE_AGREEMENT_TOL
 from dynclear.environments import EnvironmentModel, ReplayEnvironment
 from dynclear.fractional import sampled_runs
 
@@ -114,7 +115,7 @@ def test_criterion_4_clearing_route_equivalence():
                 clear_fixed_point(matrix, totals, assets, support)
                 - clear_lp(matrix, totals, assets, support)
             ).max()
-            assert gap <= 1e-6
+            assert gap <= ROUTE_AGREEMENT_TOL
         assert time.perf_counter() - started < 10.0
 
 

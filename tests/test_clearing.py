@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -26,7 +30,12 @@ from dynclear import (
     solve_horizon_primal,
     solve_lp,
 )
-from dynclear.clearing import clear_stack, dense_coo, leq_program
+from dynclear.clearing import (
+    ROUTE_AGREEMENT_TOL,
+    clear_stack,
+    dense_coo,
+    leq_program,
+)
 from dynclear.fractional import _allocation_lp
 
 from conftest import (
@@ -47,6 +56,33 @@ def dual_objective(sol, lp) -> float:
     finite = np.isfinite(lp.upper)
     return float(np.dot(sol.dual, lp.rhs)
                  + np.dot(sol.bound_duals_upper[finite], lp.upper[finite]))
+
+
+def highspy_importers(source: str, module: str) -> list[str]:
+    """Qualified names of the functions in ``source`` that import
+    ``scipy.optimize._highspy`` or a module under it, and ``module`` itself
+    for an import outside any function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            if any(re.match(r"scipy\.optimize\._highspy(\.|$)", name)
+                   for name in names):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), module)
+    return found
 
 
 def hub_round_one():
@@ -143,15 +179,31 @@ class TestSolveLp:
             )
         assert callable(_Highs)
 
+    def test_only_highs_imports_the_private_binding(self):
+        package = Path(dynclear.__file__).parent
+        found = [
+            name for path in sorted(package.glob("*.py"))
+            for name in highspy_importers(path.read_text(), path.stem)
+        ]
+        assert found == ["clearing._highs"]
+
+    def test_the_import_guard_finds_every_importer(self):
+        source = (
+            "import scipy.optimize._highspy._core\n"
+            "def f():\n"
+            "    from scipy.optimize import _highspy\n"
+            "class K:\n"
+            "    def g(self):\n"
+            "        from scipy.optimize._highspy._core import _Highs\n"
+            "def h():\n"
+            "    from scipy.optimize import linprog\n"
+        )
+        assert highspy_importers(source, "m") == ["m", "m.f", "m.K.g"]
+
     def test_highs_receives_sparse_rows_without_zeros(self, monkeypatch):
         from scipy.optimize._highspy import _core
 
         seen, options = {}, {}
-        real = dynclear.clearing._highs
-
-        def spy(*args):
-            seen["args"] = args
-            return real(*args)
 
         class Recording(_core._Highs):
             def setOptionValue(self, key, value):
@@ -160,7 +212,17 @@ class TestSolveLp:
                 options[key] = value
                 return status
 
-        monkeypatch.setattr(dynclear.clearing, "_highs", spy)
+            def passModel(self, model):
+                matrix = model.a_matrix_
+                seen.update(
+                    cost=np.array(model.col_cost_), start=np.array(matrix.start_),
+                    index=np.array(matrix.index_), value=np.array(matrix.value_),
+                    row_lower=np.array(model.row_lower_),
+                    row_upper=np.array(model.row_upper_),
+                    col_upper=np.array(model.col_upper_),
+                )
+                return super().passModel(model)
+
         monkeypatch.setattr(_core, "_Highs", Recording)
         # max 2x + y + z s.t. x + y <= 1.5, y - x >= 0.2, x + z = 1, in <=
         # form: the >= row negated, the = row as itself and its negation
@@ -169,15 +231,16 @@ class TestSolveLp:
         lp = leq_program([2.0, 1.0, 1.0], [dense_coo(lhs)], [1.5, -0.2, 1.0, -1.0],
                          [INF, INF, INF])
         sol = solve_lp(lp)
-        cost, start, index, value, row_lower, row_upper, lo, hi = seen["args"]
-        assert np.all(value != 0)
+        assert np.all(seen["value"] != 0)
         np.testing.assert_array_equal(
-            scipy.sparse.csc_array((value, index, start), shape=(4, 3)).toarray(),
+            scipy.sparse.csc_array((seen["value"], seen["index"], seen["start"]),
+                                   shape=(4, 3)).toarray(),
             lhs,
         )
-        np.testing.assert_array_equal(row_upper, [1.5, -0.2, 1.0, -1.0])
-        np.testing.assert_array_equal(row_lower, [-INF] * 4)
-        np.testing.assert_array_equal(cost, [-2.0, -1.0, -1.0])
+        np.testing.assert_array_equal(seen["row_upper"], [1.5, -0.2, 1.0, -1.0])
+        np.testing.assert_array_equal(seen["row_lower"], [-INF] * 4)
+        np.testing.assert_array_equal(seen["col_upper"], [INF] * 3)
+        np.testing.assert_array_equal(seen["cost"], [-2.0, -1.0, -1.0])
         assert options == {
             "output_flag": False, "presolve": "off",
             "dual_feasibility_tolerance": 1e-9, "simplex_strategy": 4,
@@ -399,6 +462,67 @@ class TestSolveLp:
             leq_program([1.0], [], [], [-1.0])
 
 
+#: The three round solvers, each on ``(matrix, totals, assets,
+#: interventions)``; ``per_round_lp`` takes no interventions.
+ROUND_SOLVERS = {
+    "clear_fixed_point": clear_fixed_point,
+    "clear_lp": clear_lp,
+    "per_round_lp": lambda matrix, totals, assets, z: per_round_lp(
+        matrix, totals, assets, budget=1.0, caps=1.0),
+}
+
+#: ``(solver, array, bad entry)``: a NaN, infinite or negative entry at
+#: node 1, or ``"short"`` for a vector of length 2 on three nodes.
+BAD_ROUNDS = [
+    (solver, name, bad)
+    for solver in sorted(ROUND_SOLVERS)
+    for name in ("totals", "assets", "interventions")
+    for bad in (np.nan, INF, -1.0, "short")
+    if not (solver == "per_round_lp" and name == "interventions")
+]
+
+
+class TestRoundInputs:
+    @pytest.mark.parametrize("solver, name, bad", BAD_ROUNDS)
+    def test_a_bad_array_is_refused_by_name(self, solver, name, bad):
+        matrix, totals, assets = hub_round_one()
+        arrays = {"totals": totals.copy(), "assets": assets.copy(),
+                  "interventions": np.zeros(3)}
+        if bad == "short":
+            arrays[name] = arrays[name][:2]
+            message = rf"^{name} has shape \(2,\), expected \(3,\)$"
+        else:
+            arrays[name][1] = bad
+            message = rf"^{name}\[1\] = {bad} is not finite and >= 0$"
+        with pytest.raises(ValidationError, match=message):
+            ROUND_SOLVERS[solver](matrix, arrays["totals"], arrays["assets"],
+                                  arrays["interventions"])
+
+    @pytest.mark.parametrize("budget", [np.nan, INF, -1.0])
+    def test_per_round_lp_refuses_a_bad_budget(self, budget):
+        with pytest.raises(ValidationError,
+                           match=rf"^budget = {budget} is not finite and >= 0$"):
+            per_round_lp(*hub_round_one(), budget=budget, caps=1.0)
+
+    @pytest.mark.parametrize("solver", ["clear_fixed_point", "clear_lp"])
+    def test_an_infinite_total_is_refused_by_both_routes(self, solver):
+        # cleared, P = (inf, 1) gave (inf, 1) by fixed point and (0, 0) by LP
+        matrix = RelativeLiabilityMatrix.from_entries([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(ValidationError, match=r"^totals\[0\] = inf "):
+            ROUND_SOLVERS[solver](matrix, [INF, 1.0], [1.0, 1.0], None)
+
+    @pytest.mark.parametrize("fairness", [None, FairnessSpec(kind="spatial", g=0.5)])
+    def test_infinite_caps_stay_legal(self, fairness):
+        capped, uncapped = (
+            per_round_lp(*refused_hub_round(), budget=2.0, caps=caps,
+                         fairness=fairness)
+            for caps in (2.0, INF)
+        )
+        assert uncapped.reward == pytest.approx(capped.reward, abs=1e-9)
+        np.testing.assert_allclose(uncapped.intervention, capped.intervention,
+                                   atol=1e-9)
+
+
 class TestFixedPoint:
     def test_hub_zero_input(self):
         matrix, totals, assets = hub_round_one()
@@ -458,7 +582,7 @@ class TestRouteAgreement:
             matrix, totals, assets = random_clearing_instance(rng, n)
             by_iteration = clear_fixed_point(matrix, totals, assets)
             by_lp = clear_lp(matrix, totals, assets)
-            assert np.abs(by_iteration - by_lp).max() <= 1e-6
+            assert np.abs(by_iteration - by_lp).max() <= ROUTE_AGREEMENT_TOL
 
     def test_clearing_monotone_in_assets_and_support(self):
         rng = np.random.default_rng(17)

@@ -67,7 +67,7 @@ class TestWeights:
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValidationError):
-            FairnessWeights(kind="standard", weights=[[0.0, -1.0], [0.0, 0.0]])
+            FairnessWeights(weights=[[0.0, -1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("g", [1.5, -0.1, float("nan"), "0.5", True, None])
     def test_cap_must_be_a_number_in_the_unit_interval(self, g):
@@ -97,7 +97,7 @@ class TestGiniCoefficient:
 
     def test_zero_over_zero_is_zero(self):
         assert gini_coefficient(np.zeros(3), standard_weights(3)) == 0.0
-        no_edges = FairnessWeights(kind="spatial", weights=np.zeros((3, 3)))
+        no_edges = FairnessWeights(weights=np.zeros((3, 3)))
         assert gini_coefficient([1.0, 2.0, 3.0], no_edges) == 0.0
 
     def test_scale_invariance(self):
@@ -155,7 +155,7 @@ class TestConstraintBlock:
             n = int(rng.integers(2, 7))
             w = rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.5)
             np.fill_diagonal(w, 0.0)
-            weights = FairnessWeights(kind="spatial", weights=w)
+            weights = FairnessWeights(weights=w)
             block = fairness_constraint_block(weights, 0.3)
             pairs = {
                 (i, j) for i in range(n) for j in range(i + 1, n)
@@ -185,7 +185,7 @@ class TestConstraintBlock:
             n = int(rng.integers(2, 8))
             w = rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.6)
             np.fill_diagonal(w, 0.0)
-            weights = FairnessWeights(kind="spatial", weights=w)
+            weights = FairnessWeights(weights=w)
             g = float(rng.uniform(0, 1))
             block = fairness_constraint_block(weights, g)
             z = rng.uniform(0, 3, n)

@@ -22,12 +22,16 @@ from dynclear import (
     substream,
     value_given_sample_path,
 )
-from dynclear.clearing import LP_REPAIR_TOL, clear_stack, solve_optimal
+from dynclear.clearing import (
+    KNAPSACK_GAP_TOL,
+    LP_REPAIR_TOL,
+    clear_stack,
+    solve_optimal,
+)
 from dynclear.environments import EnvironmentModel, SbmEnvironment, SbmParams
 from dynclear.errors import ContractionError
 from dynclear.fairness import fairness_constraint_block, spatial_weights
 from dynclear.fractional import (
-    KNAPSACK_GAP_TOL,
     _allocation_lp,
     _knapsack_round,
     broadcast_caps,

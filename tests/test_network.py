@@ -174,6 +174,15 @@ def test_relative_matrix_zero_total_row_is_zero():
     assert matrix.row_sums[1] == 0.0
 
 
+def test_row_sums_are_derived_from_the_entries():
+    entries = np.random.default_rng(8).uniform(0.0, 0.3, (5, 5))
+    matrix = RelativeLiabilityMatrix(entries)
+    assert np.array_equal(matrix.row_sums, entries.sum(axis=1))
+    assert not matrix.row_sums.flags.writeable
+    with pytest.raises(TypeError):
+        RelativeLiabilityMatrix(entries=entries, row_sums=np.zeros(5))
+
+
 def test_check_nonvanishing():
     hub = relative_matrix(advance_state(SystemState.empty(3), np.zeros(3), hub_shock(1)))
     assert check_nonvanishing(hub)
