@@ -256,10 +256,12 @@ def clear_stack(entries, totals, assets) -> np.ndarray:
     at = np.swapaxes(entries, -1, -2)
     eye = np.eye(totals.shape[-1])
 
-    def solve(d):
+    def solve(d, lhs=None):
+        # ``lhs``, when given, is the block (eye - at on D = N); the masked
+        # right-hand side stays, as it turns a -0.0 asset into 0.0
         try:
             return np.linalg.solve(
-                eye - d[..., :, None] * at,
+                eye - d[..., :, None] * at if lhs is None else lhs,
                 (d * assets + (1.0 - d) * totals)[..., None],
             )[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -274,7 +276,7 @@ def clear_stack(entries, totals, assets) -> np.ndarray:
         if not (short & ~default).any():
             return x
         if warm and x_all is None:
-            x_all = solve(np.ones(totals.shape))
+            x_all = solve(np.ones(totals.shape), eye - at)
             x = np.minimum(totals, x_all)
             continue
         default |= short

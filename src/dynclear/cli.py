@@ -13,7 +13,7 @@ import sys
 from .config import build_environment, check_integer_caps, check_minimum, load_config
 from .discrete import brute_force_discrete
 from .errors import ConfigError, DynclearError, ReplayFormatError
-from .fractional import sample_paths
+from .fractional import per_sample
 from .network import SystemState
 from .runner import run_experiment, write_atomic
 
@@ -78,14 +78,13 @@ def _cmd_oracle(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     check_integer_caps(config.caps)
     env = build_environment(config)
-    _, paths = sample_paths(env, config.samples, config.seed, config.horizon)
     start = SystemState.empty(env.n)
-    results = []
-    for i, path in enumerate(paths):
-        value, actions = brute_force_discrete(start, path, config.budget, config.caps)
-        results.append(
-            {"sample": i, "value": value, "actions": [a.tolist() for a in actions]}
-        )
+    optima = per_sample(
+        env, config.samples, config.seed,
+        lambda _, path: brute_force_discrete(start, path, config.budget, config.caps),
+        horizon=config.horizon)
+    results = [{"sample": i, "value": value, "actions": [a.tolist() for a in actions]}
+               for i, (value, actions) in enumerate(optima)]
     payload = {
         "budget": config.budget,
         "samples": config.samples,

@@ -15,9 +15,7 @@ from .errors import EnumerationLimitError, ValidationError
 from .fractional import (
     PolicyStepResult,
     broadcast_caps,
-    once_per_distinct_path,
-    ordered_map,
-    sample_paths,
+    per_sample,
     value_given_sample_path,
 )
 from .network import (
@@ -49,7 +47,7 @@ class DiscreteAction:
         z = np.asarray(self.amounts)
         if not np.issubdtype(z.dtype, np.integer):
             raise ValidationError("discrete amounts must be integers")
-        if np.any(z < 0):
+        if (z < 0).any():
             raise ValidationError("discrete amounts must be nonnegative")
         frozen = z.copy()
         frozen.flags.writeable = False
@@ -79,7 +77,7 @@ class RoundingReport:
 
 def _integer_caps(caps: np.ndarray) -> np.ndarray:
     rounded = np.rint(caps)
-    if (not np.all(np.isfinite(caps))
+    if (not np.isfinite(caps).all()
             or np.max(np.abs(caps - rounded), initial=0.0) > 1e-9):
         raise ValidationError("discrete interventions need finite integer caps")
     return rounded.astype(int)
@@ -112,9 +110,9 @@ def sample_interventions(
         raise ValidationError("inconsistent schedule dimensions")
     frac = np.asarray(fractional, dtype=float)  # (rounds, n)
     caps = _integer_caps(broadcast_caps(caps, frac.shape[1]))
-    if np.any((caps == 0) & (frac > 1e-9)):
+    if ((caps == 0) & (frac > 1e-9)).any():
         raise ValidationError("cap of 0 with a positive fractional amount")
-    if np.any(frac < -1e-9) or np.any(frac > caps + 1e-9):
+    if (frac < -1e-9).any() or (frac > caps + 1e-9).any():
         raise ValidationError("fractional amounts must lie in [0, caps]")
     with np.errstate(divide="ignore", invalid="ignore"):
         probs = np.clip(np.where(caps > 0, frac / caps, 0.0), 0.0, 1.0)
@@ -146,7 +144,7 @@ def _play(start: SystemState, path: SamplePath, schedules):
         raise ValidationError(
             f"schedules must have shape (k, {len(path)}, {n}), got {z.shape}"
         )
-    if not np.all(z >= 0):
+    if not (z >= 0).all():
         raise ValidationError("intervention amounts must be nonnegative")
     k = z.shape[0]
     pairwise = np.broadcast_to(start.pairwise, (k, n, n))
@@ -193,25 +191,20 @@ def discrete_runs(
     seed: int = 0,
     threads: int = 1,
     horizon: int | None = None,
-) -> list[tuple[SamplePath, RoundingReport, list[PolicyStepResult]]]:
-    """Per-sample rounding pipeline, returning the realized trajectory along
-    with each report.  Results are ordered by sample index regardless of the
+) -> list[tuple[RoundingReport, list[PolicyStepResult]]]:
+    """Per-sample rounding pipeline, returning each report with its realized
+    trajectory.  Results are ordered by sample index regardless of the
     worker count.
 
     Sample ``i`` draws its path and then its rounding on ``substream(seed,
-    i)``; the fractional trajectory in between is solved once per distinct
-    path, so replayed copies share it.
+    i)`` (:func:`per_sample`); the fractional trajectory in between is
+    solved once per distinct path, so replayed copies share it.
     """
     caps_arr = broadcast_caps(caps, start.n)
     _integer_caps(caps_arr)
-    rngs, paths = sample_paths(env, n_samples, seed, horizon)
-    relaxed = once_per_distinct_path(
-        paths, lambda p: value_given_sample_path(start, p, budget, caps_arr), threads
-    )
 
-    def run(index: int):
-        rng, path = rngs[index], paths[index]
-        v_rel, frac_steps = relaxed[index]
+    def rounded(index: int, rng, path: SamplePath, relaxed):
+        v_rel, frac_steps = relaxed
         z_star = [s.intervention for s in frac_steps]
         gamma_hat = max(float(s.beta.max(initial=0.0)) for s in frac_steps)
         actions, attempts = sample_interventions(
@@ -230,9 +223,13 @@ def discrete_runs(
             gamma_hat=gamma_hat,
             ratio=ratio,
         )
-        return path, report, steps
+        return report, steps
 
-    return ordered_map(run, range(n_samples), threads)
+    return per_sample(
+        env, n_samples, seed,
+        lambda _, path: value_given_sample_path(start, path, budget, caps_arr),
+        tail=rounded, threads=threads, horizon=horizon,
+    )
 
 
 def aggregate_discrete(
@@ -255,7 +252,7 @@ def aggregate_discrete(
         env, start, n_samples, budget, caps,
         tau=tau, seed=seed, threads=threads,
     )
-    reports = [r for _, r, _ in results]
+    reports = [r for r, _ in results]
     mean = float(np.mean([r.value_sol for r in reports]))
     return mean, reports
 
@@ -400,7 +397,7 @@ def discretize_payments(
     n = matrix.n
     if clearing.shape != (n,):
         raise ValidationError("clearing dimension mismatch with matrix")
-    if np.any(clearing < 0):
+    if (clearing < 0).any():
         raise ValidationError("clearing must be nonnegative")
     out = np.zeros((n, n + 1), dtype=int)
     for i in range(n):

@@ -5,7 +5,9 @@ Carlo aggregation of the value function."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +83,7 @@ def broadcast_caps(caps, n: int) -> np.ndarray:
         arr = np.full(n, float(arr))
     if arr.shape != (n,):
         raise ValidationError(f"caps must be scalar or length {n}")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValidationError("caps must be nonnegative")
     return arr
 
@@ -222,9 +224,8 @@ def _knapsack_round(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
     ``LP_REPAIR_TOL`` above its total; the step is then still optimal.
     """
     entries = matrix.entries
-    gate = (float(entries.sum(axis=-1).max(initial=0.0))
-            < 1.0 - CONNECTIVITY_MARGIN
-            and bool(np.all(entries.T @ assets + assets < totals)))
+    gate = (float(matrix.row_sums.max(initial=0.0)) < 1.0 - CONNECTIVITY_MARGIN
+            and bool((entries.T @ assets + assets < totals).all()))
     if gate:
         certified = _certify_default_set(matrix, totals, assets, budget, caps,
                                          np.ones(matrix.n, dtype=bool))
@@ -261,21 +262,21 @@ def _certify_default_set(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
     """
     entries = matrix.entries
     defaults, solvent = np.flatnonzero(short), np.flatnonzero(~short)
-    eye = np.eye(defaults.size)
-    inner = entries[np.ix_(defaults, defaults)]
-    v = np.linalg.solve(eye - inner, np.ones(defaults.size))
+    if solvent.size:
+        inner = entries[np.ix_(defaults, defaults)]
+        inflow = entries[np.ix_(solvent, defaults)].T @ totals[solvent]
+    else:  # D = N: no gather, and no solvent inflow to add
+        inner, inflow = entries, 0.0
+    lhs = np.eye(defaults.size) - inner
+    v = np.linalg.solve(lhs, np.ones(defaults.size))
     z = np.zeros(matrix.n)
     z[defaults], mu = fill_caps(v, caps[defaults], budget)
     x = totals.copy()
-    x[defaults] = np.linalg.solve(
-        eye - inner.T,
-        assets[defaults] + z[defaults]
-        + entries[np.ix_(solvent, defaults)].T @ totals[solvent],
-    )
+    x[defaults] = np.linalg.solve(lhs.T, assets[defaults] + z[defaults] + inflow)
     tol = LP_REPAIR_TOL
     feasible = (
-        np.all((-tol <= x) & (x <= totals + tol))
-        and np.all(x - entries.T @ x - z <= assets + tol)
+        ((-tol <= x) & (x <= totals + tol)).all()
+        and (x - entries.T @ x - z <= assets + tol).all()
         and z.sum() <= budget + tol
     )
     y = np.zeros(matrix.n)
@@ -286,7 +287,7 @@ def _certify_default_set(matrix: RelativeLiabilityMatrix, totals: np.ndarray,
     dual = (assets @ y + budget * mu + totals @ alpha
             + np.where(gamma > 0.0, caps, 0.0) @ gamma)
     primal = float(x.sum())
-    if not (feasible and np.all(y >= 0.0) and gap_closes(dual, primal)):
+    if not (feasible and (y >= 0.0).all() and gap_closes(dual, primal)):
         return None
     return x, z
 
@@ -385,20 +386,6 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def sample_paths(
-    env, n_samples: int, seed: int, horizon: int | None = None
-) -> tuple[list[np.random.Generator], list[SamplePath]]:
-    """Sample ``i`` draws rounds ``1..horizon`` (``env.horizon`` when None)
-    on ``substream(seed, i)``.  Returns the per-sample streams, left where
-    the path draw ends so later per-sample draws continue them, and the
-    paths."""
-    if n_samples < 1:
-        raise ValidationError("need at least one sample")
-    last = env.horizon if horizon is None else horizon
-    rngs = [substream(seed, i) for i in range(n_samples)]
-    return rngs, [env.sample_path(1, last, rng) for rng in rngs]
-
-
 def ordered_map(fn, items, threads: int = 1) -> list:
     """``[fn(item) for item in items]`` on ``threads`` workers; results keep
     the order of ``items`` whatever the worker count."""
@@ -408,19 +395,53 @@ def ordered_map(fn, items, threads: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def once_per_distinct_path(paths: list[SamplePath], solve, threads: int = 1):
-    """``[solve(path) for path in paths]`` with ``solve`` called once per
-    distinct path, in order of first appearance and on ``threads`` workers;
-    results keep the order of ``paths`` whatever the worker count.  Paths
-    are the same when they hold the same shock objects, as replay draws do;
-    an environment that rebuilds equal shocks as new objects has each such
-    path solved again, with equal results, only more slowly."""
-    keys = [tuple(map(id, p.shocks)) for p in paths]
-    first: dict[tuple[int, ...], SamplePath] = {}
-    for key, path in zip(keys, paths):
-        first.setdefault(key, path)
-    by_key = dict(zip(first, ordered_map(solve, first.values(), threads)))
-    return [by_key[key] for key in keys]
+def per_sample(env, n_samples: int, seed: int, solve, tail=None,
+               threads: int = 1, horizon: int | None = None) -> list:
+    """Draw, solve and drop each sample's path in turn, on ``threads``
+    workers, so at most ``threads`` paths are alive at once; results keep
+    the order of the samples whatever the worker count.
+
+    Sample ``i`` draws rounds ``1..horizon`` (``env.horizon`` when None) on
+    ``rng = substream(seed, i)`` and gives ``solve(i, path)``, passed on as
+    ``tail(i, rng, path, solved)`` when a ``tail`` continues the stream.
+    ``solve`` runs once per distinct path, shared across workers: paths are
+    the same when they hold the same shock objects, as replay draws do.  A
+    path's memo entry lives only as long as its shocks, because a freed
+    shock's id can come back in a later sample."""
+    if n_samples < 1:
+        raise ValidationError("need at least one sample")
+    last = env.horizon if horizon is None else horizon
+    memo: dict[tuple[int, ...], tuple[Future, list]] = {}
+    lock = threading.RLock()  # re-entered when a shock dies under it
+
+    def run(index: int):
+        rng = substream(seed, index)
+        path = env.sample_path(1, last, rng)
+        key = tuple(map(id, path.shocks))
+        with lock:
+            future = memo.get(key, (None,))[0]
+            if owner := future is None:
+                future = Future()
+
+                def forget(_, future=future):
+                    with lock:
+                        if memo.get(key, (None,))[0] is future:
+                            del memo[key]
+
+                memo[key] = future, [weakref.ref(s, forget) for s in path.shocks]
+        if owner:
+            try:
+                future.set_result(solve(index, path))
+            except BaseException as exc:
+                future.set_exception(exc)
+                raise
+        solved = future.result()
+        return solved if tail is None else tail(index, rng, path, solved)
+
+    try:
+        return ordered_map(run, range(n_samples), threads)
+    finally:
+        memo.clear()  # the weak references' callbacks refer back to it
 
 
 def sampled_runs(
@@ -433,19 +454,17 @@ def sampled_runs(
     seed: int = 0,
     threads: int = 1,
     horizon: int | None = None,
-) -> list[tuple[SamplePath, float, list[PolicyStepResult]]]:
-    """Draw ``n_samples`` paths on per-sample substreams and solve each.
-
-    Results are ordered by sample index, so the output is bitwise identical
-    for a fixed seed regardless of the worker count.  Paths holding the same
-    shock objects (as a replay draws) are solved once.
+) -> list[tuple[float, list[PolicyStepResult]]]:
+    """``(value, steps)`` of :func:`value_given_sample_path` on each of
+    ``n_samples`` paths drawn by :func:`per_sample`, in sample order and
+    bitwise identical at any worker count; a replayed path is solved once.
     """
-    _, paths = sample_paths(env, n_samples, seed, horizon)
-    solved = once_per_distinct_path(
-        paths, lambda p: value_given_sample_path(start, p, budget, caps, fairness),
-        threads,
+    return per_sample(
+        env, n_samples, seed,
+        lambda _, path: value_given_sample_path(start, path, budget, caps,
+                                                fairness),
+        threads=threads, horizon=horizon,
     )
-    return [(p, v, s) for p, (v, s) in zip(paths, solved)]
 
 
 def aggregate_value(
@@ -463,12 +482,12 @@ def aggregate_value(
         env, start, n_samples, budget, caps,
         fairness=fairness, seed=seed, threads=threads,
     )
-    values = tuple(v for _, v, _ in runs)
+    values = tuple(v for v, _ in runs)
     return ValueEstimate(
         mean=float(np.mean(values)),
         values=values,
         sample_count=n_samples,
-        horizon_len=len(runs[0][0]),
+        horizon_len=len(runs[0][1]),
     )
 
 

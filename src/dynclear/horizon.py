@@ -144,7 +144,10 @@ def _dual_point(lam, mu, nu, xi, h, c, budget, caps, zeta):
         (1.0 - (mu - mu @ zeta.T) - suffix_lam).ravel(),
         (mu - xi - nu[:, None]).ravel(),
     ])
-    value = (h * lam).sum() + (c * mu).sum() + budget * nu.sum() + xi.sum(0) @ caps
+    gamma = xi.sum(0)
+    # an infinite cap with gamma = 0 adds 0, not inf * 0
+    value = ((h * lam).sum() + (c * mu).sum() + budget * nu.sum()
+             + np.where(gamma != 0.0, caps, 0.0) @ gamma)
     dual = DualSolution(value=float(value), lam=lam, mu=mu, nu=nu, xi=xi)
     return dual, float(shortfalls.max(initial=0.0))
 

@@ -34,7 +34,7 @@ def _vector(x, n: int | None, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be a 1-d vector, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValidationError(f"{name} has length {arr.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
 
@@ -45,7 +45,7 @@ def _matrix(x, n: int | None, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValidationError(f"{name} has size {arr.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
 
@@ -79,16 +79,16 @@ class ShockRealization:
         n = b.shape[0]
         c = _vector(self.external_assets, n, "external_assets")
         l = _matrix(self.internal_liabilities, n, "internal_liabilities")
-        if np.any(b < self.b_floor):
+        if (b < self.b_floor).any():
             bad = int(np.argmin(b))
             raise ValidationError(
                 f"external_liabilities[{bad}] = {b[bad]} below floor {self.b_floor}"
             )
-        if np.any(c < 0):
+        if (c < 0).any():
             raise ValidationError("external_assets must be nonnegative")
-        if np.any(l < 0):
+        if (l < 0).any():
             raise ValidationError("internal_liabilities must be nonnegative")
-        if np.any(np.abs(np.diag(l)) > 0):
+        if (np.abs(np.diag(l)) > 0).any():
             raise ValidationError("internal_liabilities must have a zero diagonal")
         object.__setattr__(self, "external_liabilities", _freeze(b))
         object.__setattr__(self, "external_assets", _freeze(c))
@@ -158,9 +158,9 @@ class SystemState:
         n = p.shape[0]
         totals = _vector(self.totals, n, "totals")
         external = _vector(self.external, n, "external")
-        if np.any(p < 0):
+        if (p < 0).any():
             raise ValidationError("pairwise liabilities must be nonnegative")
-        if np.any(external < -CONSISTENCY_TOL):
+        if (external < -CONSISTENCY_TOL).any():
             raise ValidationError("external component must be nonnegative")
         recomputed = external + p.sum(axis=1)
         if np.max(np.abs(recomputed - totals)) > CONSISTENCY_TOL:
@@ -229,9 +229,9 @@ def advance_state(
         raise ValidationError(
             f"shock has {shock.n} nodes, state has {state.n}"
         )
-    if np.any(clearing < -CONSISTENCY_TOL):
+    if (clearing < -CONSISTENCY_TOL).any():
         raise ValidationError("clearing must be nonnegative")
-    if np.any(clearing > state.totals + CONSISTENCY_TOL):
+    if (clearing > state.totals + CONSISTENCY_TOL).any():
         bad = int(np.argmax(clearing - state.totals))
         raise ValidationError(
             f"clearing[{bad}] = {clearing[bad]} exceeds outstanding total "
@@ -247,9 +247,9 @@ def carry_forward(pairwise, external, totals, clearing, shock):
     """The carry arithmetic of :func:`advance_state` on bare arrays, for one
     state (``(n, n)`` / ``(n,)``) or a stack of them (``(k, n, n)`` /
     ``(k, n)``): returns the next ``(pairwise, external, totals)``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        carry = np.where(totals > 0, 1.0 - clearing / totals, 0.0)
-    carry = np.clip(carry, 0.0, 1.0)
+    paid = np.divide(clearing, totals, out=np.ones(np.shape(totals)),
+                     where=totals > 0)
+    carry = np.clip(1.0 - paid, 0.0, 1.0)
     pairwise = shock.internal_liabilities + pairwise * carry[..., :, None]
     external = shock.external_liabilities + external * carry
     return pairwise, external, external + pairwise.sum(axis=-1)
@@ -258,10 +258,9 @@ def carry_forward(pairwise, external, totals, clearing, shock):
 def relative_entries(pairwise, totals) -> np.ndarray:
     """Row-normalized pairwise liabilities, for one state or a stack;
     zero-total rows map to all-zero rows."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            totals[..., :, None] > 0, pairwise / totals[..., :, None], 0.0
-        )
+    rows = totals[..., :, None]
+    return np.divide(pairwise, rows, out=np.zeros(np.shape(pairwise)),
+                     where=rows > 0)
 
 
 def relative_matrix(state: SystemState) -> RelativeLiabilityMatrix:

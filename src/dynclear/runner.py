@@ -21,9 +21,8 @@ from .fractional import (
     PolicyStepResult,
     broadcast_caps,
     lp_step,
-    once_per_distinct_path,
+    per_sample,
     rollout,
-    sample_paths,
     sampled_runs,
     stderr,
 )
@@ -309,10 +308,10 @@ def emit_plot_data(
 
 def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
     """One whole-horizon solve per distinct sampled path (a replay is solved
-    once), its schedule replayed along the path for trace output, and the
-    duality gap taken against the verified dual of the same solve: the
-    closed-form dual point where every node stays in default, the HiGHS
-    marginals otherwise.  Replaying clips payments to the replayed totals
+    once, :func:`per_sample`), its schedule replayed along the path for
+    trace output, and the duality gap taken against the verified dual of the
+    same solve: the closed-form dual point where every node stays in
+    default, the HiGHS marginals otherwise.  Replaying clips payments to the replayed totals
     and interventions to the caps and rescales them onto the budget; a
     repair beyond ``LP_REPAIR_TOL`` raises :class:`SolverError`.
 
@@ -322,15 +321,14 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
     compared with the maximal clearing (:func:`clear_fixed_point`) of the
     replayed state and intervention; a gap beyond ``GAP_TOL`` raises
     :class:`CertificateError` naming the sample and the round."""
-    _, paths = sample_paths(env, n_samples, seed, horizon)
     caps = broadcast_caps(caps, env.n)
 
-    def solve(path):
+    def solve(index, path):
         certificate = check_constant_proportions(path)
         if not certificate.valid:
             raise CertificateError(
                 "horizon_lp mode needs constant liability proportions; "
-                f"sample {paths.index(path)} deviates by "
+                f"sample {index} deviates by "
                 f"{certificate.max_violation}"
             )
         primal = solve_horizon_primal(path, budget, caps, certificate)
@@ -347,7 +345,7 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
                 gap = float(np.abs(result.clearing - maximal).max())
                 if not gap <= GAP_TOL:
                     raise CertificateError(
-                        f"the horizon schedule of sample {paths.index(path)} "
+                        f"the horizon schedule of sample {index} "
                         f"pays {gap:.3g} away from the maximal clearing in "
                         f"round {shock.round}, so it is not a trajectory of the "
                         "clearing dynamics"
@@ -358,8 +356,8 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
         gap = abs(primal.value - primal.dual.value)
         return value, steps, certificate.max_violation, gap
 
-    solved = once_per_distinct_path(paths, solve)
-    runs = [(path, value, steps) for path, (value, steps, _, _) in zip(paths, solved)]
+    solved = per_sample(env, n_samples, seed, solve, horizon=horizon)
+    runs = [(value, steps) for value, steps, _, _ in solved]
     info = {
         "valid": True,
         "max_violation": max(v for _, _, v, _ in solved),
@@ -396,8 +394,8 @@ def run_experiment(
                 fairness=None, seed=config.seed,
                 threads=config.threads, horizon=config.horizon,
             )
-            pof_unc = float(np.mean([v for _, v, _ in baseline]))
-            pof_con = float(np.mean([v for _, v, _ in runs]))
+            pof_unc = float(np.mean([v for v, _ in baseline]))
+            pof_con = float(np.mean([v for v, _ in runs]))
             pof = price_of_fairness(pof_unc, pof_con)
     elif config.mode == "discrete":
         results = discrete_runs(
@@ -405,8 +403,8 @@ def run_experiment(
             tau=config.retries, seed=config.seed,
             threads=config.threads, horizon=config.horizon,
         )
-        rounding_reports = tuple(r for _, r, _ in results)
-        runs = [(p, r.value_sol, s) for p, r, s in results]
+        rounding_reports = tuple(r for r, _ in results)
+        runs = [(r.value_sol, s) for r, s in results]
     elif config.mode == "horizon_lp":
         runs, certificate_info = _horizon_lp_runs(
             env, config.horizon, config.samples, config.budget, caps, config.seed
@@ -414,8 +412,8 @@ def run_experiment(
     else:  # pragma: no cover - guarded by config validation
         raise ValidationError(f"unknown mode {config.mode}")
 
-    values = [v for _, v, _ in runs]
-    all_steps = [s for _, _, s in runs]
+    values = [v for v, _ in runs]
+    all_steps = [s for _, s in runs]
     trace = _stack(all_steps)
     by_round = _per_round(trace.rewards)
     reward_stderr = [stderr(r) for r in by_round]

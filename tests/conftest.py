@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import settings
 from dynclear import (
     ReplayEnvironment,
     SamplePath,
+    SbmEnvironment,
     SbmParams,
     ShockRealization,
     SystemState,
@@ -51,6 +53,25 @@ def hub_shock(t: int) -> ShockRealization:
 
 def hub_path(rounds: int = 2) -> SamplePath:
     return SamplePath(shocks=tuple(hub_shock(t) for t in range(1, rounds + 1)))
+
+
+def sbm100_instance():
+    """``(env, start)`` of the benchmark's discrete SBM instance: 20 core and
+    80 periphery nodes, 10 rounds, no external assets."""
+    params = SbmParams(n_core=20, n_periphery=80,
+                       block_probs=np.array([[0.6, 0.35], [0.35, 0.1]]),
+                       liability_rate=1.0, asset_level=0.0)
+    return SbmEnvironment(params=params, horizon=10), SystemState.empty(100)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def refused_hub_round():

@@ -186,12 +186,12 @@ def test_criterion_7_fairness_band_on_synthetic_network():
         )
         unconstrained = sampled_runs(env, start, 10, 50.0, 50.0, seed=0)
         worst_gini = max(
-            step.gini for _, _, steps in constrained for step in steps
+            step.gini for _, steps in constrained for step in steps
         )
         assert worst_gini <= 0.5 + 1e-6
         pof = price_of_fairness(
-            float(np.mean([v for _, v, _ in unconstrained])),
-            float(np.mean([v for _, v, _ in constrained])),
+            float(np.mean([v for v, _ in unconstrained])),
+            float(np.mean([v for v, _ in constrained])),
         )
         assert 1.0 <= pof <= 1.1
         assert time.perf_counter() - started < 300.0

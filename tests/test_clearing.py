@@ -783,3 +783,56 @@ def test_property_tests_run_under_the_derandomized_profile():
     assert settings.default.deadline is None
     own = settings(max_examples=60)
     assert own.derandomize and own.database is None and own.deadline is None
+
+
+def former_clear_stack(entries, totals, assets):
+    """:func:`clear_stack` as it stood before its all-default trim, which
+    formed ``eye - d * at`` with ``d`` all ones."""
+    beta_max = float(entries.sum(axis=-1).max(initial=0.0))
+    if beta_max >= 1.0 - 1e-12:
+        raise ContractionError("not a contraction")
+    at = np.swapaxes(entries, -1, -2)
+    eye = np.eye(totals.shape[-1])
+
+    def solve(d):
+        return np.linalg.solve(
+            eye - d[..., :, None] * at,
+            (d * assets + (1.0 - d) * totals)[..., None],
+        )[..., 0]
+
+    warm = bool(((at @ assets[..., None])[..., 0] + assets < totals).all())
+    x_all = None
+    x = totals.copy()
+    default = np.zeros(totals.shape, dtype=bool)
+    while True:
+        short = (at @ x[..., None])[..., 0] + assets < totals
+        if not (short & ~default).any():
+            return x
+        if warm and x_all is None:
+            x_all = solve(np.ones(totals.shape))
+            x = np.minimum(totals, x_all)
+            continue
+        default |= short
+        x = x_all if x_all is not None and default.all() else solve(
+            default.astype(float))
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_the_all_default_start_keeps_the_former_bits(seed):
+    # stacks inside the all-default gate c + A^T c < P, some with totals
+    # just above it (a partial final default set), some with -0.0 assets
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    entries = rng.uniform(0.0, 1.0, (k, n, n)) * (rng.random((k, n, n)) < 0.6)
+    entries *= (rng.uniform(0.0, 0.95, (k, n, 1))
+                / np.maximum(entries.sum(axis=-1, keepdims=True), 1e-300))
+    assets = rng.uniform(0.0, 1.0, (k, n)) * (rng.random((k, n)) < 0.7)
+    assets[rng.random((k, n)) < 0.3] = -0.0
+    floor = (np.swapaxes(entries, -1, -2) @ assets[..., None])[..., 0] + assets
+    totals = floor * rng.uniform(1.01, 3.0, (k, n)) + rng.uniform(1e-3, 1.0)
+    assert (floor < totals).all()  # the gate holds, so x_N is solved
+    got = clear_stack(entries, totals, assets)
+    want = former_clear_stack(entries, totals, assets)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

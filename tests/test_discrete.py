@@ -11,6 +11,8 @@ from dynclear import (
     ContractionError,
     EnumerationLimitError,
     RelativeLiabilityMatrix,
+    SbmEnvironment,
+    SbmParams,
     SystemState,
     ValidationError,
     advance_state,
@@ -27,6 +29,7 @@ from dynclear import (
     value_given_sample_path,
 )
 from dynclear import discrete, load_config, run_experiment
+from dynclear.discrete import discrete_runs
 from dynclear.clearing import clear_stack
 from dynclear.network import carry_forward, relative_entries
 
@@ -34,6 +37,8 @@ from conftest import (
     deep_constant_proportion_path,
     hub_path,
     random_general_path,
+    sbm100_instance,
+    traced_peak,
 )
 
 
@@ -253,6 +258,37 @@ class TestHubDiscretePipeline:
         for r in reports:
             assert 0.0 <= r.ratio <= 1.0 + 1e-6
             assert 0.0 <= r.gamma_hat < 1.0
+
+
+class TestDiscreteRuns:
+    def test_results_are_identical_at_every_worker_count(self):
+        env = SbmEnvironment(
+            params=SbmParams(n_core=3, n_periphery=9,
+                             block_probs=np.array([[0.7, 0.4], [0.4, 0.1]])),
+            horizon=3,
+        )
+
+        def bits(results):
+            return [(r.attempts, [a.amounts.tobytes() for a in r.actions],
+                     r.value_sol, r.value_rel, r.gamma_hat, r.ratio,
+                     [(s.totals.tobytes(), s.clearing.tobytes(), s.reward)
+                      for s in steps]) for r, steps in results]
+
+        results = [
+            bits(discrete_runs(env, SystemState.empty(12), 6, 2.0, 1.0, seed=5,
+                               threads=threads))
+            for threads in (1, 2, 3)
+        ]
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_memory_holds_one_path_per_worker(self):
+        # the discrete_sbm100 instance: n = 100, 16 samples of 10 rounds,
+        # whose paths alone take 16 * 10 * 100**2 floats (12.2 MiB)
+        env, start = sbm100_instance()
+        discrete_runs(env, start, 1, 10.0, 2.0, seed=1, horizon=1)  # warm up
+        assert traced_peak(
+            lambda: discrete_runs(env, start, 16, 10.0, 2.0, seed=1)
+        ) <= 4 * 2**20
 
 
 class TestBruteForce:

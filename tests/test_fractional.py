@@ -1,4 +1,7 @@
 import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from dynclear.clearing import (
     KNAPSACK_GAP_TOL,
     LP_REPAIR_TOL,
     clear_stack,
+    gap_closes,
     solve_optimal,
 )
 from dynclear.environments import EnvironmentModel, SbmEnvironment, SbmParams
@@ -33,13 +37,13 @@ from dynclear.errors import ContractionError
 from dynclear.fairness import fairness_constraint_block, spatial_weights
 from dynclear.fractional import (
     _allocation_lp,
+    _certify_default_set,
     _knapsack_round,
     broadcast_caps,
     fill_caps,
     lp_step,
-    once_per_distinct_path,
     ordered_map,
-    sample_paths,
+    per_sample,
     sampled_runs,
     stderr,
 )
@@ -49,7 +53,9 @@ from conftest import (
     hub_shock,
     random_general_path,
     refused_hub_round,
+    sbm100_instance,
     sbm_round,
+    traced_peak,
 )
 
 
@@ -375,6 +381,58 @@ def counted_calls(monkeypatch, fn, *args):
     return result, calls["clear_stack"], calls["solve"]
 
 
+def former_certify_default_set(matrix, totals, assets, budget, caps, short):
+    """:func:`_certify_default_set` as it stood before its D = N trim: the
+    default block gathered by ``np.ix_``, the solvent inflow added even when
+    empty, and ``I - A_DD`` formed once per solve."""
+    entries = matrix.entries
+    defaults, solvent = np.flatnonzero(short), np.flatnonzero(~short)
+    eye = np.eye(defaults.size)
+    inner = entries[np.ix_(defaults, defaults)]
+    v = np.linalg.solve(eye - inner, np.ones(defaults.size))
+    z = np.zeros(matrix.n)
+    z[defaults], mu = fill_caps(v, caps[defaults], budget)
+    x = totals.copy()
+    x[defaults] = np.linalg.solve(
+        eye - inner.T,
+        assets[defaults] + z[defaults]
+        + entries[np.ix_(solvent, defaults)].T @ totals[solvent],
+    )
+    tol = LP_REPAIR_TOL
+    feasible = (
+        np.all((-tol <= x) & (x <= totals + tol))
+        and np.all(x - entries.T @ x - z <= assets + tol)
+        and z.sum() <= budget + tol
+    )
+    y = np.zeros(matrix.n)
+    y[defaults] = v
+    alpha = np.maximum(0.0, 1.0 - (y - entries @ y))
+    gamma = np.maximum(0.0, y - mu)
+    dual = (assets @ y + budget * mu + totals @ alpha
+            + np.where(gamma > 0.0, caps, 0.0) @ gamma)
+    primal = float(x.sum())
+    if not (feasible and np.all(y >= 0.0) and gap_closes(dual, primal)):
+        return None
+    return x, z
+
+
+@settings(max_examples=200)
+@given(knapsack_instances(), st.booleans())
+def test_certifying_all_nodes_keeps_the_former_bits(instance, signed_zeros):
+    matrix, totals, assets, budget, caps = instance
+    if signed_zeros:  # -0.0 assets, which the solvent inflow turned into 0.0
+        assets = np.where(np.arange(matrix.n) % 2 == 0, -0.0, assets)
+    everyone = np.ones(matrix.n, dtype=bool)
+    got = _certify_default_set(matrix, totals, assets, budget, caps, everyone)
+    want = former_certify_default_set(matrix, totals, assets, budget, caps,
+                                      everyone)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert all(np.array_equal(g, w) and np.array_equal(np.signbit(g),
+                                                           np.signbit(w))
+                   for g, w in zip(got, want))
+
+
 class TestAllDefaultFirst:
     """The knapsack route tries ``D = N`` before clearing at ``Z = 0``, with
     every result bit for bit that of clearing first."""
@@ -539,12 +597,17 @@ class TestSamplePaths:
 
     @pytest.mark.parametrize("seed, horizon", [(0, None), (13, 2), (2**40, 4)])
     def test_sample_i_draws_its_path_on_substream_i(self, seed, horizon):
-        rngs, paths = sample_paths(self.ENV, 6, seed, horizon)
+        # the stream is handed to the tail where the path draw left it
+        drawn = per_sample(
+            self.ENV, 6, seed, lambda i, path: i,
+            lambda i, rng, path, solved: (solved, path, rng.random()),
+            horizon=horizon,
+        )
         last = self.ENV.horizon if horizon is None else horizon
-        for i, (rng, path) in enumerate(zip(rngs, paths)):
+        for i, (solved, path, after) in enumerate(drawn):
             fresh = substream(seed, i)
             expected = self.ENV.sample_path(1, last, fresh)
-            assert len(path) == last
+            assert solved == i and len(path) == last
             for got, want in zip(path, expected):
                 assert got.round == want.round
                 np.testing.assert_array_equal(
@@ -556,12 +619,119 @@ class TestSamplePaths:
                 np.testing.assert_array_equal(
                     got.external_assets, want.external_assets
                 )
-            # the stream is handed back where the path draw left it
-            assert rng.random() == fresh.random()
+            assert after == fresh.random()
 
     def test_needs_a_sample(self):
         with pytest.raises(ValidationError, match="at least one sample"):
-            sample_paths(self.ENV, 0, 1)
+            per_sample(self.ENV, 0, 1, lambda i, path: None)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_a_replay_is_solved_exactly_once(self, hub_env, monkeypatch, threads):
+        calls = []
+        solve = dynclear.fractional.value_given_sample_path
+        monkeypatch.setattr(dynclear.fractional, "value_given_sample_path",
+                            lambda *args: calls.append(args) or solve(*args))
+        runs = sampled_runs(hub_env, SystemState.empty(3), 7, 2.0, 2.0, seed=0,
+                            threads=threads)
+        assert len(calls) == 1
+        assert all(steps is runs[0][1] for _, steps in runs)
+
+    def test_workers_share_one_solve_per_path_under_contention(self, hub_env):
+        # more workers than cores, switching threads every microsecond: two
+        # replayed paths drawn in turn are solved once each, and every
+        # sample gets its own path's result
+        paths = [hub_env.sample_path(1, 2, None), hub_env.sample_path(1, 1, None)]
+        env = _Listed([paths[i % 2] for i in range(64)])
+        tokens = {}
+
+        def solve(_, path):
+            time.sleep(1e-3)
+            tokens[id(path)] = []  # a second solve would replace the first
+            return tokens[id(path)]
+
+        def tail(i, rng, path, solved):
+            solved.append(i)
+            return path, solved
+
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: results.extend(
+                per_sample(env, 64, 0, solve, tail, threads=8)))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(results) == 64
+        assert len(tokens) == 2
+        assert all(solved is tokens[id(path)] for path, solved in results)
+        assert sorted(i for t in tokens.values() for i in t) == list(range(64))
+
+    def test_fresh_equal_shocks_are_solved_once_per_sample(self, hub_env):
+        # each draw builds new shock objects equal to the replay's; once a
+        # sample's path is dropped its ids can come back, and must not hit
+        solved = []
+
+        def solve(_, path):
+            solved.append(path.n)
+            return value_given_sample_path(SystemState.empty(3), path, 2.0, 2.0)
+
+        runs = per_sample(_Redrawn(hub_env), 5, 0, solve)
+        assert len(solved) == 5
+        assert [v for v, _ in runs] == [runs[0][0]] * 5
+
+    def test_results_are_identical_at_every_worker_count(self):
+        env = SbmEnvironment(
+            params=SbmParams(n_core=3, n_periphery=9,
+                             block_probs=np.array([[0.7, 0.4], [0.4, 0.1]])),
+            horizon=3,
+        )
+
+        def bits(runs):
+            return [(v, [(s.round, s.totals.tobytes(), s.clearing.tobytes(),
+                          s.intervention.tobytes(), s.beta.tobytes(), s.reward)
+                         for s in steps]) for v, steps in runs]
+
+        results = [
+            bits(sampled_runs(env, SystemState.empty(12), 6, 1.5, 1.0, seed=3,
+                              threads=threads))
+            for threads in (1, 2, 3)
+        ]
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_memory_holds_one_path_per_worker(self):
+        # the discrete_sbm100 instance: n = 100, 16 samples of 10 rounds,
+        # whose paths alone take 16 * 10 * 100**2 floats (12.2 MiB)
+        env, start = sbm100_instance()
+        sampled_runs(env, start, 1, 10.0, 2.0, seed=1, horizon=1)  # warm up
+        assert traced_peak(
+            lambda: sampled_runs(env, start, 16, 10.0, 2.0, seed=1)
+        ) <= 4 * 2**20
+
+
+class _Listed(EnvironmentModel):
+    """Hands out the given paths in turn, whatever the stream."""
+
+    def __init__(self, paths):
+        self.paths = iter(paths)
+        self.horizon = len(paths[0])
+
+    def sample_path(self, from_round, to_round, rng):
+        return next(self.paths)
+
+
+class _Redrawn(EnvironmentModel):
+    """Copies of a replay's shocks, built anew on every draw."""
+
+    def __init__(self, replay):
+        self.replay, self.horizon = replay, replay.horizon
+
+    def sample_path(self, from_round, to_round, rng):
+        return SamplePath(shocks=tuple(
+            dataclasses.replace(s) for s in self.replay.sample_path(
+                from_round, to_round, rng)
+        ))
 
 
 class TestOrderedMap:
@@ -608,10 +778,10 @@ class TestRequiredSamples:
 
 def test_sampled_runs_reuses_identical_paths(hub_env):
     runs = sampled_runs(hub_env, SystemState.empty(3), 4, 2.0, 2.0, seed=0)
-    values = [v for _, v, _ in runs]
+    values = [v for v, _ in runs]
     assert values == [values[0]] * 4
-    first_steps = runs[0][2]
-    assert runs[1][2] is first_steps  # memoized solve, not recomputed
+    first_steps = runs[0][1]
+    assert runs[1][1] is first_steps  # memoized solve, not recomputed
 
 
 def test_memo_keys_paths_by_shock_identity(hub_env):
@@ -628,10 +798,10 @@ def test_memo_keys_paths_by_shock_identity(hub_env):
     ))
     solved = []
 
-    def solve(path):
+    def solve(_, path):
         solved.append(path)
         return value_given_sample_path(SystemState.empty(3), path, 2.0, 2.0)[0]
 
-    values = once_per_distinct_path([shared, same, copied], solve)
+    values = per_sample(_Listed([shared, same, copied]), 3, 0, solve)
     assert solved == [shared, copied]  # equal content, new objects: solved again
     assert values == [values[0]] * 3

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -379,6 +381,20 @@ def test_a_node_turning_solvent_sends_the_path_to_highs(monkeypatch):
     solution = solve_horizon_primal(path, 3.0, 2.0, check_constant_proportions(path))
     assert len(lps) == 1 and not solution.closed_form
     assert solution.value == pytest.approx(10.0, abs=1e-6)
+
+
+def test_an_infinite_cap_adds_nothing_to_the_dual(monkeypatch):
+    # with no cap the summed xi of every node is 0, so the dual objective
+    # must add 0 for the caps, not inf * 0 = NaN that refuses the closed form
+    path = hub_path(2)
+    lps = counted_lps(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = solve_horizon_primal(path, 1.0, np.inf,
+                                        check_constant_proportions(path))
+    assert solution.closed_form and not lps
+    assert np.isfinite(solution.dual.value)
+    assert solution.dual.value == pytest.approx(solution.value, rel=1e-9)
 
 
 class TestMyopicOptimality:

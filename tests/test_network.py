@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynclear import (
     RelativeLiabilityMatrix,
@@ -11,6 +12,8 @@ from dynclear import (
     check_nonvanishing,
     relative_matrix,
 )
+
+from dynclear.network import carry_forward, relative_entries
 
 from conftest import hub_shock, random_general_path
 
@@ -198,3 +201,54 @@ def test_states_are_immutable():
     shock = hub_shock(1)
     with pytest.raises(ValueError):
         shock.internal_liabilities[0, 1] = 5.0
+
+
+def former_carry_forward(pairwise, external, totals, clearing, shock):
+    """:func:`carry_forward` as it stood before it divided under ``where=``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        carry = np.where(totals > 0, 1.0 - clearing / totals, 0.0)
+    carry = np.clip(carry, 0.0, 1.0)
+    pairwise = shock.internal_liabilities + pairwise * carry[..., :, None]
+    external = shock.external_liabilities + external * carry
+    return pairwise, external, external + pairwise.sum(axis=-1)
+
+
+def former_relative_entries(pairwise, totals):
+    """:func:`relative_entries` as it stood before it divided under
+    ``where=``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            totals[..., :, None] > 0, pairwise / totals[..., :, None], 0.0
+        )
+
+
+def same_bits(got, want) -> bool:
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (3,)]))
+def test_the_where_divisions_keep_the_former_bits(seed, stack):
+    # single and stacked states, with zero-total rows (0 / 0 and c / 0 are
+    # never read) and clearings from none through full payment
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    pairwise = rng.exponential(1.0, stack + (n, n)) * (
+        rng.random(stack + (n, n)) < 0.6)
+    pairwise[..., np.arange(n), np.arange(n)] = 0.0
+    external = rng.exponential(1.0, stack + (n,))
+    idle = rng.random(stack + (n,)) < 0.3
+    pairwise[idle] = 0.0
+    external[idle] = 0.0
+    totals = external + pairwise.sum(axis=-1)
+    clearing = totals * rng.choice([0.0, 0.5, 1.0, rng.random()], stack + (n,))
+    clearing[idle & (rng.random(stack + (n,)) < 0.5)] = 1.0  # c / 0
+    shock = random_general_path(rng, n, 1).shocks[0]
+    for got, want in zip(
+        carry_forward(pairwise, external, totals, clearing, shock),
+        former_carry_forward(pairwise, external, totals, clearing, shock),
+    ):
+        assert same_bits(got, want)
+    assert same_bits(relative_entries(pairwise, totals),
+                     former_relative_entries(pairwise, totals))

@@ -488,7 +488,7 @@ class TestHorizonLpMode:
             runs, info = runner._horizon_lp_runs(env, None, 1, budget, caps, 0)
         sequential, _ = value_given_sample_path(
             SystemState.empty(n), path, budget, caps)
-        assert runs[0][1] == pytest.approx(sequential, abs=1e-6)
+        assert runs[0][0] == pytest.approx(sequential, abs=1e-6)
         assert info["max_duality_gap"] <= 1e-6
 
     @pytest.mark.parametrize("budget", [0.0, 1.0])
