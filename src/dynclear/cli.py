@@ -93,7 +93,7 @@ def _cmd_oracle(args) -> int:
     }
     os.makedirs(config.out_dir, exist_ok=True)
     out_path = os.path.join(config.out_dir, "oracle.json")
-    write_atomic(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(out_path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

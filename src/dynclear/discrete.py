@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,12 @@ class DiscreteAction:
 
 @dataclass(frozen=True, eq=False)
 class RoundingReport:
-    """Outcome of rounding one sample path."""
+    """Outcome of rounding one sample path; ``feasible`` when every round of
+    the drawn schedule respects the budget."""
 
     sample_index: int
     attempts: int
-    actions: tuple[DiscreteAction, ...]
+    feasible: bool
     value_sol: float
     value_rel: float
     gamma_hat: float  # worst connectivity seen on the fractional trajectory
@@ -69,10 +71,6 @@ class RoundingReport:
     def __post_init__(self):
         if self.attempts < 1:
             raise ValidationError("attempts must be >= 1")
-
-    @property
-    def feasible(self) -> bool:
-        return all(a.feasible for a in self.actions)
 
 
 def _integer_caps(caps: np.ndarray) -> np.ndarray:
@@ -191,10 +189,9 @@ def discrete_runs(
     seed: int = 0,
     threads: int = 1,
     horizon: int | None = None,
-) -> list[tuple[RoundingReport, list[PolicyStepResult]]]:
-    """Per-sample rounding pipeline, returning each report with its realized
-    trajectory.  Results are ordered by sample index regardless of the
-    worker count.
+) -> Iterator[tuple[RoundingReport, list[PolicyStepResult]]]:
+    """Per-sample rounding pipeline, yielding each report with its realized
+    trajectory in sample order regardless of the worker count.
 
     Sample ``i`` draws its path and then its rounding on ``substream(seed,
     i)`` (:func:`per_sample`); the fractional trajectory in between is
@@ -214,16 +211,15 @@ def discrete_runs(
             start, path, np.stack([a.amounts for a in actions])
         )
         ratio = v_sol / v_rel if v_rel > 0 else 1.0
-        report = RoundingReport(
+        return RoundingReport(
             sample_index=index,
             attempts=attempts,
-            actions=tuple(actions),
+            feasible=all(a.feasible for a in actions),
             value_sol=v_sol,
             value_rel=v_rel,
             gamma_hat=gamma_hat,
             ratio=ratio,
-        )
-        return report, steps
+        ), steps
 
     return per_sample(
         env, n_samples, seed,
@@ -248,11 +244,10 @@ def aggregate_discrete(
     Each sample runs on its own substream covering the path draw, the
     fractional solve and the rounding draws.
     """
-    results = discrete_runs(
+    reports = [r for r, _ in discrete_runs(
         env, start, n_samples, budget, caps,
         tau=tau, seed=seed, threads=threads,
-    )
-    reports = [r for r, _ in results]
+    )]
     mean = float(np.mean([r.value_sol for r in reports]))
     return mean, reports
 

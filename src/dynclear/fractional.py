@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -386,20 +388,28 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def ordered_map(fn, items, threads: int = 1) -> list:
-    """``[fn(item) for item in items]`` on ``threads`` workers; results keep
-    the order of ``items`` whatever the worker count."""
+def ordered_map(fn, items, threads: int = 1):
+    """``fn(item)`` for each of ``items``, yielded in their order whatever
+    the worker count; the ``threads`` workers run at most ``2 * threads``
+    items ahead of the consumer."""
     if threads <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        ahead: deque[Future] = deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > 2 * threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def per_sample(env, n_samples: int, seed: int, solve, tail=None,
-               threads: int = 1, horizon: int | None = None) -> list:
+               threads: int = 1, horizon: int | None = None) -> Iterator:
     """Draw, solve and drop each sample's path in turn, on ``threads``
-    workers, so at most ``threads`` paths are alive at once; results keep
-    the order of the samples whatever the worker count.
+    workers, so at most ``threads`` paths are alive at once; results are
+    yielded in sample order whatever the worker count.
 
     Sample ``i`` draws rounds ``1..horizon`` (``env.horizon`` when None) on
     ``rng = substream(seed, i)`` and gives ``solve(i, path)``, passed on as
@@ -438,10 +448,13 @@ def per_sample(env, n_samples: int, seed: int, solve, tail=None,
         solved = future.result()
         return solved if tail is None else tail(index, rng, path, solved)
 
-    try:
-        return ordered_map(run, range(n_samples), threads)
-    finally:
-        memo.clear()  # the weak references' callbacks refer back to it
+    def results():
+        try:
+            yield from ordered_map(run, range(n_samples), threads)
+        finally:
+            memo.clear()  # the weak references' callbacks refer back to it
+
+    return results()
 
 
 def sampled_runs(
@@ -454,7 +467,7 @@ def sampled_runs(
     seed: int = 0,
     threads: int = 1,
     horizon: int | None = None,
-) -> list[tuple[float, list[PolicyStepResult]]]:
+) -> Iterator[tuple[float, list[PolicyStepResult]]]:
     """``(value, steps)`` of :func:`value_given_sample_path` on each of
     ``n_samples`` paths drawn by :func:`per_sample`, in sample order and
     bitwise identical at any worker count; a replayed path is solved once.
@@ -478,16 +491,16 @@ def aggregate_value(
     threads: int = 1,
 ) -> ValueEstimate:
     """Monte Carlo value estimate: mean of the per-path sequential optima."""
-    runs = sampled_runs(
+    runs = [(value, len(steps)) for value, steps in sampled_runs(
         env, start, n_samples, budget, caps,
         fairness=fairness, seed=seed, threads=threads,
-    )
+    )]
     values = tuple(v for v, _ in runs)
     return ValueEstimate(
         mean=float(np.mean(values)),
         values=values,
         sample_count=n_samples,
-        horizon_len=len(runs[0][1]),
+        horizon_len=runs[0][1],
     )
 
 

@@ -3,10 +3,12 @@ collects traces, and emits reproducible CSV/JSON outputs."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +20,6 @@ from .discrete import RoundingReport, discrete_runs
 from .errors import CertificateError, ValidationError
 from .fairness import price_of_fairness
 from .fractional import (
-    PolicyStepResult,
     broadcast_caps,
     lp_step,
     per_sample,
@@ -28,19 +29,6 @@ from .fractional import (
 )
 from .horizon import GAP_TOL, check_constant_proportions, solve_horizon_primal
 from .network import SystemState
-
-
-class Trace(NamedTuple):
-    """Every sample's steps stacked along (samples, rounds, n): round
-    numbers ``rounds``, per-node ``totals``, ``cleared``, ``interventions``
-    and ``beta``, and the round ``rewards`` of shape (samples, rounds)."""
-
-    rounds: np.ndarray
-    totals: np.ndarray
-    cleared: np.ndarray
-    interventions: np.ndarray
-    beta: np.ndarray
-    rewards: np.ndarray
 
 
 class OlsFit(NamedTuple):
@@ -115,30 +103,13 @@ class SummaryReport:
         if self.rounding is not None:
             out["rounding"] = {
                 "mean_ratio": float(np.mean([r.ratio for r in self.rounding])),
-                "mean_bound": float(
-                    np.mean([1.0 - r.gamma_hat for r in self.rounding])
-                ),
-                "infeasible_samples": sum(
-                    1 for r in self.rounding if not r.feasible
-                ),
+                "mean_bound": float(np.mean([1.0 - r.gamma_hat
+                                             for r in self.rounding])),
+                "infeasible_samples": sum(not r.feasible for r in self.rounding),
             }
         if self.certificate_info is not None:
             out["certificate"] = self.certificate_info
         return out
-
-
-def _stack(all_steps: list[list[PolicyStepResult]]) -> Trace:
-    def field(get):
-        return np.array([[get(s) for s in steps] for steps in all_steps], float)
-
-    return Trace(
-        rounds=np.array([s.round for s in all_steps[0]]),
-        totals=field(lambda s: s.totals),
-        cleared=field(lambda s: s.clearing),
-        interventions=field(lambda s: s.intervention),
-        beta=field(lambda s: s.beta),
-        rewards=field(lambda s: s.reward),
-    )
 
 
 def _per_round(values: np.ndarray) -> np.ndarray:
@@ -163,17 +134,19 @@ def _ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
                   r_squared=1.0 - ssr / sst, degenerate=False)
 
 
-def summarize_scatter(trace: Trace) -> ScatterSummary:
-    """Average per-node totals over samples and fit interventions against
-    payments and against mean connectivity.  Zero-variance regressors are
-    flagged degenerate with slope and R^2 reported as 0."""
-    if trace.cleared.size == 0:
+def summarize_scatter(payments: np.ndarray, interventions: np.ndarray,
+                      beta: np.ndarray, rounds: int) -> ScatterSummary:
+    """Average the (samples, n) sums over each sample's ``rounds`` rounds
+    over samples and fit interventions against payments and against mean
+    connectivity.  Zero-variance regressors are flagged degenerate with
+    slope and R^2 reported as 0."""
+    if payments.size == 0:
         raise ValidationError("no trace rows to summarize")
-    total_payments = trace.cleared.sum(axis=1).mean(axis=0)
-    total_interventions = trace.interventions.sum(axis=1).mean(axis=0)
-    mean_beta = trace.beta.sum(axis=1).mean(axis=0) / len(trace.rounds)
+    total_payments = payments.mean(axis=0)
+    total_interventions = interventions.mean(axis=0)
+    mean_beta = beta.mean(axis=0) / rounds
     return ScatterSummary(
-        nodes=np.arange(trace.cleared.shape[2]),
+        nodes=np.arange(payments.shape[1]),
         total_payments=total_payments,
         total_interventions=total_interventions,
         mean_beta=mean_beta,
@@ -182,9 +155,10 @@ def summarize_scatter(trace: Trace) -> ScatterSummary:
     )
 
 
-def write_atomic(path: str, *text: str) -> None:
-    """Write ``text`` to ``path`` by a rename, so no reader sees a partial
-    file, with the mode ``open(path, "w")`` gives, not ``mkstemp``'s 0600."""
+def write_atomic(path: str, text: Iterable[str]) -> None:
+    """Write the strings of ``text`` to ``path`` by a rename, so no reader
+    sees a partial file and a failure leaves ``path`` as it was, with the
+    mode ``open(path, "w")`` gives, not ``mkstemp``'s 0600."""
     directory = os.path.dirname(path) or "."
     umask = os.umask(0)  # the umask is read only by setting it
     os.umask(umask)
@@ -217,14 +191,39 @@ def _cells(*columns) -> list[list[str]]:
 
 
 def _write_csv(path: str, header: list[str], columns: list[list[str]]) -> None:
-    """Write a table given as columns of cell strings, one row per index.
-    Rows are joined a block at a time, so that no list of every row is held
-    beside the columns."""
-    rows = map(",".join, zip(*columns))
-    blocks = [",".join(header) + "\n"]
-    while block := list(itertools.islice(rows, 4096)):
-        blocks.append("\n".join(block) + "\n")
-    write_atomic(path, *blocks)
+    """Write a table given as columns of cell strings, one row per index."""
+    write_atomic(path, (",".join(row) + "\n"
+                        for row in itertools.chain([header], zip(*columns))))
+
+
+def _trace_blocks(runs: Iterable, kept: list) -> Iterator[str]:
+    """``trace.csv`` a sample at a time as ``runs`` yields ``(record,
+    steps)``, keeping in ``kept`` only ``(record, rounds, rewards, gini,
+    round_z, payments, interventions, beta)``: the round numbers, per round
+    the reward, Gini and total intervention, and per node the sums over the
+    rounds.  Steps that are the previous sample's (a replay solved once)
+    reuse its reductions and cells; each distinct float and each (sample,
+    round) prefix is formatted once per sample."""
+    yield "sample,t,node,P,p_tilde,z,reward\n"
+    previous = None
+    for sample, (record, steps) in enumerate(runs):
+        if steps is not previous:
+            previous = steps
+            totals, cleared, z, beta, rewards = (
+                np.array([getattr(s, name) for s in steps], float)
+                for name in ("totals", "clearing", "intervention", "beta", "reward")
+            )
+            rounds = [s.round for s in steps]
+            reduced = (rounds, rewards, [s.gini for s in steps], z.sum(axis=1),
+                       cleared.sum(axis=0), z.sum(axis=0), beta.sum(axis=0))
+            *values, reward = _float_cells(totals, cleared, z, rewards)
+            nodes = list(map(str, range(z.shape[1])))
+            cells = [nodes * len(steps), *values,
+                     [r for r in reward for _ in nodes]]
+        kept.append((record, *reduced))
+        prefix = [f"{sample},{t}" for t in rounds]
+        rows = zip([p for p in prefix for _ in nodes], *cells)
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 PLOTS_README = """\
@@ -248,37 +247,23 @@ summary.json       run-level aggregates, OLS fits, certificate/duality info
 """
 
 
-def emit_plot_data(
-    report: SummaryReport,
-    trace: Trace,
-    out_dir: str,
-    reward_stderr: list[float],
-) -> dict[str, str]:
-    """Write ``trace.csv``, the per-figure CSV families reduced from it and
-    the column-reference README; ``reward_stderr`` gives the reward's
-    standard error per round."""
+def emit_plot_data(report: SummaryReport, out_dir: str, rounds: list[int],
+                   reward_stderr: list[float],
+                   mean_interventions: np.ndarray) -> dict[str, str]:
+    """Write the per-figure CSV families beside ``trace.csv`` and the
+    column-reference README; ``rounds`` are the round numbers, and
+    ``reward_stderr`` and ``mean_interventions`` give each round's reward
+    standard error and mean total intervention."""
     files: dict[str, str] = {}
 
     def table(name: str, header: list[str], columns: list[list[str]]) -> None:
         files[name] = os.path.join(out_dir, f"{name}.csv")
         _write_csv(files[name], header, columns)
 
-    # one repr per distinct float of P, p_tilde, z and the reward, which is
-    # formatted per (sample, round) and then repeated on its n node rows
-    samples, _, n = trace.cleared.shape
-    *values, rewards = _float_cells(trace.totals, trace.cleared,
-                                    trace.interventions, trace.rewards)
-    rounds = trace.rounds.tolist()
-    nodes = list(map(str, range(n)))
-    prefix = [f"{s},{t}" for s in range(samples) for t in rounds]
-    table("trace", ["sample", "t", "node", "P", "p_tilde", "z", "reward"],
-          [[p for p in prefix for _ in nodes], nodes * len(prefix), *values,
-           [r for r in rewards for _ in nodes]])
     table("rewards", ["t", "mean_reward", "stderr"],
           _cells(rounds, report.per_round_rewards, reward_stderr))
-    mean_z = _per_round(trace.interventions.sum(axis=2)).mean(axis=1)
     table("interventions", ["t", "mean_total_interventions"],
-          _cells(rounds, mean_z))
+          _cells(rounds, mean_interventions))
     scatter = report.scatter
     table("scatter",
           ["node", "total_payments", "total_interventions", "mean_beta"],
@@ -301,17 +286,18 @@ def emit_plot_data(
                      [report.pof]))
 
     path = os.path.join(out_dir, "PLOTS_README.md")
-    write_atomic(path, PLOTS_README)
+    write_atomic(path, [PLOTS_README])
     files["plots_readme"] = path
     return files
 
 
-def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
-    """One whole-horizon solve per distinct sampled path (a replay is solved
-    once, :func:`per_sample`), its schedule replayed along the path for
-    trace output, and the duality gap taken against the verified dual of the
-    same solve: the closed-form dual point where every node stays in
-    default, the HiGHS marginals otherwise.  Replaying clips payments to the replayed totals
+def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed) -> Iterator:
+    """``((value, max_violation, gap), steps)`` of each sample in order: one
+    whole-horizon solve per distinct sampled path (a replay is solved once,
+    :func:`per_sample`), its schedule replayed along the path for trace
+    output, and the duality gap taken against the verified dual of the same
+    solve: the closed-form dual point where every node stays in default, the
+    HiGHS marginals otherwise.  Replaying clips payments to the replayed totals
     and interventions to the caps and rescales them onto the budget; a
     repair beyond ``LP_REPAIR_TOL`` raises :class:`SolverError`.
 
@@ -354,16 +340,9 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed):
 
         value, steps = rollout(SystemState.empty(path.n), path, step)
         gap = abs(primal.value - primal.dual.value)
-        return value, steps, certificate.max_violation, gap
+        return (value, certificate.max_violation, gap), steps
 
-    solved = per_sample(env, n_samples, seed, solve, horizon=horizon)
-    runs = [(value, steps) for value, steps, _, _ in solved]
-    info = {
-        "valid": True,
-        "max_violation": max(v for _, _, v, _ in solved),
-        "max_duality_gap": max(g for _, _, _, g in solved),
-    }
-    return runs, info
+    return per_sample(env, n_samples, seed, solve, horizon=horizon)
 
 
 def run_experiment(
@@ -371,84 +350,93 @@ def run_experiment(
 ) -> tuple[SummaryReport, dict[str, str]]:
     """Execute one configured experiment and write its trace files.
 
-    Outputs are deterministic for a fixed (config, seed) and independent of
-    the thread count; files are written atomically (temp file + rename).
+    Each sample's ``trace.csv`` rows are written as it arrives, and only its
+    reductions are kept (:func:`_trace_blocks`).  Outputs are deterministic
+    for a fixed (config, seed) and independent of the thread count; files
+    are written atomically (temp file + rename), so a failed run leaves an
+    existing ``out_dir`` as it was.
     """
     if env is None:
         env = build_environment(config)
     start = SystemState.empty(env.n)
     caps = config.caps
-    rounding_reports = None
-    certificate_info = None
-    pof = pof_unc = pof_con = None
+    rounding_reports = certificate_info = pof = pof_unc = None
 
     if config.mode in ("zero_input", "fractional"):
-        runs = sampled_runs(
-            env, start, config.samples, config.budget, caps,
-            fairness=config.fairness, seed=config.seed,
-            threads=config.threads, horizon=config.horizon,
+        runs_under = functools.partial(
+            sampled_runs, env, start, config.samples, config.budget, caps,
+            seed=config.seed, threads=config.threads, horizon=config.horizon,
         )
         if config.paired_pof:
-            baseline = sampled_runs(
-                env, start, config.samples, config.budget, caps,
-                fairness=None, seed=config.seed,
-                threads=config.threads, horizon=config.horizon,
-            )
-            pof_unc = float(np.mean([v for v, _ in baseline]))
-            pof_con = float(np.mean([v for v, _ in runs]))
-            pof = price_of_fairness(pof_unc, pof_con)
+            pof_unc = float(np.mean([v for v, _ in runs_under(fairness=None)]))
+        runs = runs_under(fairness=config.fairness)
     elif config.mode == "discrete":
-        results = discrete_runs(
+        runs = discrete_runs(
             env, start, config.samples, config.budget, caps,
             tau=config.retries, seed=config.seed,
             threads=config.threads, horizon=config.horizon,
         )
-        rounding_reports = tuple(r for r, _ in results)
-        runs = [(r.value_sol, s) for r, s in results]
     elif config.mode == "horizon_lp":
-        runs, certificate_info = _horizon_lp_runs(
+        runs = _horizon_lp_runs(
             env, config.horizon, config.samples, config.budget, caps, config.seed
         )
     else:  # pragma: no cover - guarded by config validation
         raise ValidationError(f"unknown mode {config.mode}")
 
-    values = [v for v, _ in runs]
-    all_steps = [s for _, s in runs]
-    trace = _stack(all_steps)
-    by_round = _per_round(trace.rewards)
-    reward_stderr = [stderr(r) for r in by_round]
+    os.makedirs(config.out_dir, exist_ok=True)
+    files = {"trace": os.path.join(config.out_dir, "trace.csv")}
+    kept: list[tuple] = []
+    write_atomic(files["trace"], _trace_blocks(runs, kept))
+    records, rounds, rewards, gini, round_z, payments, interventions, beta = (
+        zip(*kept))
+    if config.mode == "discrete":
+        rounding_reports = records
+        values = [r.value_sol for r in records]
+    elif config.mode == "horizon_lp":
+        values, violations, gaps = zip(*records)
+        certificate_info = {"valid": True, "max_violation": max(violations),
+                            "max_duality_gap": max(gaps)}
+    else:
+        values = records
 
+    rounds = rounds[0]
+    by_round = _per_round(np.array(rewards))
     gini_per_round = None
     if config.fairness is not None:
-        gini = np.array([[s.gini for s in steps] for steps in all_steps], float)
-        gini_per_round = tuple(_per_round(gini).mean(axis=1).tolist())
+        gini_per_round = tuple(
+            _per_round(np.array(gini, float)).mean(axis=1).tolist())
+    mean_value = float(np.mean(values))
+    if config.paired_pof:
+        pof = price_of_fairness(pof_unc, mean_value)
 
-    scatter = summarize_scatter(trace)
     report = SummaryReport(
         mode=config.mode,
         samples=config.samples,
         seed=config.seed,
         budget=config.budget,
-        horizon=len(trace.rounds),
-        total_value_mean=float(np.mean(values)),
+        horizon=len(rounds),
+        total_value_mean=mean_value,
         total_value_stderr=stderr(values),
         per_round_rewards=tuple(by_round.mean(axis=1).tolist()),
-        scatter=scatter,
+        scatter=summarize_scatter(np.array(payments), np.array(interventions),
+                                  np.array(beta), len(rounds)),
         gini_per_round=gini_per_round,
         fairness_kind=None if config.fairness is None else config.fairness.kind,
         fairness_cap=None if config.fairness is None else config.fairness.g,
         pof=pof,
         pof_unconstrained=pof_unc,
-        pof_constrained=pof_con,
+        pof_constrained=mean_value if config.paired_pof else None,
         rounding=rounding_reports,
         certificate_info=certificate_info,
     )
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    files = emit_plot_data(report, trace, config.out_dir, reward_stderr)
+    files.update(emit_plot_data(
+        report, config.out_dir, rounds, [stderr(r) for r in by_round],
+        _per_round(np.array(round_z)).mean(axis=1),
+    ))
     path = os.path.join(config.out_dir, "summary.json")
     write_atomic(
-        path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        path, [json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"]
     )
     files["summary"] = path
     return report, files

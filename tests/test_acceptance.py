@@ -8,6 +8,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,10 +182,10 @@ def test_criterion_7_fairness_band_on_synthetic_network():
         env = SbmEnvironment(params=params, horizon=10)
         start = SystemState.empty(50)
         spec = FairnessSpec(kind="spatial", g=0.5)
-        constrained = sampled_runs(
+        constrained = list(sampled_runs(
             env, start, 10, 50.0, 50.0, fairness=spec, seed=0
-        )
-        unconstrained = sampled_runs(env, start, 10, 50.0, 50.0, seed=0)
+        ))
+        unconstrained = list(sampled_runs(env, start, 10, 50.0, 50.0, seed=0))
         worst_gini = max(
             step.gini for _, steps in constrained for step in steps
         )
@@ -292,6 +293,6 @@ def test_criterion_10_thread_count_invariance(tmp_path):
         names = sorted(os.listdir(dirs[0]))
         assert names == sorted(os.listdir(dirs[1]))
         for name in names:
-            first = open(os.path.join(dirs[0], name), "rb").read()
-            second = open(os.path.join(dirs[1], name), "rb").read()
+            first = Path(dirs[0], name).read_bytes()
+            second = Path(dirs[1], name).read_bytes()
             assert first == second, f"{name} differs across thread counts"

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -241,8 +242,11 @@ class TestHubDiscretePipeline:
             assert report.attempts == 1
             assert report.feasible
             assert report.value_sol == pytest.approx(20 / 3, abs=1e-6)
-            for action in report.actions:
-                np.testing.assert_array_equal(action.amounts, [1, 0, 0])
+        # every round of every sample plays the rounded action (1, 0, 0)
+        for _, steps in discrete_runs(hub_env, SystemState.empty(3), 5, 1.0,
+                                      1.0, seed=11):
+            for step in steps:
+                np.testing.assert_array_equal(step.intervention, [1, 0, 0])
 
     def test_zero_budget_matches_zero_input_value(self, hub_env):
         mean, reports = aggregate_discrete(
@@ -269,9 +273,10 @@ class TestDiscreteRuns:
         )
 
         def bits(results):
-            return [(r.attempts, [a.amounts.tobytes() for a in r.actions],
-                     r.value_sol, r.value_rel, r.gamma_hat, r.ratio,
-                     [(s.totals.tobytes(), s.clearing.tobytes(), s.reward)
+            return [(r.attempts, r.feasible, r.value_sol, r.value_rel,
+                     r.gamma_hat, r.ratio,
+                     [(s.intervention.tobytes(), s.totals.tobytes(),
+                       s.clearing.tobytes(), s.reward)
                       for s in steps]) for r, steps in results]
 
         results = [
@@ -285,9 +290,9 @@ class TestDiscreteRuns:
         # the discrete_sbm100 instance: n = 100, 16 samples of 10 rounds,
         # whose paths alone take 16 * 10 * 100**2 floats (12.2 MiB)
         env, start = sbm100_instance()
-        discrete_runs(env, start, 1, 10.0, 2.0, seed=1, horizon=1)  # warm up
+        list(discrete_runs(env, start, 1, 10.0, 2.0, seed=1, horizon=1))  # warm up
         assert traced_peak(
-            lambda: discrete_runs(env, start, 16, 10.0, 2.0, seed=1)
+            lambda: list(discrete_runs(env, start, 16, 10.0, 2.0, seed=1))
         ) <= 4 * 2**20
 
 
@@ -588,7 +593,7 @@ def test_replayed_discrete_run_solves_its_fractional_trajectory_once(
     _, files = run_experiment(config)
     assert config.samples == 5 and len(calls) == 1
     digests = {
-        os.path.basename(path): hashlib.sha256(open(path, "rb").read()).hexdigest()
+        os.path.basename(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
         for path in files.values()
     }
     assert digests == THREE_NODE_DISCRETE_DIGESTS

@@ -631,8 +631,8 @@ class TestSamplePaths:
         solve = dynclear.fractional.value_given_sample_path
         monkeypatch.setattr(dynclear.fractional, "value_given_sample_path",
                             lambda *args: calls.append(args) or solve(*args))
-        runs = sampled_runs(hub_env, SystemState.empty(3), 7, 2.0, 2.0, seed=0,
-                            threads=threads)
+        runs = list(sampled_runs(hub_env, SystemState.empty(3), 7, 2.0, 2.0,
+                                 seed=0, threads=threads))
         assert len(calls) == 1
         assert all(steps is runs[0][1] for _, steps in runs)
 
@@ -677,7 +677,7 @@ class TestSamplePaths:
             solved.append(path.n)
             return value_given_sample_path(SystemState.empty(3), path, 2.0, 2.0)
 
-        runs = per_sample(_Redrawn(hub_env), 5, 0, solve)
+        runs = list(per_sample(_Redrawn(hub_env), 5, 0, solve))
         assert len(solved) == 5
         assert [v for v, _ in runs] == [runs[0][0]] * 5
 
@@ -704,9 +704,9 @@ class TestSamplePaths:
         # the discrete_sbm100 instance: n = 100, 16 samples of 10 rounds,
         # whose paths alone take 16 * 10 * 100**2 floats (12.2 MiB)
         env, start = sbm100_instance()
-        sampled_runs(env, start, 1, 10.0, 2.0, seed=1, horizon=1)  # warm up
+        list(sampled_runs(env, start, 1, 10.0, 2.0, seed=1, horizon=1))  # warm up
         assert traced_peak(
-            lambda: sampled_runs(env, start, 16, 10.0, 2.0, seed=1)
+            lambda: list(sampled_runs(env, start, 16, 10.0, 2.0, seed=1))
         ) <= 4 * 2**20
 
 
@@ -737,9 +737,26 @@ class _Redrawn(EnvironmentModel):
 class TestOrderedMap:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_results_keep_item_order(self, threads):
-        assert ordered_map(lambda x: x * x, range(20), threads) == [
+        assert list(ordered_map(lambda x: x * x, range(20), threads)) == [
             x * x for x in range(20)
         ]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_workers_run_at_most_twice_their_count_ahead(self, threads):
+        started = []
+
+        def square(x):
+            started.append(x)
+            time.sleep(1e-3)
+            return x * x
+
+        ahead = []
+        for k, y in enumerate(ordered_map(square, range(40), threads)):
+            assert y == k * k
+            ahead.append(len(started) - (k + 1))
+            time.sleep(3e-3)  # a consumer slower than the workers
+        assert max(ahead) <= 2 * threads
+        assert (max(ahead) > 0) == (threads > 1)
 
 
 class TestStderr:
@@ -777,7 +794,7 @@ class TestRequiredSamples:
 
 
 def test_sampled_runs_reuses_identical_paths(hub_env):
-    runs = sampled_runs(hub_env, SystemState.empty(3), 4, 2.0, 2.0, seed=0)
+    runs = list(sampled_runs(hub_env, SystemState.empty(3), 4, 2.0, 2.0, seed=0))
     values = [v for v, _ in runs]
     assert values == [values[0]] * 4
     first_steps = runs[0][1]
@@ -802,6 +819,6 @@ def test_memo_keys_paths_by_shock_identity(hub_env):
         solved.append(path)
         return value_given_sample_path(SystemState.empty(3), path, 2.0, 2.0)[0]
 
-    values = per_sample(_Listed([shared, same, copied]), 3, 0, solve)
+    values = list(per_sample(_Listed([shared, same, copied]), 3, 0, solve))
     assert solved == [shared, copied]  # equal content, new objects: solved again
     assert values == [values[0]] * 3

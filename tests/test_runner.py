@@ -5,15 +5,21 @@ import json
 import math
 import os
 import stat
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import dynclear.fractional
 from dynclear import (
     CertificateError,
     ConfigError,
+    PolicyStepResult,
     ReplayEnvironment,
+    SbmEnvironment,
+    SbmParams,
     SolverError,
     SystemState,
     horizon,
@@ -24,43 +30,52 @@ from dynclear import (
     value_given_sample_path,
 )
 from dynclear.cli import main as cli_main
-from dynclear.runner import Trace, _ols
+from dynclear.runner import _ols
 
 from conftest import (
     deep_constant_proportion_path,
     redrawn_asset_instance,
+    sbm100_instance,
+    traced_peak,
     write_config,
     write_path_replay,
 )
 
 
-def _one_round_trace(samples):
+def _one_round_sums(samples):
     """One round; ``samples`` lists each sample's per-node
-    (payment, intervention, beta) triples."""
-    values = np.array(samples, dtype=float)[:, None]  # (samples, 1, n, 3)
-    return Trace(
-        rounds=np.array([1]), totals=np.full(values.shape[:3], 10.0),
-        cleared=values[..., 0], interventions=values[..., 1],
-        beta=values[..., 2], rewards=np.zeros(values.shape[:2]),
-    )
+    (payment, intervention, beta) triples.  Returns the arguments of
+    :func:`summarize_scatter`: the (samples, n) sums over the round."""
+    values = np.array(samples, dtype=float)  # (samples, n, 3)
+    return values[..., 0], values[..., 1], values[..., 2], 1
 
 
 def _rows_from_xy(points):
     """One sample, one round, one node per (payment, intervention) pair."""
-    return _one_round_trace([[(x, y, 0.1 * i) for i, (x, y) in enumerate(points)]])
+    return _one_round_sums([[(x, y, 0.1 * i) for i, (x, y) in enumerate(points)]])
+
+
+def _steps(rounds, totals, cleared, z, beta, rewards):
+    """One sample's steps from its (rounds, n) arrays and (rounds,) rewards."""
+    return [
+        PolicyStepResult(round=t, totals=totals[k], clearing=cleared[k],
+                         intervention=z[k], reward=float(rewards[k]),
+                         beta=beta[k])
+        for k, t in enumerate(rounds)
+    ]
 
 
 class TestSummarizeScatter:
     def test_perfectly_linear_points(self):
         rows = _rows_from_xy([(x, 2 * x + 1) for x in (0.0, 1.0, 2.0, 3.0)])
-        scatter = summarize_scatter(rows)
+        scatter = summarize_scatter(*rows)
         assert scatter.payments_fit.slope == pytest.approx(2.0)
         assert scatter.payments_fit.intercept == pytest.approx(1.0)
         assert scatter.payments_fit.r_squared == pytest.approx(1.0)
         assert not scatter.payments_fit.degenerate
 
     def test_three_point_hand_fit(self):
-        scatter = summarize_scatter(_rows_from_xy([(1, 1), (2, 2), (3, 2)]))
+        scatter = summarize_scatter(*_rows_from_xy([(1, 1), (2, 2), (3, 2)]))
         assert scatter.payments_fit.slope == pytest.approx(0.5)
         assert scatter.payments_fit.r_squared == pytest.approx(0.75)
 
@@ -70,9 +85,9 @@ class TestSummarizeScatter:
         assert fit.slope == 0.0 and fit.r_squared == 0.0
 
     def test_node_averages_over_samples(self):
-        rows = _one_round_trace([[(1, 1, 0.0), (3, 3, 0.1)],
-                                 [(3, 3, 0.0), (5, 5, 0.1)]])
-        scatter = summarize_scatter(rows)
+        rows = _one_round_sums([[(1, 1, 0.0), (3, 3, 0.1)],
+                                [(3, 3, 0.0), (5, 5, 0.1)]])
+        scatter = summarize_scatter(*rows)
         np.testing.assert_allclose(scatter.total_payments, [2.0, 4.0])
 
 
@@ -107,10 +122,10 @@ class TestRunExperiment:
     def test_rerun_is_byte_identical(self, tmp_path):
         config_path = write_config(tmp_path, budget=2.0, samples=4)
         _, first = run_experiment(load_config(config_path))
-        contents = {k: open(v, "rb").read() for k, v in first.items()}
+        contents = {k: Path(v).read_bytes() for k, v in first.items()}
         _, second = run_experiment(load_config(config_path))
         for key, path in second.items():
-            assert open(path, "rb").read() == contents[key]
+            assert Path(path).read_bytes() == contents[key]
 
     def test_discrete_mode_emits_rounding_table(self, tmp_path):
         config = load_config(
@@ -151,7 +166,7 @@ class TestRunExperiment:
         assert report.total_value_mean == pytest.approx(10.0, abs=1e-6)
         assert report.certificate_info["valid"]
         assert report.certificate_info["max_duality_gap"] <= 1e-6
-        summary = json.load(open(files["summary"], encoding="utf-8"))
+        summary = json.loads(Path(files["summary"]).read_text(encoding="utf-8"))
         assert summary["certificate"]["valid"] is True
 
 
@@ -203,7 +218,7 @@ class TestOutputTables:
             per_node = trace[:, :, :, k].sum(axis=1).mean(axis=0)
             assert table[:, column] == pytest.approx(per_node, **close)
 
-        summary = json.load(open(files["summary"], encoding="utf-8"))
+        summary = json.loads(Path(files["summary"]).read_text(encoding="utf-8"))
         if "fairness" in overrides:
             with open(files["gini"], encoding="utf-8", newline="") as handle:
                 rows = list(csv.reader(handle))[1:]
@@ -247,8 +262,8 @@ class TestOutputTables:
         names = sorted(os.listdir(dirs[0]))
         assert names == sorted(os.listdir(dirs[1]))
         for name in names:
-            first = open(os.path.join(dirs[0], name), "rb").read()
-            second = open(os.path.join(dirs[1], name), "rb").read()
+            first = Path(dirs[0], name).read_bytes()
+            second = Path(dirs[1], name).read_bytes()
             assert first == second, f"{name} differs across thread counts"
 
 
@@ -325,16 +340,25 @@ class TestColumnWriter:
         samples, rounds, n = shape
         # finite z, so its per-round sums raise no invalid-value warning
         finite = [x for x in SPECIAL_FLOATS if math.isfinite(x) and abs(x) < 1e6]
-        trace = Trace(
-            rounds=np.arange(1, rounds + 1),
-            totals=data.draw(float_arrays(samples * rounds * n)).reshape(shape),
-            cleared=data.draw(float_arrays(samples * rounds * n)).reshape(shape),
-            interventions=np.array(data.draw(st.lists(
-                st.sampled_from(finite), min_size=samples * rounds * n,
-                max_size=samples * rounds * n))).reshape(shape),
-            beta=np.zeros(shape),
-            rewards=data.draw(float_arrays(samples * rounds)).reshape(shape[:2]),
-        )
+        ts = list(range(1, rounds + 1))
+        totals, cleared = (data.draw(float_arrays(samples * rounds * n))
+                           .reshape(shape) for _ in range(2))
+        interventions = np.array(data.draw(st.lists(
+            st.sampled_from(finite), min_size=samples * rounds * n,
+            max_size=samples * rounds * n))).reshape(shape)
+        rewards = data.draw(float_arrays(samples * rounds)).reshape(shape[:2])
+        # a sample may hold the previous sample's steps, as a replay does
+        runs = []
+        for k, again in enumerate(data.draw(st.lists(
+                st.booleans(), min_size=samples, max_size=samples))):
+            if k and again:
+                for a in (totals, cleared, interventions, rewards):
+                    a[k] = a[k - 1]
+                runs.append((None, runs[-1][1]))
+            else:
+                runs.append((None, _steps(ts, totals[k], cleared[k],
+                                          interventions[k], np.zeros((rounds, n)),
+                                          rewards[k])))
         fit = runner.OlsFit(0.0, 0.0, 0.0, True)
         scatter = runner.ScatterSummary(
             nodes=np.arange(n), total_payments=data.draw(float_arrays(n)),
@@ -352,18 +376,22 @@ class TestColumnWriter:
         )
         reward_stderr = data.draw(float_arrays(rounds)).tolist()
         out_dir = str(tmp_path_factory.mktemp("out"))
-        files = runner.emit_plot_data(report, trace, out_dir, reward_stderr)
+        kept = []
+        runner.write_atomic(os.path.join(out_dir, "trace.csv"),
+                            runner._trace_blocks(runs, kept))
+        round_z = np.array([reduced[4] for reduced in kept])
+        files = runner.emit_plot_data(report, out_dir, ts, reward_stderr,
+                                      runner._per_round(round_z).mean(axis=1))
+        files["trace"] = os.path.join(out_dir, "trace.csv")
 
         sample, t, node = np.indices(shape)
-        rewards = np.broadcast_to(trace.rewards[..., None], shape)
-        ts = trace.rounds.tolist()
-        mean_z = trace.interventions.sum(axis=2).T.mean(axis=1)
+        mean_z = interventions.sum(axis=2).T.mean(axis=1)
         expected = {
             "trace": (
                 ["sample", "t", "node", "P", "p_tilde", "z", "reward"],
                 [c.ravel().tolist() for c in (
-                    sample, trace.rounds[t], node, trace.totals, trace.cleared,
-                    trace.interventions, rewards)],
+                    sample, np.array(ts)[t], node, totals, cleared,
+                    interventions, np.broadcast_to(rewards[..., None], shape))],
             ),
             "rewards": (["t", "mean_reward", "stderr"],
                         [ts, per_round, reward_stderr]),
@@ -433,7 +461,7 @@ def test_outputs_match_golden_digests(tmp_path, run):
         config = load_config(write_config(tmp_path, budget=2.0, **overrides))
     _, files = run_experiment(config)
     digests = {
-        os.path.basename(path): hashlib.sha256(open(path, "rb").read()).hexdigest()
+        os.path.basename(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
         for path in files.values()
     }
     assert digests == GOLDEN_DIGESTS[run]
@@ -485,11 +513,12 @@ class TestHorizonLpMode:
         env = ReplayEnvironment(shocks=path.shocks)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(horizon, "_closed_form_horizon", lambda *args: None)
-            runs, info = runner._horizon_lp_runs(env, None, 1, budget, caps, 0)
+            [((value, _, gap), _)] = runner._horizon_lp_runs(
+                env, None, 1, budget, caps, 0)
         sequential, _ = value_given_sample_path(
             SystemState.empty(n), path, budget, caps)
-        assert runs[0][0] == pytest.approx(sequential, abs=1e-6)
-        assert info["max_duality_gap"] <= 1e-6
+        assert value == pytest.approx(sequential, abs=1e-6)
+        assert gap <= 1e-6
 
     @pytest.mark.parametrize("budget", [0.0, 1.0])
     def test_trace_writes_no_negative_zero(self, tmp_path, monkeypatch, budget):
@@ -607,3 +636,92 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match="horizon"):
             load_config(str(path))
+
+
+def _same_bits(got, want) -> bool:
+    """Equal shapes and float64 bit patterns, signed zeros and NaNs alike."""
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+class TestStreamedRun:
+    """``run_experiment`` reduces each sample's steps as they arrive, with
+    the expressions the (samples, rounds, n) stack of every step gave."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 7, 8, 9, 17, 100, 130]),
+           samples=st.integers(1, 300), rounds=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, samples=300, rounds=10, seed=0)
+    @example(n=1, samples=257, rounds=10, seed=1)
+    def test_reductions_equal_the_stacked_ones(self, n, samples, rounds, seed):
+        rounds = max(1, min(rounds, 40_000 // (n * samples)))
+        shape = (samples, rounds, n)
+        rng = np.random.default_rng(seed)
+        cleared, z, beta = (rng.standard_normal(shape)
+                            * 10.0 ** rng.integers(-3, 4, shape)
+                            for _ in range(3))
+        ts = list(range(1, rounds + 1))
+        kept = []
+        deque(runner._trace_blocks(
+            ((k, _steps(ts, cleared[k], cleared[k], z[k], beta[k],
+                        np.zeros(rounds))) for k in range(samples)),
+            kept), maxlen=0)
+        records, _, _, _, round_z, payments, interventions, betas = map(
+            np.array, zip(*kept))
+        assert records.tolist() == list(range(samples))
+        assert _same_bits(payments, cleared.sum(axis=1))
+        assert _same_bits(interventions, z.sum(axis=1))
+        assert _same_bits(betas, beta.sum(axis=1))
+        assert _same_bits(round_z, z.sum(axis=2))
+        scatter = summarize_scatter(payments, interventions, betas, rounds)
+        assert _same_bits(scatter.total_payments, cleared.sum(axis=1).mean(axis=0))
+        assert _same_bits(scatter.total_interventions, z.sum(axis=1).mean(axis=0))
+        assert _same_bits(scatter.mean_beta, beta.sum(axis=1).mean(axis=0) / rounds)
+        assert _same_bits(runner._per_round(round_z).mean(axis=1),
+                          runner._per_round(z.sum(axis=2)).mean(axis=1))
+
+    def test_memory_is_flat_in_samples(self, tmp_path):
+        # the discrete_sbm100 instance over 3 rounds; HiGHS's first import
+        # allocates about 23 MB, so it is made before tracing
+        import scipy.optimize._highspy._core  # noqa: F401
+        env, _ = sbm100_instance()
+        config = load_config(write_config(tmp_path, mode="discrete", budget=10.0,
+                                          caps=2.0, seed=1, horizon=3))
+        run_experiment(dataclasses.replace(config, samples=1), env)  # warm up
+        peaks = {
+            samples: traced_peak(lambda: run_experiment(dataclasses.replace(
+                config, samples=samples, out_dir=str(tmp_path / str(samples))),
+                env))
+            for samples in (16, 256)
+        }
+        assert (peaks[256] - peaks[16]) / 240 < 0.05 * 2**20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failed_run_leaves_an_existing_out_dir_as_it_was(
+        self, tmp_path, monkeypatch, threads
+    ):
+        env = SbmEnvironment(
+            params=SbmParams(n_core=3, n_periphery=9,
+                             block_probs=np.array([[0.7, 0.4], [0.4, 0.1]])),
+            horizon=3,
+        )
+        config = load_config(write_config(tmp_path, samples=5, threads=threads))
+        out = Path(config.out_dir)
+        run_experiment(config, env)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        calls = []
+        solve = dynclear.fractional.value_given_sample_path
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise SolverError("the third solve fails")
+            return solve(*args)
+
+        monkeypatch.setattr(dynclear.fractional, "value_given_sample_path",
+                            failing)
+        with pytest.raises(SolverError, match="third solve"):
+            run_experiment(dataclasses.replace(config, seed=config.seed + 1), env)
+        assert len(calls) >= 3
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
