@@ -114,7 +114,10 @@ def _onto_budget(z: np.ndarray, budget: float, source: str) -> np.ndarray:
                 f"{source} spent {total - budget:.3g} over the budget, "
                 f"beyond LP_REPAIR_TOL={LP_REPAIR_TOL:g}"
             )
-        z = z * (budget / total)  # shave solver noise, never real mass
+        scale = budget / total  # shave solver noise, never real mass
+        while (z * scale).sum() > budget:  # the product can round an ulp over
+            scale = np.nextafter(scale, 0.0)
+        z = z * scale
     return z
 
 

@@ -147,6 +147,17 @@ class TestRepairBound:
         np.testing.assert_array_equal(step.clearing, [3.0, 1.0, 1.0])
         assert step.intervention.sum() <= 2.0
 
+    def test_a_rescale_leaves_no_overspend(self):
+        # one rescale by budget / total leaves this sum an ulp above 1.787
+        z, budget = np.array([0.0050000002, 1.715, 0.067]), 1.787
+        assert (z * (budget / z.sum())).sum() > budget
+        step = lp_step("test LP", 0, np.full(3, 3.0),
+                       RelativeLiabilityMatrix.from_entries(np.zeros((3, 3))),
+                       np.ones(3), z, budget, np.full(3, 2.0))
+        assert step.intervention.sum() <= budget
+        np.testing.assert_allclose(step.intervention, z * (budget / z.sum()),
+                                   rtol=1e-15, atol=0.0)
+
     def test_solver_noise_in_the_intervention_is_snapped_to_zero(self):
         z = np.array([1.0, 2e-15, LP_REPAIR_TOL, -0.0, 2 * LP_REPAIR_TOL])
         step = lp_step("test LP", 0, np.full(5, 3.0),
@@ -183,7 +194,7 @@ class TestStartBasis:
                        crash.primal[:n], crash.primal[n : 2 * n], budget, caps,
                        weights)
         assert step.gini <= g + 1e-7
-        assert step.intervention.sum() <= budget + 1e-9  # a rescale's rounding
+        assert step.intervention.sum() <= budget
         assert np.all(step.intervention <= caps)
 
     def test_a_spatial_round_of_100_nodes_takes_under_half_the_iterations(self):
