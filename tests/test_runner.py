@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import threading
 from collections import deque
 from pathlib import Path
 
@@ -710,12 +711,14 @@ class TestStreamedRun:
         out = Path(config.out_dir)
         run_experiment(config, env)
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        calls = []
+        calls, lock = [], threading.Lock()
         solve = dynclear.fractional.value_given_sample_path
 
         def failing(*args):
-            calls.append(args)
-            if len(calls) == 3:
+            with lock:  # workers call it concurrently at threads 2
+                calls.append(args)
+                third = len(calls) == 3
+            if third:
                 raise SolverError("the third solve fails")
             return solve(*args)
 
