@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,21 +60,27 @@ def _require(data: dict, key: str, types, path: str):
     return value
 
 
-def _check_numbers(value, path: str, lo: float, hi: float) -> None:
-    """``value``, or every entry of it when it is a list, is a number (not
-    a bool) in ``[lo, hi]``."""
-    entries = enumerate(value) if isinstance(value, list) else [(None, value)]
-    for k, v in entries:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not lo <= v <= hi:
-            where = path if k is None else f"{path}[{k}]"
+def _check_numbers(value, path: str, lo: float, hi: float):
+    """``value`` as a float, or as a list of floats when it is a list,
+    raising :class:`ConfigError` naming ``path`` unless each entry is a
+    number (not a bool) that converts to a finite float in ``[lo, hi]``;
+    NaN, infinities and integers too large for a double fail."""
+    listed = isinstance(value, list)
+    floats = []
+    for k, v in enumerate(value if listed else [value]):
+        try:
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            x = float(v) if number else math.nan
+        except OverflowError:
+            x = math.nan
+        if not (lo <= x <= hi and math.isfinite(x)):
+            where = f"{path}[{k}]" if listed else path
             raise ConfigError(
-                f"{where}: expected a number in [{lo:g}, {hi:g}], got {v!r}"
+                f"{where}: expected a finite number in [{lo:g}, {hi:g}], "
+                f"got {reprlib.repr(v)}"
             )
-
-
-def _check_finite(value, path: str) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ConfigError(f"{path}: must be finite, got {value!r}")
+        floats.append(x)
+    return floats if listed else floats[0]
 
 
 def check_integer_caps(caps) -> None:
@@ -122,14 +129,17 @@ def _validate_environment(env: dict) -> None:
             or any(not isinstance(r, list) or len(r) != 2 for r in probs)
         ):
             raise ConfigError("environment.block_probs: expected a 2x2 matrix")
-        for row in probs:
-            _check_numbers(row, "environment.block_probs", 0.0, 1.0)
-        _optional(env, "liability_rate", (int, float), "environment.")
-        _optional(env, "asset_level", (int, float), "environment.")
+        for i, row in enumerate(probs):
+            _check_numbers(row, f"environment.block_probs[{i}]", 0.0, 1.0)
+        for key in ("liability_rate", "asset_level"):  # both default in range
+            _check_numbers(_optional(env, key, (int, float), "environment.", 0.0),
+                           f"environment.{key}", 0.0, math.inf)
     else:
-        _require(env, "counts", list, "environment.")
-        _require(env, "out_counts", list, "environment.")
-        _require(env, "in_counts", list, "environment.")
+        for i, row in enumerate(_require(env, "counts", list, "environment.")):
+            _check_numbers(row, f"environment.counts[{i}]", 0.0, math.inf)
+        for key in ("out_counts", "in_counts"):
+            _check_numbers(_require(env, key, list, "environment."),
+                           f"environment.{key}", 0.0, math.inf)
 
 
 def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
@@ -143,9 +153,8 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     mode = _require(data, "mode", str, "")
     if mode not in MODES:
         raise ConfigError(f"mode: {mode!r} is not one of {MODES}")
-    budget = float(_require(data, "budget", (int, float), ""))
-    _check_numbers(budget, "budget", 0.0, math.inf)
-    _check_finite(budget, "budget")
+    budget = _check_numbers(_require(data, "budget", (int, float), ""),
+                            "budget", 0.0, math.inf)
     if mode == "zero_input" and budget != 0:
         raise ConfigError("budget: zero_input mode requires budget 0")
     samples = check_minimum("samples", _require(data, "samples", int, ""))
@@ -155,7 +164,6 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     if caps is None:
         caps = budget
     _check_numbers(caps, "caps", 0.0, math.inf)
-    _check_finite(caps, "caps")
     if mode == "discrete":
         check_integer_caps(caps)
     horizon = _optional(data, "horizon", int, "")
@@ -183,9 +191,8 @@ def validate_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
             raise ConfigError(
                 f"fairness.kind: {kind!r} is not one of {FAIRNESS_KINDS}"
             )
-        g = float(_require(fair_data, "g", (int, float), "fairness."))
-        if not 0.0 <= g <= 1.0:
-            raise ConfigError("fairness.g: must lie in [0, 1]")
+        g = _check_numbers(_require(fair_data, "g", (int, float), "fairness."),
+                           "fairness.g", 0.0, 1.0)
         q = _optional(fair_data, "q", list, "fairness.")
         if kind == "property" and q is None:
             raise ConfigError("fairness.q: required for property weights")
@@ -228,7 +235,7 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(data, base_dir=os.path.dirname(os.path.abspath(path)))
 

@@ -24,6 +24,7 @@ from .network import (
     SamplePath,
     SystemState,
     carry_forward,
+    play,
     relative_entries,
 )
 
@@ -128,34 +129,24 @@ def sample_interventions(
 
 
 def _play(start: SystemState, path: SamplePath, schedules):
-    """Carry a stack of states along ``path`` under fixed intervention
-    schedules of shape ``(k, rounds, n)``: each round folds the shock and
-    the previous round's clearing into every state (:func:`carry_forward`,
-    from ``start`` with nothing cleared) and clears the stack under maximal
-    clearing (:func:`clear_stack`).  Yields each round's ``(shock, totals,
-    entries, clearing)``, stacked along the schedules."""
+    """Play fixed intervention schedules of shape ``(k, rounds, n)`` along
+    ``path`` from ``start`` (:func:`play`, on a stack of ``k`` states),
+    clearing each round under maximal clearing (:func:`clear_stack`).
+    Yields each round's ``(shock, totals, entries, clearing)``, stacked
+    along the schedules."""
     z = np.asarray(schedules, dtype=float)
-    n = path.n
-    if start.n != n:
-        raise ValidationError("start state and path disagree on node count")
-    if z.ndim != 3 or z.shape[1:] != (len(path), n):
+    if z.ndim != 3 or z.shape[1:] != (len(path), path.n):
         raise ValidationError(
-            f"schedules must have shape (k, {len(path)}, {n}), got {z.shape}"
+            f"schedules must have shape (k, {len(path)}, {path.n}), got {z.shape}"
         )
     if not (z >= 0).all():
         raise ValidationError("intervention amounts must be nonnegative")
-    k = z.shape[0]
-    pairwise = np.broadcast_to(start.pairwise, (k, n, n))
-    external = np.broadcast_to(start.external, (k, n))
-    totals = np.broadcast_to(start.totals, (k, n))
-    clearing = np.zeros((k, n))
-    for t, shock in enumerate(path):
-        pairwise, external, totals = carry_forward(
-            pairwise, external, totals, clearing, shock
-        )
-        entries = relative_entries(pairwise, totals)
+
+    def step(t, shock, totals, entries):
         clearing = clear_stack(entries, totals, shock.external_assets + z[:, t])
-        yield shock, totals, entries, clearing
+        return clearing, (shock, totals, entries, clearing)
+
+    return play(start, path, step, z.shape[:1])
 
 
 def simulate_discrete_policy(

@@ -71,10 +71,10 @@ class SbmParams:
             raise ValidationError("block probabilities must lie in [0, 1]")
         if self.n_core < 0 or self.n_periphery < 0 or self.n_core + self.n_periphery < 1:
             raise ValidationError("need at least one node")
-        if self.liability_rate <= 0:
-            raise ValidationError("liability_rate must be positive")
-        if self.asset_level < 0:
-            raise ValidationError("asset_level must be nonnegative")
+        if not 0.0 < self.liability_rate < np.inf:  # NaN fails too
+            raise ValidationError("liability_rate must be finite and positive")
+        if not 0.0 <= self.asset_level < np.inf:
+            raise ValidationError("asset_level must be finite and nonnegative")
         object.__setattr__(self, "block_probs", probs)
         block = np.where(np.arange(self.n) < self.n_core, 0, 1)
         edges = probs[block[:, None], block[None, :]]
@@ -137,7 +137,7 @@ def _gamma_counts(counts, out_counts, in_counts):
                         ("in_counts", in_counts)):
         try:
             arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:  # text, or ragged rows
+        except (TypeError, ValueError, OverflowError) as exc:  # text, ragged, huge ints
             raise ValidationError(f"{name} must be a numeric array: {exc}") from None
         if not np.all(np.isfinite(arr) & (arr >= 0) & (arr == np.floor(arr))):
             raise ValidationError(f"{name} must be nonnegative integers")

@@ -32,8 +32,7 @@ from .network import (
     RelativeLiabilityMatrix,
     SamplePath,
     SystemState,
-    advance_state,
-    relative_matrix,
+    play,
 )
 
 
@@ -341,27 +340,6 @@ def lp_step(source: str, round_index: int, totals: np.ndarray,
     )
 
 
-def rollout(start: SystemState, path: SamplePath, step):
-    """Carry a policy forward along one shock realization.
-
-    Each round folds the shock and the previous round's clearing into the
-    state (:func:`advance_state`, from ``start`` with nothing cleared), then
-    calls ``step(t, shock, state, matrix)`` for that round's
-    :class:`PolicyStepResult`, whose clearing feeds the next round.  Returns
-    the total reward and the per-round results.
-    """
-    if start.n != path.n:
-        raise ValidationError("start state and path disagree on node count")
-    state = start
-    clearing = np.zeros(start.n)
-    steps: list[PolicyStepResult] = []
-    for t, shock in enumerate(path):
-        state = advance_state(state, clearing, shock)
-        steps.append(step(t, shock, state, relative_matrix(state)))
-        clearing = steps[-1].clearing
-    return float(sum(s.reward for s in steps)), steps
-
-
 def value_given_sample_path(
     start: SystemState,
     path: SamplePath,
@@ -377,13 +355,15 @@ def value_given_sample_path(
     ``fairness`` a round whose knapsack on the default set is certified
     optimal needs no LP (see :func:`per_round_lp`); a zero budget always is.
     """
-    return rollout(
-        start, path,
-        lambda t, shock, state, matrix: per_round_lp(
-            matrix, state.totals, shock.external_assets, budget, caps,
-            fairness=fairness, round_index=shock.round,
-        ),
-    )
+    def step(t, shock, totals, entries):
+        result = per_round_lp(
+            RelativeLiabilityMatrix(entries), totals, shock.external_assets,
+            budget, caps, fairness=fairness, round_index=shock.round,
+        )
+        return result.clearing, result
+
+    steps = list(play(start, path, step))
+    return float(sum(s.reward for s in steps)), steps
 
 
 def substream(seed: int, index: int) -> np.random.Generator:

@@ -4,7 +4,8 @@ liabilities forward in time.
 A round is modelled in two halves: shocks arrive (new internal/external
 liabilities and external assets), then a clearing vector is chosen and
 executed.  ``SystemState`` is the post-shock, pre-clearing view of a round;
-``advance_state`` applies a clearing to it and folds in the next shock.
+``advance_state`` applies a clearing to it and folds in the next shock;
+``play`` does the same on bare arrays along a whole path.
 """
 
 from __future__ import annotations
@@ -261,6 +262,25 @@ def relative_entries(pairwise, totals) -> np.ndarray:
     rows = totals[..., :, None]
     return np.divide(pairwise, rows, out=np.zeros(np.shape(pairwise)),
                      where=rows > 0)
+
+
+def play(start: SystemState, path: SamplePath, step, stack: tuple[int, ...] = ()):
+    """Carry ``start``, or copies of it stacked to shape ``stack``, along ``path``:
+    each round folds the shock and the previous round's clearing into the
+    state (:func:`carry_forward`, from ``start`` with nothing cleared) and
+    row-normalizes it (:func:`relative_entries`), then ``step(t, shock,
+    totals, entries)`` returns the round's ``(clearing, result)``.  Yields
+    each ``result``."""
+    if start.n != path.n:
+        raise ValidationError("start state and path disagree on node count")
+    pairwise, external, totals = (np.broadcast_to(a, stack + a.shape) for a in
+                                  (start.pairwise, start.external, start.totals))
+    clearing = np.zeros(totals.shape)
+    for t, shock in enumerate(path):
+        pairwise, external, totals = carry_forward(
+            pairwise, external, totals, clearing, shock)
+        clearing, result = step(t, shock, totals, relative_entries(pairwise, totals))
+        yield result
 
 
 def relative_matrix(state: SystemState) -> RelativeLiabilityMatrix:

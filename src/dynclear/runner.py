@@ -23,12 +23,11 @@ from .fractional import (
     broadcast_caps,
     lp_step,
     per_sample,
-    rollout,
     sampled_runs,
     stderr,
 )
 from .horizon import GAP_TOL, check_constant_proportions, solve_horizon_primal
-from .network import SystemState
+from .network import RelativeLiabilityMatrix, SystemState, play
 
 
 class OlsFit(NamedTuple):
@@ -319,14 +318,14 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed) -> Iterator:
             )
         primal = solve_horizon_primal(path, budget, caps, certificate)
 
-        def step(t, shock, state, matrix):
+        def step(t, shock, totals, entries):
+            matrix = RelativeLiabilityMatrix(entries)
             result = lp_step(
-                "horizon LP replay", shock.round, state.totals, matrix,
+                "horizon LP replay", shock.round, totals, matrix,
                 primal.clearing[t], primal.interventions[t], budget, caps,
             )
             if not primal.closed_form:
-                maximal = clear_fixed_point(matrix, state.totals,
-                                            shock.external_assets,
+                maximal = clear_fixed_point(matrix, totals, shock.external_assets,
                                             result.intervention)
                 gap = float(np.abs(result.clearing - maximal).max())
                 if not gap <= GAP_TOL:
@@ -336,9 +335,10 @@ def _horizon_lp_runs(env, horizon, n_samples, budget, caps, seed) -> Iterator:
                         f"round {shock.round}, so it is not a trajectory of the "
                         "clearing dynamics"
                     )
-            return result
+            return result.clearing, result
 
-        value, steps = rollout(SystemState.empty(path.n), path, step)
+        steps = list(play(SystemState.empty(path.n), path, step))
+        value = float(sum(s.reward for s in steps))
         gap = abs(primal.value - primal.dual.value)
         return (value, certificate.max_violation, gap), steps
 

@@ -64,6 +64,13 @@ def sbm100_instance():
     return SbmEnvironment(params=params, horizon=10), SystemState.empty(100)
 
 
+def same_bits(got, want) -> bool:
+    """Equal shapes and float64 bit patterns, signed zeros and NaNs alike."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that ``tracemalloc`` sees allocated while ``fn()`` runs."""
     tracemalloc.start()

@@ -42,12 +42,52 @@ def test_import_and_validate_load_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"  # after both validations
 
 
-@pytest.mark.parametrize("caps", [float("inf"), [1.0, float("inf"), 1.0]],
-                         ids=["scalar", "list"])
-def test_validate_rejects_infinite_caps(tmp_path, capsys, caps):
-    config = write_config(tmp_path, mode="discrete", caps=caps)
-    assert main(["validate", config]) == 2
-    assert "caps" in capsys.readouterr().err
+def gamma(**fields) -> dict:
+    """Overrides for a two-node transaction-count config."""
+    env = {"kind": "gamma_transactions", "counts": [[0, 1], [1, 0]],
+           "out_counts": [1, 1], "in_counts": [0, 1]}
+    return {"environment": {**env, **fields}, "horizon": 2}
+
+
+SBM = {"kind": "sbm_core_periphery", "n_core": 1, "n_periphery": 2,
+       "block_probs": [[0.5, 0.5], [0.5, 0.5]]}
+
+
+def number_fields(x) -> dict:
+    """Per config field holding a number, overrides that put ``x`` there."""
+    return {
+        "budget": {"budget": x, "caps": 1.0},
+        "fairness.g": {"fairness": {"kind": "standard", "g": x}},
+        "caps": {"mode": "discrete", "caps": x},
+        "caps[1]": {"mode": "discrete", "caps": [1.0, x, 1.0]},
+        "environment.liability_rate": {
+            "environment": {**SBM, "liability_rate": x}, "horizon": 2},
+        "environment.asset_level": {
+            "environment": {**SBM, "asset_level": x}, "horizon": 2},
+        "environment.counts[0][1]": gamma(counts=[[0, x], [1, 0]]),
+        "environment.in_counts[1]": gamma(in_counts=[0, x]),
+    }
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400],
+                         ids=["inf", "nan", "too-large"])
+@pytest.mark.parametrize("field", sorted(number_fields(0)))
+def test_non_finite_and_huge_numbers_are_config_errors(tmp_path, capsys, command,
+                                                      value, field):
+    """A NaN, an infinity or an integer too large for a double in any config
+    number is a config error naming the field, not a crash or a run."""
+    config = write_config(tmp_path, **number_fields(value)[field])
+    assert main([command, config]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_an_integer_too_long_to_read_is_a_config_error(tmp_path, capsys):
+    # json refuses to read an integer of over 4300 digits with a ValueError
+    path = tmp_path / "config.json"
+    path.write_text('{"budget": ' + "1" * 5000 + "}")
+    assert main(["validate", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, mode", [
@@ -174,13 +214,6 @@ def test_oracle_on_the_shipped_discrete_config(tmp_path, capsys):
         assert sample["value"] == pytest.approx(20 / 3, abs=1e-12)
         assert sample["actions"] == [[1, 0, 0], [1, 0, 0]]
     assert len(payload["per_sample"]) == 5
-
-
-def gamma(**fields) -> dict:
-    """Overrides for a two-node transaction-count config."""
-    env = {"kind": "gamma_transactions", "counts": [[0, 1], [1, 0]],
-           "out_counts": [1, 1], "in_counts": [0, 1]}
-    return {"environment": {**env, **fields}, "horizon": 2}
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -29,7 +29,7 @@ from dynclear import (
     simulate_discrete_policy,
     value_given_sample_path,
 )
-from dynclear import discrete, load_config, run_experiment
+from dynclear import discrete, load_config, network, run_experiment
 from dynclear.discrete import discrete_runs
 from dynclear.clearing import clear_stack
 from dynclear.network import carry_forward, relative_entries
@@ -400,26 +400,35 @@ class TestPlayer:
     @given(seed=st.integers(0, 2**32 - 1), deep=st.booleans(),
            n=st.integers(2, 5), rounds=st.integers(1, 4), k=st.integers(1, 4))
     def test_totals_equal_external_plus_pairwise(self, seed, deep, n, rounds, k):
-        """Every state the stacked player carries, for every schedule of the
-        stack, passes the checks of ``SystemState``: totals = external +
-        pairwise to CONSISTENCY_TOL, both parts nonnegative."""
+        """Every state the carry-forward loop carries, for every schedule of
+        the stacked player and along the per-round LP policy, passes the
+        checks of ``SystemState``: totals = external + pairwise to
+        CONSISTENCY_TOL, both parts nonnegative."""
         rng = np.random.default_rng(seed)
         make_path = deep_constant_proportion_path if deep else random_general_path
         path = make_path(rng, n, rounds)
         seqs = rng.integers(0, 3, size=(k, rounds, n))
-        played = []
+        stacked, policy = [], []
 
-        def recording(*args):
-            played.append(carry_forward(*args))
-            return played[-1]
+        def recording(played):
+            def record(*args):
+                played.append(carry_forward(*args))
+                return played[-1]
+            return record
 
-        with mock.patch.object(discrete, "carry_forward", side_effect=recording):
+        with mock.patch.object(network, "carry_forward",
+                               side_effect=recording(stacked)):
             simulate_action_batch(SystemState.empty(n), path, seqs)
-        assert len(played) == rounds
-        for pairwise, external, totals in played:
+        with mock.patch.object(network, "carry_forward",
+                               side_effect=recording(policy)):
+            value_given_sample_path(SystemState.empty(n), path, 1.0, 1.0)
+        assert len(stacked) == len(policy) == rounds
+        for pairwise, external, totals in stacked:
             for j in range(k):
                 SystemState(pairwise=pairwise[j], totals=totals[j],
                             external=external[j])
+        for pairwise, external, totals in policy:
+            SystemState(pairwise=pairwise, totals=totals, external=external)
 
 
 class TestRelaxationDominanceAndRatio:

@@ -176,6 +176,16 @@ class TestSbm:
                                   (shock.external_assets, c)):
                     assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("field, value", [
+        ("liability_rate", np.nan), ("liability_rate", np.inf),
+        ("liability_rate", 0.0), ("liability_rate", -1.0),
+        ("asset_level", np.nan), ("asset_level", np.inf), ("asset_level", -0.5),
+    ])
+    def test_rate_and_level_must_be_finite(self, field, value):
+        # NaN compares false both ways, so it must fail a range test, not pass one
+        with pytest.raises(ValidationError, match=field):
+            paper_sbm_params(**{field: value})
+
     def test_environment_sampling_contract(self):
         env = SbmEnvironment(params=paper_sbm_params(), horizon=10)
         path = env.sample_path(1, 10, np.random.default_rng(6))
@@ -234,6 +244,7 @@ class TestGamma:
             {"in_counts": [0, -1]},
             {"out_counts": [1, 1, 1]},
             {"counts": [[0, np.inf], [1, 0]]},
+            {"counts": [[0, 10**400], [1, 0]]},
         ],
     )
     def test_environment_checks_counts_when_built(self, fields):

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dynclear.clearing
 from dynclear import (
@@ -49,10 +49,12 @@ from dynclear.fractional import (
 )
 
 from conftest import (
+    deep_constant_proportion_path,
     hub_path,
     hub_shock,
     random_general_path,
     refused_hub_round,
+    same_bits,
     sbm100_instance,
     sbm_round,
     traced_peak,
@@ -538,6 +540,58 @@ class TestValueGivenSamplePath:
             ]
             for low, high in zip(values, values[1:]):
                 assert high >= low - 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), deep=st.booleans(),
+           n=st.integers(1, 6), rounds=st.integers(1, 4),
+           kind=st.sampled_from([None, "standard", "spatial", "property"]),
+           share=st.floats(0.0, 1.0))
+    @example(seed=0, deep=False, n=1, rounds=3, kind=None, share=0.5)
+    @example(seed=1, deep=True, n=1, rounds=3, kind="spatial", share=0.5)
+    def test_steps_equal_the_validated_rollout(self, seed, deep, n, rounds,
+                                               kind, share):
+        """The carry-forward loop on bare arrays gives every round's bits
+        of the loop that built a validated state and matrix per round."""
+        rng = np.random.default_rng(seed)
+        make_path = deep_constant_proportion_path if deep else random_general_path
+        path = make_path(rng, n, rounds)
+        caps = rng.uniform(0.0, 2.0, n)
+        budget = share * float(caps.sum())
+        fairness = None if kind is None else FairnessSpec(
+            kind=kind, g=float(rng.uniform(0.1, 0.9)),
+            q=rng.random(n) if kind == "property" else None)
+        start = SystemState.empty(n)
+        value, steps = value_given_sample_path(start, path, budget, caps, fairness)
+        want_value, want_steps = validated_rollout(
+            start, path,
+            lambda t, shock, state, matrix: per_round_lp(
+                matrix, state.totals, shock.external_assets, budget, caps,
+                fairness=fairness, round_index=shock.round,
+            ),
+        )
+        assert same_bits(value, want_value)
+        assert len(steps) == len(want_steps) == rounds
+        for got, want in zip(steps, want_steps):
+            assert got.round == want.round
+            for name in ("totals", "clearing", "intervention", "beta", "reward"):
+                assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def validated_rollout(start: SystemState, path: SamplePath, step):
+    """The policy loop before the carry-forward loop ran on bare arrays:
+    each round folds the shock and the previous round's clearing into a
+    validated state (``advance_state``, from ``start`` with nothing
+    cleared), then calls ``step(t, shock, state, matrix)`` on it and its
+    ``relative_matrix``.  Returns the total reward and the per-round
+    results."""
+    state = start
+    clearing = np.zeros(start.n)
+    steps = []
+    for t, shock in enumerate(path):
+        state = advance_state(state, clearing, shock)
+        steps.append(step(t, shock, state, relative_matrix(state)))
+        clearing = steps[-1].clearing
+    return float(sum(s.reward for s in steps)), steps
 
 
 class _HotColdMixture(EnvironmentModel):

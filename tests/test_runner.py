@@ -36,6 +36,7 @@ from dynclear.runner import _ols
 from conftest import (
     deep_constant_proportion_path,
     redrawn_asset_instance,
+    same_bits,
     sbm100_instance,
     traced_peak,
     write_config,
@@ -639,12 +640,6 @@ class TestConfigValidation:
             load_config(str(path))
 
 
-def _same_bits(got, want) -> bool:
-    """Equal shapes and float64 bit patterns, signed zeros and NaNs alike."""
-    return (got.shape == want.shape
-            and np.array_equal(got.view(np.int64), want.view(np.int64)))
-
-
 class TestStreamedRun:
     """``run_experiment`` reduces each sample's steps as they arrive, with
     the expressions the (samples, rounds, n) stack of every step gave."""
@@ -671,15 +666,15 @@ class TestStreamedRun:
         records, _, _, _, round_z, payments, interventions, betas = map(
             np.array, zip(*kept))
         assert records.tolist() == list(range(samples))
-        assert _same_bits(payments, cleared.sum(axis=1))
-        assert _same_bits(interventions, z.sum(axis=1))
-        assert _same_bits(betas, beta.sum(axis=1))
-        assert _same_bits(round_z, z.sum(axis=2))
+        assert same_bits(payments, cleared.sum(axis=1))
+        assert same_bits(interventions, z.sum(axis=1))
+        assert same_bits(betas, beta.sum(axis=1))
+        assert same_bits(round_z, z.sum(axis=2))
         scatter = summarize_scatter(payments, interventions, betas, rounds)
-        assert _same_bits(scatter.total_payments, cleared.sum(axis=1).mean(axis=0))
-        assert _same_bits(scatter.total_interventions, z.sum(axis=1).mean(axis=0))
-        assert _same_bits(scatter.mean_beta, beta.sum(axis=1).mean(axis=0) / rounds)
-        assert _same_bits(runner._per_round(round_z).mean(axis=1),
+        assert same_bits(scatter.total_payments, cleared.sum(axis=1).mean(axis=0))
+        assert same_bits(scatter.total_interventions, z.sum(axis=1).mean(axis=0))
+        assert same_bits(scatter.mean_beta, beta.sum(axis=1).mean(axis=0) / rounds)
+        assert same_bits(runner._per_round(round_z).mean(axis=1),
                           runner._per_round(z.sum(axis=2)).mean(axis=1))
 
     def test_memory_is_flat_in_samples(self, tmp_path):
